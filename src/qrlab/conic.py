@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from qrlab.hilbert import hilbert_vector
+from qrlab.hilbert import _vector_from_exponents
 from qrlab.rational import (
     Place,
     Rat,
     _sqrt_mod_squarefree_general,
     factorize,
     is_rational_square,
+    rational_factor_exponents,
     sqrt_mod_squarefree,
-    squarefree_split,
+    squarefree_from_exponents,
 )
 
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -115,12 +116,13 @@ class ConicCertificate:
 _MAX_DEPTH = 64
 
 
-def _smallest_frame_d(a: int, b: int) -> int:
-    """The least d in [0, |b|/2] with d^2 = a (mod |b|)."""
+def _smallest_frame_d(a: int, b: int, primes_b) -> int:
+    """The least d in [0, |b|/2] with d^2 = a (mod |b|); primes_b are the
+    primes of the squarefree b."""
     m = abs(b)
     if m == 1:
         return 0
-    d = _sqrt_mod_squarefree_general(a % m, m)
+    d = _sqrt_mod_squarefree_general(a % m, m, primes_b)
     assert d is not None, (a, b)
     return d
 
@@ -134,26 +136,31 @@ def _isotropic_to_point(a, b, x0, y0) -> tuple[Fraction, Fraction]:
     return t * x0, t * y0 + 1
 
 
-def _descent(a: int, b: int, depth: int = 0) -> tuple[Fraction, Fraction, int]:
+def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[Fraction, Fraction, int]:
     """Exact point on a x^2 + b y^2 = 1 for squarefree integers a, b whose
-    symbol vector is everywhere +1; returns (x, y, max depth reached)."""
+    symbol vector is everywhere +1; returns (x, y, max depth reached).
+
+    primes_a and primes_b are the primes of a and b.  Each level factors c
+    once and hands the primes of its squarefree part e down with the
+    primes of a, so no level factors a or b again."""
     assert depth < _MAX_DEPTH, "descent failed to terminate"
     if a == 1:
         return Fraction(1), Fraction(0), depth
     if b == 1:
         return Fraction(0), Fraction(1), depth
     if abs(a) > abs(b):
-        y, x, d = _descent(b, a, depth)
+        y, x, d = _descent(b, a, primes_b, primes_a, depth)
         return x, y, d
     # |a| <= |b|, |b| >= 2: the local conditions provide d with d^2 = a (|b|)
-    d = _smallest_frame_d(a, b)
+    d = _smallest_frame_d(a, b, primes_b)
     if d * d == a:
         return Fraction(1, d), Fraction(0), depth
     c = (d * d - a) // b
-    e = factorize(c).squarefree_part()
-    f = factorize(c).square_divisor_root()
+    fc = factorize(c)
+    e, f = fc.squarefree_part(), fc.square_divisor_root()
+    primes_e = [p for p, k in fc.factors if k % 2]
     # solve the lighter form <a, e>, lift to <a, c>, and step back to <a, b>
-    X, Y, reached = _descent(a, e, depth + 1)
+    X, Y, reached = _descent(a, e, primes_a, primes_e, depth + 1)
     frame = DescentFrame(a, b, c, d)
     w, z, t = X, Y / f, Fraction(1)
     x, y, s = descent_step(frame, (w, z, t), "backward")
@@ -173,15 +180,20 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
-    vector = hilbert_vector(a, b)
+    # one factorization of a and b serves the symbol vector and the split
+    sign_a, exps_a = rational_factor_exponents(a)
+    sign_b, exps_b = rational_factor_exponents(b)
+    vector = _vector_from_exponents(a, b, exps_a, exps_b)
     if vector.minus_places:
         cert = ConicCertificate(a, b, "obstruction", places=vector.support)
         assert cert.verify()
         return cert
     # scale to squarefree integers: a x^2 = a0 (sa x)^2
-    a0, sa = squarefree_split(a)
-    b0, sb = squarefree_split(b)
-    X, Y, depth = _descent(a0, b0)
+    a0, sa = squarefree_from_exponents(sign_a, exps_a)
+    b0, sb = squarefree_from_exponents(sign_b, exps_b)
+    primes_a = [p for p, e in exps_a if e % 2]
+    primes_b = [p for p, e in exps_b if e % 2]
+    X, Y, depth = _descent(a0, b0, primes_a, primes_b)
     x, y = _canonical_point(X / sa, Y / sb)
     cert = ConicCertificate(a, b, "solution", x=x, y=y, descent_depth=depth)
     assert cert.verify(), (a, b, x, y)

@@ -20,17 +20,11 @@ from qrlab.rational import (
     Rat,
     is_rational_square,
     rational_factor_exponents,
+    unit_residue,
     vp,
     vp_split,
 )
-from qrlab.symbols import (
-    QuadraticCharacter,
-    eps4,
-    eps8,
-    eps_inf,
-    eps_p,
-    smallest_nonresidue,
-)
+from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
 
 PlaceLike = Union[Place, int, str]
 
@@ -59,6 +53,23 @@ def _split_at(x, p: int):
     return vp_split(x, p)
 
 
+def _symbol_exponent(p: int, alpha: int, ua: int, beta: int, ub: int) -> int:
+    """The e in {0, 1} with (a,b)_p = (-1)^e for a = p^alpha u, b = p^beta u',
+    from the closed forms (Serre, A Course in Arithmetic, III.1.2).  ua and
+    ub are the residues of the units u, u' mod 8 when p = 2, mod p otherwise;
+    a Legendre symbol is evaluated only when its exponent is odd."""
+    if p == 2:
+        e = (ua - 1) // 2 * ((ub - 1) // 2)  # eps4(u) eps4(u')
+        e += beta * ((ua * ua - 1) // 8) + alpha * ((ub * ub - 1) // 8)
+        return e % 2
+    e = (p - 1) // 2 if alpha % 2 and beta % 2 else 0  # eps_p(-1)
+    if beta % 2 and pow(ua, (p - 1) // 2, p) != 1:
+        e += 1
+    if alpha % 2 and pow(ub, (p - 1) // 2, p) != 1:
+        e += 1
+    return e % 2
+
+
 def hilbert_symbol(a, b, v: PlaceLike) -> int:
     """(a,b)_v: +1 iff a x^2 + b y^2 = z^2 has a nontrivial solution in Q_v,
     from the closed forms on valuations and unit residues."""
@@ -71,11 +82,8 @@ def hilbert_symbol(a, b, v: PlaceLike) -> int:
     p = place.prime
     alpha, ua = _split_at(a, p)
     beta, ub = _split_at(b, p)
-    if p == 2:
-        e = eps4(ua) * eps4(ub) + beta * eps8(ua) + alpha * eps8(ub)
-    else:
-        e = alpha * beta * eps_p(-1, p) + beta * eps_p(ua, p) + alpha * eps_p(ub, p)
-    return (-1) ** (e % 2)
+    m = 8 if p == 2 else p
+    return (-1) ** _symbol_exponent(p, alpha, unit_residue(ua, m), beta, unit_residue(ub, m))
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +127,34 @@ class SymbolVector:
         return cls(frozenset(minus))
 
 
+def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVector:
+    """hilbert_vector from the signed exponents of a and b, as returned by
+    rational_factor_exponents."""
+    va, vb = dict(exps_a), dict(exps_b)
+    minus = [INF_PLACE] if a < 0 and b < 0 else []
+    for p in {2, *va, *vb}:
+        alpha, beta = va.get(p, 0), vb.get(p, 0)
+        m = 8 if p == 2 else p
+        ua, ub = unit_residue(a, m, p, alpha), unit_residue(b, m, p, beta)
+        if _symbol_exponent(p, alpha, ua, beta, ub):
+            minus.append(Place.finite(p))
+    return SymbolVector(frozenset(minus))
+
+
 def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
     """All local symbols of (a, b); support is within {inf, 2} and the primes
-    of a and b, and the -1 count is even (the product formula)."""
+    of a and b, and the -1 count is even (the product formula).
+
+    The numerator and denominator of a and b are each factored once.  The
+    valuations come from those factorizations and the unit residues from
+    plain integer division, so no prime is tested again, and a Place (which
+    certifies its prime) is built only where the symbol is -1."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
-    candidates = {INF_PLACE, Place.finite(2)}
-    for x in (a, b):
-        _, exps = rational_factor_exponents(x)
-        candidates.update(Place.finite(p) for p, _ in exps)
-    minus = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
-    return SymbolVector(minus)
+    _, exps_a = rational_factor_exponents(a)
+    _, exps_b = rational_factor_exponents(b)
+    return _vector_from_exponents(a, b, exps_a, exps_b)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +207,20 @@ def _infinite_witness(a: Fraction, b: Fraction) -> LocalWitness:
                 return LocalWitness(INF_PLACE, r, y, 0)
     # approximate fallback: solve along whichever axis is positive
     if a > 0:
-        xf = math.sqrt(1.0 / float(a))
-        return LocalWitness(INF_PLACE, Fraction(xf), Fraction(0), 0, approximate=True)
-    yf = math.sqrt(1.0 / float(b))
-    return LocalWitness(INF_PLACE, Fraction(0), Fraction(yf), 0, approximate=True)
+        return LocalWitness(INF_PLACE, _inverse_sqrt(a), Fraction(0), 0, approximate=True)
+    return LocalWitness(INF_PLACE, Fraction(0), _inverse_sqrt(b), 0, approximate=True)
 
 
-def _unit_residue_mod(x: Fraction, p: int, k: int) -> int:
-    mod = p ** k
-    return x.numerator * pow(x.denominator, -1, mod) % mod
+def _inverse_sqrt(x: Fraction) -> Fraction:
+    """1/sqrt(x) for x > 0 to about 64 bits of relative precision, by integer
+    square roots: sqrt(den/num) = isqrt(den * 4^k / num) / 2^k with k chosen
+    to put the radicand near 2^128.  No float conversion, so no overflow or
+    underflow whatever the size of x."""
+    num, den = x.numerator, x.denominator
+    k = (128 - den.bit_length() + num.bit_length()) // 2
+    if k >= 0:
+        return Fraction(math.isqrt((den << 2 * k) // num), 1 << k)
+    return Fraction(math.isqrt(den // (num << -2 * k)) << -k)
 
 
 def _sqrt_rep(x: Fraction, p: int, precision: int) -> Fraction:
@@ -217,9 +246,9 @@ def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
                 return _sqrt_rep(t, p, K), Fraction(y0)
         raise AssertionError("counting argument found no intersection")
     # p = 2, neither unit is 1 mod 8; symbol +1 forces a or b = 5 (mod 8)
-    if _unit_residue_mod(a, 2, 3) == 5:
+    if unit_residue(a, 8) == 5:
         return _sqrt_rep((1 - 4 * b) / a, 2, K), Fraction(2)
-    assert _unit_residue_mod(b, 2, 3) == 5
+    assert unit_residue(b, 8) == 5
     return Fraction(2), _sqrt_rep((1 - 4 * a) / b, 2, K)
 
 
@@ -230,7 +259,7 @@ def _witness_unit_by_uniformizer(a: Fraction, b: Fraction, p: int, K: int):
     # for odd p the symbol is lambda_p(a), so a must be class 1 above
     assert p == 2, "odd p with symbol +1 implies a is a square"
     # remaining 2-adic case: a = 1 - b (mod 8), witness y = 1
-    assert _unit_residue_mod(a, 2, 3) == _unit_residue_mod(1 - b, 2, 3)
+    assert unit_residue(a, 8) == unit_residue(1 - b, 8)
     return _sqrt_rep((1 - b) / a, 2, K), Fraction(1)
 
 

@@ -27,11 +27,12 @@ TRIAL_DIVISION_LIMIT = 10**6
 # stops as soon as the remainder is certified prime (or 1).
 _TRIAL_CHECKPOINTS = (10**3, 10**4, 10**5, TRIAL_DIVISION_LIMIT)
 
-# Miller-Rabin with these bases is a proof of primality below this bound
-# (Sorenson & Webster); above it the same bases make a standard strong
-# pseudoprime test, which is all the library promises there.
+# Miller-Rabin with the first 13 primes as bases is a proof of primality
+# below this bound, psi_13 (Sorenson & Webster); above it the same bases make
+# a standard strong pseudoprime test, which is all the library promises
+# there.  The first 12 alone stop at psi_12 = 318665857834031151167461.
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class FactorizationError(Exception):
@@ -79,7 +80,8 @@ INFINITY = _Infinity()
 # primality and factorization
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below ~3.3e24, strong-base test above."""
+    """Deterministic Miller-Rabin below psi_13 ~ 3.3e24 (13 prime bases),
+    strong-base test above."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -191,7 +193,15 @@ class Factorization:
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     """Full prime factorization: trial division, then Pollard rho on whatever
-    survives, every prime certified by Miller-Rabin."""
+    survives, every prime certified once.
+
+    After trial division to a checkpoint hi the cofactor m has no prime
+    factor <= hi (or the scan stopped early because m is 1 or prime), so
+    m < hi^2 is 1 or prime by construction and needs no Miller-Rabin.  A
+    larger cofactor gets one Miller-Rabin test per checkpoint; one that
+    passes is recorded at once.  Rho only ever splits a cofactor that
+    survived trial division to TRIAL_DIVISION_LIMIT, so every split below
+    TRIAL_DIVISION_LIMIT^2 is prime as well."""
     if n == 0:
         raise ValueError("cannot factor 0")
     if abs(n) > bound:
@@ -205,21 +215,23 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
         for p, e in pairs:
             found[p] = found.get(p, 0) + e
         lo = hi
-        if m == 1 or is_probable_prime(m):
+        if m < hi * hi or is_probable_prime(m):
+            if m > 1:
+                found[m] = found.get(m, 0) + 1
+            stack = []
             break
-    stack = [] if m == 1 else [m]
+    else:
+        stack = [m]
+    prime_below = TRIAL_DIVISION_LIMIT**2
     while stack:
         m = stack.pop()
-        if is_probable_prime(m):
+        if m < prime_below or is_probable_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return Factorization(sign, tuple(sorted(found.items())))
-
-
-_FRACTION_FACTOR_CACHE: dict[Fraction, tuple[tuple[int, int], ...]] = {}
 
 
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -387,12 +399,13 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * t) % (m1 * m2)
 
 
-def _sqrt_mod_squarefree_general(a: int, b: int) -> Optional[int]:
-    """Smallest d in [0, |b|/2] with d^2 = a (mod b), b squarefree; shared
-    primes allowed (p | gcd(a,b) forces d = 0 mod p).  None if impossible."""
+def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> Optional[int]:
+    """Smallest d in [0, |b|/2] with d^2 = a (mod b), b squarefree with the
+    given primes; shared primes allowed (p | gcd(a,b) forces d = 0 mod p).
+    None if impossible."""
     b = abs(b)
     residues = [(0, 1)]
-    for p, _ in factorize(b).factors:
+    for p in primes:
         if p == 2:
             roots = [a % 2]
         elif a % p == 0:
@@ -416,15 +429,33 @@ def _sqrt_mod_squarefree_general(a: int, b: int) -> Optional[int]:
 def sqrt_mod_squarefree(a: int, b: int) -> Optional[int]:
     """Square root of a modulo a squarefree b with |b| > 1, gcd(a,b) = 1,
     returned as the smallest d in [0, |b|/2]; None when no root exists."""
-    if abs(b) <= 1 or not factorize(b).is_squarefree():
+    fac = factorize(b) if abs(b) > 1 else None
+    if fac is None or not fac.is_squarefree():
         raise ValueError(f"{b} is not squarefree with |b| > 1")
     if math.gcd(a, b) != 1:
         raise ValueError("gcd(a, b) must be 1")
-    return _sqrt_mod_squarefree_general(a, b)
+    return _sqrt_mod_squarefree_general(a, b, [p for p, _ in fac])
 
 
 # ---------------------------------------------------------------------------
 # small shared helpers
+
+def unit_residue(x: Rat, m: int, p: int = 1, v: int = 0) -> int:
+    """The residue mod m of the rational u = x / p^v, whose numerator and
+    denominator must be prime to m.  By default u = x; a caller holding
+    v = v_p(x) from a factorization gets the residue of x's p-adic unit
+    part without building it as a Fraction."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
+        raise ValueError(f"{x} is not a unit modulo {m}")
+    return num * pow(den, -1, m) % m
+
 
 def is_rational_square(x: Rat) -> Optional[Fraction]:
     """The nonnegative exact square root of x if x is a rational square."""
@@ -438,16 +469,20 @@ def is_rational_square(x: Rat) -> Optional[Fraction]:
     return None
 
 
+def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction]:
+    """(n, s) with sign * prod p^e = n * s^2, n a squarefree integer and
+    s > 0 rational, from the signed exponents of rational_factor_exponents."""
+    n, s = sign, Fraction(1)
+    for p, e in exps:
+        if e % 2:
+            n *= p
+        s *= Fraction(p) ** (e // 2)
+    return n, s
+
+
 def squarefree_split(x: Rat) -> tuple[int, Fraction]:
     """x = n * s^2 with n a squarefree integer and s > 0 rational."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    sign, exps = rational_factor_exponents(x)
-    n = sign
-    for p, e in exps:
-        if e % 2:
-            n *= p
-    s = is_rational_square(x / n)
-    assert s is not None and s > 0
-    return n, s
+    return squarefree_from_exponents(*rational_factor_exponents(x))

@@ -17,15 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from qrlab import kernels
-from qrlab.rational import Rat, factorize, is_probable_prime, vp_split
-
-
-def _unit_residue(x: Rat, m: int) -> int:
-    """x mod m for a rational x whose numerator and denominator are prime to m."""
-    x = Fraction(x)
-    if math.gcd(x.denominator, m) != 1 or math.gcd(x.numerator, m) != 1:
-        raise ValueError(f"{x} is not a unit modulo {m}")
-    return x.numerator * pow(x.denominator, -1, m) % m
+from qrlab.rational import Rat, factorize, is_probable_prime, unit_residue, vp_split
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +25,7 @@ def _unit_residue(x: Rat, m: int) -> int:
 
 def eps4(a: Rat) -> int:
     """(a-1)/2 mod 2 for a 2-adic unit a: 0 iff a = 1 (mod 4)."""
-    return (_unit_residue(a, 4) - 1) // 2
+    return (unit_residue(a, 4) - 1) // 2
 
 
 def lambda4(a: Rat) -> int:
@@ -42,7 +34,7 @@ def lambda4(a: Rat) -> int:
 
 def eps8(a: Rat) -> int:
     """(a^2-1)/8 mod 2 for a 2-adic unit a: 0 iff a = +-1 (mod 8)."""
-    r = _unit_residue(a, 8)
+    r = unit_residue(a, 8)
     return (r * r - 1) // 8 % 2
 
 
@@ -73,7 +65,7 @@ def legendre(a: Rat, p: int) -> int:
         raise ValueError("a must be nonzero")
     if r != 0:
         raise ValueError(f"v_{p}({a}) = {r} != 0: not a unit at {p}")
-    t = pow(_unit_residue(u, p), (p - 1) // 2, p)
+    t = pow(unit_residue(u, p), (p - 1) // 2, p)
     return 1 if t == 1 else -1
 
 

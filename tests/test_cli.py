@@ -99,6 +99,22 @@ def test_domain_errors_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_witness_at_infinity_beyond_float_range_exits_0(capsys):
+    huge = "3" + "0" * 400
+    for a in (huge, "3/1" + "0" * 400):
+        code, out, err = invoke(capsys, "witness", a, "-1", "inf")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("x: ") and lines[1] == "y: 0"
+        assert lines[2] == "approximate: true"
+
+
+def test_factorize_psi_12(capsys):
+    # the least strong pseudoprime to the twelve bases 2..37
+    code, out, _ = invoke(capsys, "factorize", "318665857834031151167461")
+    assert (code, out) == (0, "sign: 1\n399165290221^1\n798330580441^1")
+
+
 def test_unknown_command_exits_2(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
 

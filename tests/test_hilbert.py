@@ -271,6 +271,24 @@ def test_witness_infinite_place():
     assert local_solve_witness(-2, -5, "inf") is None
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (3 * 10**400, -1),
+        (Fraction(3, 10**400), -1),
+        (-1, 3 * 10**400),
+        (-1, Fraction(3, 10**400)),
+        (Fraction(10**300 + 1, 3 * 10**600), -7),
+    ],
+)
+def test_witness_infinite_place_beyond_float_range(a, b):
+    # no small rational point (a sum of two squares is never 3 times a
+    # nonzero square), so these reach the approximate fallback, whose
+    # root must not pass through a float
+    w = local_solve_witness(a, b, "inf")
+    assert w.approximate and w.verify(a, b)
+
+
 def test_witness_exact_small_point():
     # 3 x^2 - 2 y^2 = 1 has the point (1, 1)
     w = local_solve_witness(3, -2, "inf")

@@ -40,6 +40,19 @@ def test_probable_prime_large():
     assert not is_probable_prime(2 ** 67 - 1)  # Mersenne's false claim
 
 
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
+
+
+def test_probable_prime_psi_12_is_composite():
+    # the twelve bases 2..37 all pass psi_12; base 41 exposes it
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_probable_prime(PSI_12)
+
+
+def test_factorize_psi_12():
+    assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+
 # ---------------------------------------------------------------------------
 # factorize
 
