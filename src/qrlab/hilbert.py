@@ -302,8 +302,7 @@ def local_solve_witness(
         return _infinite_witness(a, b)
     p = place.prime
     K = precision + _PRECISION_BUFFER
-    va, _ = vp_split(a, p)
-    vb, _ = vp_split(b, p)
+    va, vb = vp(a, p), vp(b, p)
     alpha, beta = va % 2, vb % 2
     ea, eb = (va - alpha) // 2, (vb - beta) // 2
     ar = a / Fraction(p) ** (2 * ea)

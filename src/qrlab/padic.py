@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from qrlab.rational import INFINITY, Rat, is_probable_prime, sqrt_mod_prime, vp_split
+from qrlab.rational import (
+    INFINITY,
+    Rat,
+    _sqrt_mod_odd_prime,
+    int_valuation,
+    is_probable_prime,
+    unit_residue,
+    vp,
+)
 from qrlab.symbols import legendre, smallest_nonresidue
 
 DEFAULT_PRECISION = 32
@@ -63,9 +71,12 @@ class PAdicElement:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p)
-        v, u = vp_split(x, p)
-        mod = p ** precision
-        unit = u.numerator * pow(u.denominator, -1, mod) % mod
+        v = vp(x, p)
+        try:
+            unit = unit_residue(x, p ** precision, p, v)
+        except ValueError:
+            # the unit part of x is a unit mod p^k whenever p is prime
+            raise ValueError(f"{p} is not a prime") from None
         return cls(p, v, unit, precision)
 
     # -- structure ---------------------------------------------------------
@@ -145,8 +156,8 @@ class PAdicElement:
             raise PrecisionLossError(
                 f"sum is 0 mod {p}^{abs_prec}: indistinguishable from zero"
             )
-        shift, unit = vp_split(s, p)
-        unit = int(unit) % p ** (abs_prec - v - shift)
+        shift, unit = int_valuation(s, p)
+        unit %= p ** (abs_prec - v - shift)
         return PAdicElement(p, v + shift, unit, abs_prec - v - shift)
 
     def __sub__(self, other: "PAdicElement") -> "PAdicElement":
@@ -185,10 +196,11 @@ class PAdicElement:
         if n < 0:
             base = PAdicElement(self.prime, 0, 1, self.precision) / self
             return base ** (-n)
-        result = PAdicElement(self.prime, 0, 1, self.precision or 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        if self.is_zero:
+            return PAdicElement(self.prime, 0, 1, 1) if n == 0 else self
+        k = self.precision
+        # pow is square-and-multiply on the unit; the valuation just scales
+        return PAdicElement(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
 
     def __str__(self) -> str:
         return format_padic(self)
@@ -253,16 +265,6 @@ class IntPolynomial:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _int_vp(n: int, p: int):
-    if n == 0:
-        return INFINITY
-    r = 0
-    while n % p == 0:
-        n //= p
-        r += 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
@@ -274,7 +276,22 @@ def hensel_lift(
 ) -> PAdicElement:
     """Newton-refine an approximate root: from v_p(f(x0)) = m > 2*delta with
     delta = v_p(f'(x0)), produce xi with f(xi) = 0 (mod p^N) and
-    xi = x0 (mod p^(m-delta)).  Working precision doubles each step."""
+    xi = x0 (mod p^(m-delta)).  That root is unique mod p^N.
+
+    Schedule: Newton iteration with precision doubling (von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 9).  v_p(f(x)) is measured once,
+    at x0; after that m is a lower bound on it, and each step sets
+    m <- min(2(m - delta), N + delta) and works modulo p^m, until
+    m = N + delta fixes the root mod p^(m-delta) = p^N.
+
+    A step is x <- x - (f(x)/p^delta) * s with w = f'(x)/p^delta a unit and
+    s = 1/w (mod p^(m-2*delta)).  The error in s leaves
+    f(x)(1 - w*s) in f(x), of valuation >= m + (m - 2*delta) = 2(m - delta):
+    no worse than the Taylor remainder h^2, v_p(h) = m - delta.  So s
+    needs only m - 2*delta digits.  w is inverted once, at x0; as x moves by
+    multiples of p^(m-delta), w moves by multiples of p^(m-2*delta), so the
+    old s is still good to m - 2*delta digits, and one Newton step
+    s <- s(2 - w*s) doubles that to the next step's m - 2*delta."""
     if isinstance(x0, PAdicElement):
         p = x0.prime
         if not x0.is_zero and x0.valuation < 0:
@@ -289,31 +306,32 @@ def hensel_lift(
         raise ValueError("target precision must be >= 1")
 
     fprime = f.derivative()
-    if f(x) == 0:
+    fx = f(x)
+    if fx == 0:
         # exact integer root: no refinement needed
         if x == 0:
             return PAdicElement.zero(p)
         return PAdicElement.from_rational(x, p, N)
-    delta = _int_vp(fprime(x), p)
-    if delta is INFINITY:
+    dx = fprime(x)
+    if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
-    m = _int_vp(f(x), p)
+    delta = int_valuation(dx, p)[0]
+    m = int_valuation(fx, p)[0]
     if m <= 2 * delta:
         raise ValueError(
             f"Hensel hypothesis fails: v_p(f(x0)) = {m} <= 2*{delta} = 2*v_p(f'(x0))"
         )
-    # the iterate only identifies the root mod p^(m-delta), so sharpen until
-    # m - delta >= N; each step sends m to at least 2(m - delta)
-    work = p ** (N + delta)
-    while m < N + delta:
-        w = fprime(x) // p ** delta
-        assert w % p != 0
-        inv = pow(w, -1, work)
-        x = (x - (f(x) // p ** delta) * inv) % work
-        fx = f(x)
-        if fx == 0:
-            break
-        m = _int_vp(fx, p)
+    if m < N + delta:
+        pd = p ** delta
+        s = pow(dx // pd, -1, p ** (m - 2 * delta))
+        while True:
+            m = min(2 * (m - delta), N + delta)
+            x = (x - fx // pd * s) % p ** m
+            if m == N + delta:
+                break
+            mod = p ** (m - 2 * delta)
+            s = s * (2 - fprime(x) // pd * s) % mod
+            fx = f(x)
     return _element_from_int(x % p ** N, p, N)
 
 
@@ -324,8 +342,8 @@ def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
         raise PrecisionLossError(
             f"value is 0 mod {p}^{abs_precision}: indistinguishable from zero"
         )
-    v, u = vp_split(x, p)
-    return PAdicElement(p, v, int(u) % p ** (abs_precision - v), abs_precision - v)
+    v, u = int_valuation(x, p)
+    return PAdicElement(p, v, u % p ** (abs_precision - v), abs_precision - v)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +372,14 @@ def padic_sqrt(x: PAdicElement) -> Optional[PAdicElement]:
         if root % 4 == 3:
             root = 2 ** (k - 1) - root
         return PAdicElement(2, v // 2, root, k - 1)
-    if legendre(x.unit % p, p) != 1:
+    r0 = _sqrt_mod_odd_prime(x.unit % p, p)
+    if r0 is None:
         return None
-    r0 = _sqrt_mod_p(x.unit % p, p)
     f = IntPolynomial((-x.unit, 0, 1))
     root = hensel_lift(f, r0, k, p=p).integer_rep()
     if root % p > (p - 1) // 2:
         root = p ** k - root
     return PAdicElement(p, v // 2, root, k)
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    r = sqrt_mod_prime(a, p)
-    assert r is not None
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +521,14 @@ def square_class(x: Union[PAdicElement, Rat], p: Optional[int] = None) -> int:
     else:
         if p is None:
             raise ValueError("p required for rational input")
-        split = vp_split(x, p)
-        if split is INFINITY:
+        v = vp(x, p)
+        if v is INFINITY:
             raise ValueError("x must be nonzero")
-        v, u = split
-        mod = p ** 3 if p == 2 else p
-        unit_mod = u.numerator * pow(u.denominator, -1, mod) % mod
+        try:
+            unit_mod = unit_residue(x, 8 if p == 2 else p, p, v)
+        except ValueError:
+            # the unit part of x is a unit mod p whenever p is prime
+            raise ValueError(f"{p} is not an odd prime") from None
     if p == 2:
         rep = {1: 1, 5: 5, 7: -1, 3: -5}[unit_mod % 8]
     else:

@@ -306,26 +306,46 @@ class Place:
 INF_PLACE = Place.infinity()
 
 
+def int_valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for a nonzero integer n, in O(log v)
+    divisions: square p until p^(2^k) no longer divides n, so v < 2^k, then
+    divide out p^(2^i) for i = k-1, ..., 0 wherever it still divides."""
+    if p < 2:
+        raise ValueError(f"valuations need a base p >= 2, got {p}")
+    if n % p:
+        return 0, n
+    powers = [p]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] * powers[-1])
+    v = 0
+    for i in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[i])
+        if r == 0:
+            n = q
+            v += 1 << i
+    return v, n
+
+
 def vp_split(x: Rat, p: int):
     """x = p^r * u with u prime to p: returns (r, u), or INFINITY for x = 0."""
     x = Fraction(x)
     if x == 0:
         return INFINITY
-    r = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        r += 1
-    while den % p == 0:
-        den //= p
-        r -= 1
-    return r, Fraction(num, den)
+    r, num = int_valuation(x.numerator, p)
+    if r:
+        return r, Fraction(num, x.denominator)
+    r, den = int_valuation(x.denominator, p)
+    return -r, Fraction(num, den)
 
 
 def vp(x: Rat, p: int):
     """The p-adic valuation; INFINITY for x = 0."""
-    split = vp_split(x, p)
-    return split if split is INFINITY else split[0]
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if x == 0:
+        return INFINITY
+    r = int_valuation(x.numerator, p)[0]
+    return r if r else -int_valuation(x.denominator, p)[0]
 
 
 def abs_place(x: Rat, v: Place) -> Fraction:
@@ -362,6 +382,13 @@ def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     a %= p
     if a == 0:
         raise ValueError("a must be prime to p")
+    return _sqrt_mod_odd_prime(a, p)
+
+
+def _sqrt_mod_odd_prime(a: int, p: int) -> Optional[int]:
+    """sqrt_mod_prime for a caller that already holds an odd prime p (from
+    factorize, or from a PAdicElement) and a residue a in [1, p): Euler's
+    criterion, then Tonelli-Shanks, with no primality test."""
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     if p % 4 == 3:
@@ -411,7 +438,7 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> Optional[int]:
         elif a % p == 0:
             roots = [0]
         else:
-            r = sqrt_mod_prime(a, p)
+            r = _sqrt_mod_odd_prime(a % p, p)
             if r is None:
                 return None
             roots = [r, p - r] if r != p - r else [r]

@@ -4,6 +4,7 @@ textual p-adic elements, character labels)."""
 
 import json
 import re
+import time
 
 import pytest
 
@@ -107,6 +108,22 @@ def test_witness_at_infinity_beyond_float_range_exits_0(capsys):
         lines = out.splitlines()
         assert lines[0].startswith("x: ") and lines[1] == "y: 0"
         assert lines[2] == "approximate: true"
+
+
+def test_power_sum_closed_form_in_bounded_time(capsys):
+    n = 10**8
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "power-sum", "2", str(n))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, str((n - 1) * n * (2 * n - 1) // 6))
+
+
+def test_valuation_base_below_2_exits_2(capsys):
+    # a base of 1 or -1 divides everything: the valuation loop never ended
+    for argv in (["vp", "5", "1"], ["vp", "5", "-1"], ["sqrt", "2", "-p", "1"]):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv
 
 
 def test_factorize_psi_12(capsys):

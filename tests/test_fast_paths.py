@@ -1,7 +1,10 @@
-"""Differential tests that pin the factor-once fast paths to slower, older
-routes: hilbert_vector against brute-force local solvability and against the
+"""Differential tests that pin the fast paths to slower, older routes:
+hilbert_vector against brute-force local solvability and against the
 per-place evaluation through legendre/eps4/eps8, factorize against trial
-division and sympy, and solve_conic against recorded certificate points."""
+division and sympy, solve_conic against recorded certificate points,
+hensel_lift's precision-doubling schedule against the per-step loop it
+replaced, and the logarithmic valuation against the one-division-per-digit
+loop."""
 
 import random
 from fractions import Fraction
@@ -13,11 +16,17 @@ from hypothesis import strategies as st
 from oracles import is_prime_trial, slow_hilbert
 from qrlab.conic import solve_conic
 from qrlab.hilbert import hilbert_vector
+from qrlab.padic import IntPolynomial, PAdicElement, PrecisionLossError, hensel_lift
 from qrlab.rational import (
     INF_PLACE,
+    INFINITY,
     Place,
+    _sqrt_mod_odd_prime,
     factorize,
+    int_valuation,
     rational_factor_exponents,
+    sqrt_mod_prime,
+    vp,
     vp_split,
 )
 from qrlab.symbols import eps4, eps8, eps_inf, eps_p
@@ -170,3 +179,173 @@ def test_solve_conic_golden_points(a, b, x, y):
     cert = solve_conic(a, b)
     assert cert.outcome == "solution"
     assert (cert.x, cert.y) == (Fraction(x), Fraction(y))
+
+
+# ---------------------------------------------------------------------------
+# hensel_lift: precision doubling against the per-step loop it replaced
+
+
+def _naive_vp(n: int, p: int) -> int:
+    r = 0
+    while n % p == 0:
+        n //= p
+        r += 1
+    return r
+
+
+def _per_step_lift(f, x: int, N: int, p: int) -> int:
+    """The root mod p^N by the loop hensel_lift used to run: every step
+    works modulo p^(N+delta), inverts f'(x)/p^delta afresh and measures
+    v_p(f(x)) again.  Raises ValueError where hensel_lift must."""
+    fprime = f.derivative()
+    if f(x) == 0:
+        return x % p**N
+    if fprime(x) == 0:
+        raise ValueError("f'(x0) = 0")
+    delta = _naive_vp(fprime(x), p)
+    m = _naive_vp(f(x), p)
+    if m <= 2 * delta:
+        raise ValueError("Hensel hypothesis fails")
+    work = p ** (N + delta)
+    while m < N + delta:
+        inv = pow(fprime(x) // p**delta, -1, work)
+        x = (x - (f(x) // p**delta) * inv) % work
+        fx = f(x)
+        if fx == 0:
+            break
+        m = _naive_vp(fx, p)
+    return x % p**N
+
+
+def _assert_lift_matches(f, x0, N: int, p: int):
+    seed = x0.integer_rep() if isinstance(x0, PAdicElement) else x0
+    try:
+        want = _per_step_lift(f, seed, N, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            hensel_lift(f, x0, N, p=p)
+        return
+    if want == 0 and f(seed) != 0:
+        with pytest.raises(PrecisionLossError):
+            hensel_lift(f, x0, N, p=p)
+        return
+    got = hensel_lift(f, x0, N, p=p)
+    if f(seed) == 0:
+        # the exact-root shortcut keeps N digits of the exact root's unit
+        exact = PAdicElement.zero(p) if seed == 0 else PAdicElement.from_rational(seed, p, N)
+        assert got == exact, (f, x0, N, p)
+        return
+    assert got.integer_rep() == want and got.abs_precision == N, (f, x0, N, p)
+
+
+def _random_liftable(rng: random.Random, p: int):
+    """(f, x0) with f(x0) = 0 (mod p^k) for a random k >= 1: f = g - g(x0) + c
+    for a random g and c = p^k * r, so v_p(f(x0)) >= k and f'(x0) = g'(x0)."""
+    x0 = rng.randrange(-(p**6), p**6)
+    g = [rng.randrange(-(p**4), p**4) for _ in range(rng.randint(2, 6))]
+    c = p ** rng.randint(1, 24) * rng.randrange(-50, 51)
+    g[0] += c - IntPolynomial(tuple(g))(x0)
+    return IntPolynomial(tuple(g)), x0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
+def test_hensel_matches_per_step_loop_random(p):
+    rng = random.Random(40000 + p)
+    for _ in range(400):
+        f, x0 = _random_liftable(rng, p)
+        _assert_lift_matches(f, x0, rng.randint(1, 60), p)
+
+
+def test_hensel_matches_per_step_loop_delta_2_to_4():
+    rng = random.Random(4918)
+    # f = T^d - a with f'(x0) = d x0^(d-1): delta = v_p(d) for a unit x0,
+    # and a = x0^d (mod p^(2 delta + 1 + j)) makes the lift start at m > 2 delta
+    families = [(2, 4, 2), (3, 9, 2), (2, 8, 3), (3, 27, 3), (2, 16, 4), (5, 25, 2)]
+    for p, d, delta in families:
+        for _ in range(60):
+            x0 = rng.randrange(1, p**8)
+            if x0 % p == 0:
+                continue
+            a = x0**d + p ** (2 * delta + 1 + rng.randint(0, 6)) * rng.randrange(1, 10**6)
+            f = IntPolynomial((-a,) + (0,) * (d - 1) + (1,))
+            assert _naive_vp(f.derivative()(x0), p) == delta
+            _assert_lift_matches(f, x0, rng.randint(1, 80), p)
+    # delta from the seed instead: T^2 - a near a root divisible by p
+    for p in (3, 5, 7):
+        for _ in range(40):
+            x0 = p * rng.randrange(1, p**4) * (1 if rng.random() < 0.5 else p)
+            delta = _naive_vp(2 * x0, p)
+            a = x0 * x0 + p ** (2 * delta + 1 + rng.randint(0, 4)) * rng.randrange(1, 10**4)
+            _assert_lift_matches(IntPolynomial((-a, 0, 1)), x0, rng.randint(1, 50), p)
+
+
+def test_hensel_matches_per_step_loop_from_padic_seeds():
+    rng = random.Random(1404)
+    for p in (2, 3, 7, 1009):
+        for _ in range(60):
+            f, x0 = _random_liftable(rng, p)
+            seed = PAdicElement.from_rational(x0 % p**12 or p**12, p, 40)
+            _assert_lift_matches(f, seed, rng.randint(1, 40), p)
+
+
+def test_hensel_n_equals_one_and_exact_roots():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7, 1009):
+        for _ in range(50):
+            f, x0 = _random_liftable(rng, p)
+            _assert_lift_matches(f, x0, 1, p)
+        for _ in range(20):
+            # (T - r)(T + t) at its exact integer root r, and a linear f
+            # that reaches its exact root after one step
+            r, t = rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**3)
+            f = IntPolynomial((-r * t, t - r, 1))
+            assert f(r) == 0
+            _assert_lift_matches(f, r, rng.randint(1, 30), p)
+            _assert_lift_matches(IntPolynomial((-r, 1)), r + p ** rng.randint(1, 9), 20, p)
+    assert hensel_lift(IntPolynomial((0, 1)), 0, 5, p=3).is_zero
+
+
+# ---------------------------------------------------------------------------
+# valuations: O(log v) divisions against one division per digit
+
+VALUATION_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 1009, 2**61 - 1])
+NONZERO = st.integers(min_value=-(10**40), max_value=10**40).filter(lambda n: n != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUATION_PRIMES, st.integers(min_value=0, max_value=400), NONZERO)
+def test_int_valuation_matches_naive_loop(p, v, u):
+    n = u * p**v
+    r = _naive_vp(n, p)
+    assert int_valuation(n, p) == (r, n // p**r)
+    assert int_valuation(-n, p) == (r, -n // p**r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUATION_PRIMES, st.integers(min_value=0, max_value=400), NONZERO, NONZERO)
+def test_rational_valuations_match_naive_loop(p, v, num, den):
+    x = Fraction(num, abs(den) * p**v)
+    r = _naive_vp(x.numerator, p) - _naive_vp(x.denominator, p)
+    assert vp(x, p) == r
+    assert vp_split(x, p) == (r, x / Fraction(p) ** r)
+    assert vp(-x, p) == r
+    assert vp(Fraction(0), p) is INFINITY and vp_split(0, p) is INFINITY
+
+
+def test_valuation_needs_a_base_of_at_least_2():
+    for p in (1, 0, -1, -3):
+        with pytest.raises(ValueError):
+            int_valuation(12, p)
+        with pytest.raises(ValueError):
+            vp(12, p)
+
+
+# ---------------------------------------------------------------------------
+# modular square roots: the unchecked core behind the public check
+
+
+def test_sqrt_core_matches_sqrt_mod_prime():
+    # 17 and 97 are 1 mod 16 and 1 mod 32, so Tonelli-Shanks descends
+    for p in (3, 5, 7, 13, 17, 97, 1009, 1013):
+        for a in range(1, p):
+            assert _sqrt_mod_odd_prime(a, p) == sqrt_mod_prime(a, p), (a, p)
