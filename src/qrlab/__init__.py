@@ -4,6 +4,4 @@ local-global solver for ax^2 + by^2 = 1, and quadratic root numbers."""
 
 __version__ = "0.1.0"
 
-from qrlab.kernels import BACKEND
-
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

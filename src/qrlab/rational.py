@@ -13,30 +13,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from qrlab import kernels
-
 Rat = Union[int, Fraction]
 
 #: Workload ceiling for factorize(); inputs with |n| above this are refused.
 DEFAULT_FACTOR_BOUND = 2**96
 
-#: Trial-division ceiling; beyond it Pollard rho takes over.
-TRIAL_DIVISION_LIMIT = 10**6
-
-# Cofactor primality is probed at these checkpoints so that trial division
-# stops as soon as the remainder is certified prime (or 1).
-_TRIAL_CHECKPOINTS = (10**3, 10**4, 10**5, TRIAL_DIVISION_LIMIT)
+#: Trial-division ceiling; Pollard rho splits whatever survives it.
+TRIAL_DIVISION_LIMIT = 10**3
 
 # Miller-Rabin with the first 13 primes as bases is a proof of primality
-# below this bound, psi_13 (Sorenson & Webster); above it the same bases make
-# a standard strong pseudoprime test, which is all the library promises
-# there.  The first 12 alone stop at psi_12 = 318665857834031151167461.
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# below psi_13 = 3317044064679887385961981 (Sorenson & Webster); above it the
+# same bases make a standard strong pseudoprime test, which is all the
+# library promises there.  The first 12 alone stop at
+# psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-class FactorizationError(Exception):
-    """Raised when an input exceeds the configured factorization workload."""
+class FactorizationError(ValueError):
+    """Raised when an input exceeds the configured factorization workload;
+    a ValueError, so the CLI reports it as a domain error (exit 2)."""
 
 
 class _Infinity:
@@ -191,47 +186,47 @@ class Factorization:
         return iter(self.factors)
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
-    """Full prime factorization: trial division, then Pollard rho on whatever
-    survives, every prime certified once.
+def _trial_divide(n: int, found: dict[int, int]) -> int:
+    """Divide every prime up to TRIAL_DIVISION_LIMIT out of n > 0 into
+    found and return the cofactor.  Candidates are 2, 3, then 6k +- 1; the
+    scan stops early once c^2 > n, which leaves n equal to 1 or prime."""
+    c = 2
+    while c <= TRIAL_DIVISION_LIMIT and c * c <= n:
+        if n % c == 0:
+            e = 0
+            while n % c == 0:
+                n //= c
+                e += 1
+            found[c] = e
+        c += 1 if c == 2 else 4 if c % 6 == 1 else 2
+    return n
 
-    After trial division to a checkpoint hi the cofactor m has no prime
-    factor <= hi (or the scan stopped early because m is 1 or prime), so
-    m < hi^2 is 1 or prime by construction and needs no Miller-Rabin.  A
-    larger cofactor gets one Miller-Rabin test per checkpoint; one that
-    passes is recorded at once.  Rho only ever splits a cofactor that
-    survived trial division to TRIAL_DIVISION_LIMIT, so every split below
-    TRIAL_DIVISION_LIMIT^2 is prime as well."""
+
+def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
+    """Full prime factorization: trial division to TRIAL_DIVISION_LIMIT, then
+    Pollard rho on whatever survives, every prime certified once.
+
+    Every cofactor left by trial division, and every part rho splits off
+    it, has no prime factor <= TRIAL_DIVISION_LIMIT, so one below
+    TRIAL_DIVISION_LIMIT^2 is prime by construction and needs no
+    Miller-Rabin."""
     if n == 0:
         raise ValueError("cannot factor 0")
     if abs(n) > bound:
         raise FactorizationError(f"|n| exceeds workload bound {bound}")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
     found: dict[int, int] = {}
-    lo = 1
-    for hi in _TRIAL_CHECKPOINTS:
-        pairs, m = kernels.trial_factor_range(m, lo, hi)
-        for p, e in pairs:
-            found[p] = found.get(p, 0) + e
-        lo = hi
-        if m < hi * hi or is_probable_prime(m):
-            if m > 1:
-                found[m] = found.get(m, 0) + 1
-            stack = []
-            break
-    else:
-        stack = [m]
-    prime_below = TRIAL_DIVISION_LIMIT**2
+    stack = [_trial_divide(abs(n), found)]
     while stack:
         m = stack.pop()
-        if m < prime_below or is_probable_prime(m):
+        if m == 1:
+            continue
+        if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(sign, tuple(sorted(found.items())))
+    return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
 
 
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from qrlab import kernels
 from qrlab.rational import Rat, factorize, is_probable_prime, unit_residue, vp_split
 
 
@@ -76,15 +75,26 @@ def eps_p(a: Rat, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Gauss's lemma and the lattice-count proof of reciprocity
 
+#: Largest p gauss_lemma_sign accepts: it takes (p-1)/2 steps.
+GAUSS_LEMMA_BOUND = 10**7
+
+#: Largest p*q lattice_counts accepts: it visits (p-1)(q-1)/4 grid points.
+LATTICE_BOUND = 10**7
+
+
 def gauss_lemma_sign(a: int, p: int) -> int:
     """lambda_p(a) as the product of the signs e_a(x) over the section
     S = [1, (p-1)/2], where e_a(x) is the sign of the representative of ax
     in [-(p-1)/2, (p-1)/2].  Kept as an independent O(p) oracle for legendre."""
+    if p > GAUSS_LEMMA_BOUND:
+        raise ValueError(f"p = {p} exceeds the Gauss-lemma workload bound {GAUSS_LEMMA_BOUND}")
     if p == 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if math.gcd(a, p) != 1:
         raise ValueError("gcd(a, p) must be 1")
-    return (-1) ** kernels.gauss_flip_count(a, p)
+    h = (p - 1) // 2
+    a %= p
+    return (-1) ** sum(a * x % p > h for x in range(1, h + 1))
 
 
 def lattice_counts(p: int, q: int) -> tuple[int, int]:
@@ -93,10 +103,22 @@ def lattice_counts(p: int, q: int) -> tuple[int, int]:
     lambda_q(p), and M+N = p'q' (mod 2)."""
     if p == q:
         raise ValueError("p and q must be distinct")
+    if p * q > LATTICE_BOUND:
+        raise ValueError(f"p*q = {p * q} exceeds the lattice workload bound {LATTICE_BOUND}")
     for r in (p, q):
         if r == 2 or not is_probable_prime(r):
             raise ValueError(f"{r} is not an odd prime")
-    return kernels.lattice_band_counts(p, q)
+    pp, qq = (p - 1) // 2, (q - 1) // 2
+    m = n = 0
+    for x in range(1, pp + 1):
+        qx = q * x
+        for y in range(1, qq + 1):
+            t = qx - p * y
+            if -pp <= t <= -1:
+                m += 1
+            elif 1 <= t <= qq:
+                n += 1
+    return m, n
 
 
 def reciprocity_check(p: int, q: int) -> bool:
@@ -288,12 +310,21 @@ def group_product_sign(m: int) -> int:
     return 1
 
 
+#: Largest n binomial_primality accepts: its coefficients grow to ~n bits,
+#: so a prime n costs O(n^2) bit operations.
+BINOMIAL_PRIMALITY_BOUND = 3 * 10**4
+
+
 def binomial_primality(n: int) -> bool:
     """Whether (T+1)^n = T^n + 1 in (Z/nZ)[T], i.e. all middle binomial
     coefficients vanish mod n; by the factorial-valuation identity this
     happens exactly when n is prime."""
     if n <= 1:
         raise ValueError("n must be > 1")
+    if n > BINOMIAL_PRIMALITY_BOUND:
+        raise ValueError(
+            f"n = {n} exceeds the binomial-primality workload bound {BINOMIAL_PRIMALITY_BOUND}"
+        )
     c = 1
     for k in range(1, n // 2 + 1):
         c = c * (n - k + 1) // k

@@ -3,6 +3,7 @@ report formats, and the argument grammar (negative rationals, places,
 textual p-adic elements, character labels)."""
 
 import json
+import math
 import re
 import time
 
@@ -10,6 +11,8 @@ import pytest
 
 from qrlab.cli import run
 from qrlab.hilbert import hilbert_symbol
+from qrlab.rational import is_probable_prime
+from qrlab.symbols import BINOMIAL_PRIMALITY_BOUND, GAUSS_LEMMA_BOUND, LATTICE_BOUND
 
 
 def invoke(capsys, *argv):
@@ -85,6 +88,7 @@ def test_scan_workers_agree(capsys):
 # exit codes and errors
 
 def test_domain_errors_exit_2(capsys):
+    big = str(10**33)
     for argv in (
         ["legendre", "4", "15"],
         ["factorize", "0"],
@@ -94,10 +98,39 @@ def test_domain_errors_exit_2(capsys):
         ["conductor", "lambda_4", "-p", "3"],
         ["ternary", "4", "3", "-1"],
         ["arith", "add", "1/3", "2"],  # missing -p
+        # past factorize's workload bound of 2^96
+        ["factorize", big],
+        ["solve", big, "7"],
+        ["hilbert", big, "7", "--all"],
+        ["norm-product", big],
+        ["ternary", big, "3", "-5"],
+        ["sqrtmod-squarefree", "2", big],
     ):
         code, _, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def _next_prime(n):
+    n += 1
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+def test_oracle_workload_bounds_exit_2(capsys):
+    # the least prime input past each bound is refused at once
+    p = _next_prime(math.isqrt(LATTICE_BOUND))
+    for argv in (
+        ["gauss-lemma", "3", str(_next_prime(GAUSS_LEMMA_BOUND))],
+        ["lattice", str(p), str(_next_prime(p))],
+        ["binomial-prime", str(_next_prime(BINOMIAL_PRIMALITY_BOUND))],
+    ):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert err.startswith("error:") and "workload bound" in err, argv
 
 
 def test_witness_at_infinity_beyond_float_range_exits_0(capsys):

@@ -1,7 +1,8 @@
 """Differential tests that pin the fast paths to slower, older routes:
 hilbert_vector against brute-force local solvability and against the
 per-place evaluation through legendre/eps4/eps8, factorize against trial
-division and sympy, solve_conic against recorded certificate points,
+division and sympy (with the cofactors that trial division to 10^3 leaves
+to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, and the logarithmic valuation against the one-division-per-digit
 loop."""
@@ -13,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_prime_trial, slow_hilbert
+from oracles import is_prime_trial, primes_below, slow_hilbert
+from qrlab import rational
 from qrlab.conic import solve_conic
 from qrlab.hilbert import hilbert_vector
 from qrlab.padic import IntPolynomial, PAdicElement, PrecisionLossError, hensel_lift
 from qrlab.rational import (
     INF_PLACE,
     INFINITY,
+    TRIAL_DIVISION_LIMIT,
     Place,
     _sqrt_mod_odd_prime,
     factorize,
@@ -123,6 +126,46 @@ def test_factorize_semiprimes_against_sympy():
         p, q = (sympy.nextprime(rng.randrange(2**31, 2**32)) for _ in range(2))
         n = p * q
         assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_factorize_smallest_composites_past_trial_division(monkeypatch):
+    # 1009^2 and 1009*1013 are the least composites with no prime factor
+    # <= 10^3: only those below (10^3)^2 are prime by construction, so these
+    # two must fail Miller-Rabin and be split by rho
+    assert TRIAL_DIVISION_LIMIT == 10**3
+    calls = []
+    for name in ("is_probable_prime", "_pollard_rho"):
+        real = getattr(rational, name)
+        monkeypatch.setattr(rational, name,
+                            lambda n, real=real, name=name: calls.append((name, n)) or real(n))
+    for n, factors in ((1009**2, ((1009, 2),)), (1009 * 1013, ((1009, 1), (1013, 1)))):
+        calls.clear()
+        assert factorize(n).factors == factors
+        assert calls == [("is_probable_prime", n), ("_pollard_rho", n)], n
+
+
+def test_factorize_prime_powers_past_trial_division():
+    rng = random.Random(1009)
+    primes = primes_below(10**6)
+    for p in [1009, 1013, 999983] + rng.sample([q for q in primes if q > 10**3], 20):
+        k = 1
+        while p ** (k + 1) <= 2**96:
+            k += 1
+            assert factorize(p**k).factors == ((p, k),), (p, k)
+
+
+def test_factorize_mixed_products_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 200:
+        n = 1
+        for lo, hi in ((2, 10**3), (10**3, 10**6), (10**6, 10**7)):
+            for _ in range(rng.randint(0, 2)):
+                n *= sympy.prevprime(rng.randint(lo + 2, hi)) ** rng.randint(1, 3)
+        if n <= 2**96:
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+            checked += 1
 
 
 # ---------------------------------------------------------------------------
