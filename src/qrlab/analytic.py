@@ -264,10 +264,11 @@ def root_number_product(d: int) -> ComplexValue:
 
     if d == 0:
         raise ValueError("d must be nonzero")
-    if not factorize(d).is_squarefree():
+    fd = factorize(d)
+    if not fd.is_squarefree():
         raise ValueError("d must be squarefree")
-    places = [INF_PLACE, Place.finite(2)]
-    places += [Place.finite(p) for p, _ in factorize(d).factors if p != 2]
+    places = [INF_PLACE, Place._trusted(2)]
+    places += [Place._trusted(p) for p, _ in fd.factors if p != 2]
     z = complex(1.0, 0.0)
     for v in places:
         z *= local_root_number(LocalCharacter.attached_to_extension(d, v)).as_complex()

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -451,6 +449,8 @@ def _chunks(items, n):
 def _run_sharded(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return fn(items)
+    from concurrent.futures import ProcessPoolExecutor
+
     out = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(fn, _chunks(items, workers)):
@@ -465,10 +465,10 @@ def _reciprocity_shard(pairs):
 def _product_shard(pairs):
     bad = []
     for a, b in pairs:
-        places = {INF_PLACE, Place.finite(2)}
+        places = {INF_PLACE, Place._trusted(2)}
         for x in (a, b):
             sign, exps = rational.rational_factor_exponents(x)
-            places.update(Place.finite(p) for p, _ in exps)
+            places.update(Place._trusted(p) for p, _ in exps)
         prod = 1
         for v in sorted(places):
             prod *= hilbert.hilbert_symbol(a, b, v)
@@ -506,6 +506,8 @@ def _h_scan_product_formula(a):
     count, bound = _int(a.count), _int(a.bound)
     if count < 1 or bound < 1:
         raise ValueError("count and bound must be positive")
+    import random
+
     rng = random.Random(a.seed)
 
     def draw():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from qrlab.padic import PAdicElement, padic_sqrt, square_class
+from qrlab.padic import PAdicElement, _rational_element, _square_class, padic_sqrt
 from qrlab.rational import (
     INF_PLACE,
     Place,
@@ -137,7 +137,7 @@ def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVe
         m = 8 if p == 2 else p
         ua, ub = unit_residue(a, m, p, alpha), unit_residue(b, m, p, beta)
         if _symbol_exponent(p, alpha, ua, beta, ub):
-            minus.append(Place.finite(p))
+            minus.append(Place._trusted(p))
     return SymbolVector(frozenset(minus))
 
 
@@ -147,8 +147,8 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 
     The numerator and denominator of a and b are each factored once.  The
     valuations come from those factorizations and the unit residues from
-    plain integer division, so no prime is tested again, and a Place (which
-    certifies its prime) is built only where the symbol is -1."""
+    plain integer division, so no prime is tested again, and a Place is
+    built only where the symbol is -1."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
@@ -226,23 +226,23 @@ def _inverse_sqrt(x: Fraction) -> Fraction:
 def _sqrt_rep(x: Fraction, p: int, precision: int) -> Fraction:
     """Rational representative of the p-adic square root of x (x a square
     class-1 value at p), accurate to `precision` digits."""
-    root = padic_sqrt(PAdicElement.from_rational(x, p, precision))
+    root = padic_sqrt(_rational_element(x, p, precision))
     assert root is not None
     return root.rational_rep()
 
 
 def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = v_p(b) = 0 (symbol known to be +1)."""
-    if square_class(a, p) == 1:
+    if _square_class(a, p) == 1:
         return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
-    if square_class(b, p) == 1:
+    if _square_class(b, p) == 1:
         return Fraction(0), Fraction(1) / _sqrt_rep(b, p, K)
     if p != 2:
         # both non-residues: {a x^2} and {1 - b y^2} each cover (p+1)/2
         # residues, so they intersect at a nonzero common value
         for y0 in range(1, p):
             t = (1 - b * y0 * y0) / a
-            if vp(t, p) == 0 and square_class(t, p) == 1:
+            if vp(t, p) == 0 and _square_class(t, p) == 1:
                 return _sqrt_rep(t, p, K), Fraction(y0)
         raise AssertionError("counting argument found no intersection")
     # p = 2, neither unit is 1 mod 8; symbol +1 forces a or b = 5 (mod 8)
@@ -254,7 +254,7 @@ def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
 
 def _witness_unit_by_uniformizer(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = 0, v_p(b) = 1 (symbol +1)."""
-    if square_class(a, p) == 1:
+    if _square_class(a, p) == 1:
         return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
     # for odd p the symbol is lambda_p(a), so a must be class 1 above
     assert p == 2, "odd p with symbol +1 implies a is a square"
@@ -266,7 +266,7 @@ def _witness_unit_by_uniformizer(a: Fraction, b: Fraction, p: int, K: int):
 def _witness_both_uniformizers(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = v_p(b) = 1: reduce by a'' = -a b / p^2, a unit."""
     a2 = -a * b / p ** 2
-    if square_class(a2, p) == 1:
+    if _square_class(a2, p) == 1:
         # a x^2 + b y^2 = ((b y)^2 - a''(p x)^2)/b: split b = t * (b/t), t=1
         s = _sqrt_rep(a2, p, K)
         x = (b - 1) / (2 * s * p)

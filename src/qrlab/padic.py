@@ -25,7 +25,7 @@ from qrlab.rational import (
     unit_residue,
     vp,
 )
-from qrlab.symbols import legendre, smallest_nonresidue
+from qrlab.symbols import smallest_nonresidue
 
 DEFAULT_PRECISION = 32
 
@@ -48,9 +48,24 @@ class PAdicElement:
     precision: int
 
     def __post_init__(self):
+        _require_prime(self.prime)
+        self._check_unit()
+
+    @classmethod
+    def _trusted(cls, p: int, valuation, unit: int, precision: int) -> "PAdicElement":
+        """An element at a p that the caller already holds from a Place or
+        from another element: the unit and precision are checked, but p is
+        not tested for primality again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "prime", p)
+        object.__setattr__(x, "valuation", valuation)
+        object.__setattr__(x, "unit", unit)
+        object.__setattr__(x, "precision", precision)
+        x._check_unit()
+        return x
+
+    def _check_unit(self):
         p = self.prime
-        if p < 2 or not is_probable_prime(p):
-            raise ValueError(f"{p} is not a prime")
         if self.valuation is INFINITY:
             if self.unit != 0 or self.precision != 0:
                 raise ValueError("exact zero must have unit 0, precision 0")
@@ -68,16 +83,8 @@ class PAdicElement:
 
     @classmethod
     def from_rational(cls, x: Rat, p: int, precision: int = DEFAULT_PRECISION) -> "PAdicElement":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p)
-        v = vp(x, p)
-        try:
-            unit = unit_residue(x, p ** precision, p, v)
-        except ValueError:
-            # the unit part of x is a unit mod p^k whenever p is prime
-            raise ValueError(f"{p} is not a prime") from None
-        return cls(p, v, unit, precision)
+        _require_prime(p)
+        return _rational_element(x, p, precision)
 
     # -- structure ---------------------------------------------------------
 
@@ -121,7 +128,7 @@ class PAdicElement:
         k = min(self.precision, precision)
         if k < 1:
             raise ValueError("cannot truncate below one digit")
-        return PAdicElement(self.prime, self.valuation, self.unit % self.prime ** k, k)
+        return PAdicElement._trusted(self.prime, self.valuation, self.unit % self.prime ** k, k)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -135,7 +142,7 @@ class PAdicElement:
         if self.is_zero:
             return self
         mod = self.prime ** self.precision
-        return PAdicElement(self.prime, self.valuation, mod - self.unit, self.precision)
+        return PAdicElement._trusted(self.prime, self.valuation, mod - self.unit, self.precision)
 
     def __add__(self, other: "PAdicElement") -> "PAdicElement":
         self._check_same_prime(other)
@@ -158,7 +165,7 @@ class PAdicElement:
             )
         shift, unit = int_valuation(s, p)
         unit %= p ** (abs_prec - v - shift)
-        return PAdicElement(p, v + shift, unit, abs_prec - v - shift)
+        return PAdicElement._trusted(p, v + shift, unit, abs_prec - v - shift)
 
     def __sub__(self, other: "PAdicElement") -> "PAdicElement":
         return self + (-other)
@@ -166,10 +173,10 @@ class PAdicElement:
     def __mul__(self, other: "PAdicElement") -> "PAdicElement":
         self._check_same_prime(other)
         if self.is_zero or other.is_zero:
-            return PAdicElement.zero(self.prime)
+            return PAdicElement._trusted(self.prime, INFINITY, 0, 0)
         k = min(self.precision, other.precision)
         mod = self.prime ** k
-        return PAdicElement(
+        return PAdicElement._trusted(
             self.prime,
             self.valuation + other.valuation,
             self.unit * other.unit % mod,
@@ -185,7 +192,7 @@ class PAdicElement:
         k = min(self.precision, other.precision)
         mod = self.prime ** k
         inv = pow(other.unit, -1, mod)
-        return PAdicElement(
+        return PAdicElement._trusted(
             self.prime,
             self.valuation - other.valuation,
             self.unit * inv % mod,
@@ -194,13 +201,13 @@ class PAdicElement:
 
     def __pow__(self, n: int) -> "PAdicElement":
         if n < 0:
-            base = PAdicElement(self.prime, 0, 1, self.precision) / self
+            base = PAdicElement._trusted(self.prime, 0, 1, self.precision) / self
             return base ** (-n)
         if self.is_zero:
-            return PAdicElement(self.prime, 0, 1, 1) if n == 0 else self
+            return PAdicElement._trusted(self.prime, 0, 1, 1) if n == 0 else self
         k = self.precision
         # pow is square-and-multiply on the unit; the valuation just scales
-        return PAdicElement(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
+        return PAdicElement._trusted(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
 
     def __str__(self) -> str:
         return format_padic(self)
@@ -217,6 +224,21 @@ def arith(op: str, x: PAdicElement, y: PAdicElement) -> PAdicElement:
     if op == "div":
         return x / y
     raise ValueError(f"unknown operation {op!r}")
+
+
+def _require_prime(p: int):
+    if p < 2 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not a prime")
+
+
+def _rational_element(x: Rat, p: int, precision: int) -> PAdicElement:
+    """PAdicElement.from_rational at a p the caller already holds from a
+    Place or an element: no primality test."""
+    x = Fraction(x)
+    if x == 0:
+        return PAdicElement._trusted(p, INFINITY, 0, 0)
+    v = vp(x, p)
+    return PAdicElement._trusted(p, v, unit_residue(x, p ** precision, p, v), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +322,14 @@ def hensel_lift(
     else:
         if p is None:
             raise ValueError("p required when x0 is a plain integer")
+        _require_prime(p)
         x = int(x0)
-    N = target_precision
+    return _hensel_lift(f, x, target_precision, p)
+
+
+def _hensel_lift(f: IntPolynomial, x: int, N: int, p: int) -> PAdicElement:
+    """hensel_lift from the integer x0 = x at a prime p the caller already
+    holds: no primality test."""
     if N < 1:
         raise ValueError("target precision must be >= 1")
 
@@ -309,9 +337,7 @@ def hensel_lift(
     fx = f(x)
     if fx == 0:
         # exact integer root: no refinement needed
-        if x == 0:
-            return PAdicElement.zero(p)
-        return PAdicElement.from_rational(x, p, N)
+        return _rational_element(x, p, N)
     dx = fprime(x)
     if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
@@ -343,7 +369,7 @@ def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
             f"value is 0 mod {p}^{abs_precision}: indistinguishable from zero"
         )
     v, u = int_valuation(x, p)
-    return PAdicElement(p, v, u % p ** (abs_precision - v), abs_precision - v)
+    return PAdicElement._trusted(p, v, u % p ** (abs_precision - v), abs_precision - v)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +394,18 @@ def padic_sqrt(x: PAdicElement) -> Optional[PAdicElement]:
             return None
         # roots mod 2^k come in pairs +-r and r + 2^(k-1): one digit is lost
         f = IntPolynomial((-x.unit, 0, 1))
-        root = hensel_lift(f, 1, k, p=2).integer_rep() % 2 ** (k - 1)
+        root = _hensel_lift(f, 1, k, 2).integer_rep() % 2 ** (k - 1)
         if root % 4 == 3:
             root = 2 ** (k - 1) - root
-        return PAdicElement(2, v // 2, root, k - 1)
+        return PAdicElement._trusted(2, v // 2, root, k - 1)
     r0 = _sqrt_mod_odd_prime(x.unit % p, p)
     if r0 is None:
         return None
     f = IntPolynomial((-x.unit, 0, 1))
-    root = hensel_lift(f, r0, k, p=p).integer_rep()
+    root = _hensel_lift(f, r0, k, p).integer_rep()
     if root % p > (p - 1) // 2:
         root = p ** k - root
-    return PAdicElement(p, v // 2, root, k)
+    return PAdicElement._trusted(p, v // 2, root, k)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +416,22 @@ def teichmuller(a: int, p: int, precision: int = DEFAULT_PRECISION) -> PAdicElem
     limit of the p-power iteration a, a^p, a^(p^2), ..."""
     if not 0 <= a < p:
         raise ValueError(f"a must be a residue in [0, {p})")
+    _require_prime(p)
     if a == 0:
-        return PAdicElement.zero(p)
+        return PAdicElement._trusted(p, INFINITY, 0, 0)
+    return PAdicElement._trusted(p, 0, _teichmuller_unit(a, p, precision), precision)
+
+
+def _teichmuller_unit(a: int, p: int, precision: int) -> int:
+    """The unit of teichmuller(a, p, precision) for a residue a in [1, p),
+    at a prime p the caller already holds: no primality test."""
     mod = p ** precision
     x = a
     while True:
         y = pow(x, p, mod)
         if y == x:
-            break
+            return x
         x = y
-    return PAdicElement(p, 0, x, precision)
 
 
 def unit_decompose(x: PAdicElement) -> tuple[PAdicElement, PAdicElement]:
@@ -407,7 +439,8 @@ def unit_decompose(x: PAdicElement) -> tuple[PAdicElement, PAdicElement]:
     of x mod p and u1 = 1 (mod p)."""
     if x.is_zero or x.valuation != 0:
         raise ValueError("x must be a p-adic unit")
-    tau = teichmuller(x.unit % x.prime, x.prime, x.precision)
+    p, k = x.prime, x.precision
+    tau = PAdicElement._trusted(p, 0, _teichmuller_unit(x.unit % p, p, k), k)
     u1 = x / tau
     return tau, u1
 
@@ -485,7 +518,7 @@ def digits(x: PAdicElement, scheme: str = "standard") -> list[int]:
             d = rem % p
         else:
             a = rem % p
-            d = 0 if a == 0 else teichmuller(a, p, K).unit
+            d = 0 if a == 0 else _teichmuller_unit(a, p, K)
         out.append(d)
         rem = (rem - d) // p
     return out
@@ -495,12 +528,13 @@ def from_digits(ds: Sequence[int], p: int, scheme: str = "standard") -> PAdicEle
     """Rebuild the element x = sum d_i p^i known mod p^len(ds)."""
     if scheme not in ("standard", "teichmuller"):
         raise ValueError(f"unknown digit scheme {scheme!r}")
+    _require_prime(p)
     if not ds:
-        return PAdicElement.zero(p)
+        return PAdicElement._trusted(p, INFINITY, 0, 0)
     K = len(ds)
     val = sum(d * p ** i for i, d in enumerate(ds)) % p ** K
     if val == 0:
-        return PAdicElement.zero(p)
+        return PAdicElement._trusted(p, INFINITY, 0, 0)
     return _element_from_int(val, p, K)
 
 
@@ -512,27 +546,35 @@ def square_class(x: Union[PAdicElement, Rat], p: Optional[int] = None) -> int:
     {1, u, p, u*p} with u the least positive non-residue; for p = 2 one of
     {1, 5, -1, -5, 2, 10, -2, -10}."""
     if isinstance(x, PAdicElement):
-        p = x.prime
         if x.is_zero:
             raise ValueError("x must be nonzero")
-        v, unit_mod = x.valuation, x.unit
-        if p == 2 and x.precision < 3:
+        if x.prime == 2 and x.precision < 3:
             raise ValueError("need 3 unit digits to classify at 2")
-    else:
-        if p is None:
-            raise ValueError("p required for rational input")
-        v = vp(x, p)
-        if v is INFINITY:
-            raise ValueError("x must be nonzero")
-        try:
-            unit_mod = unit_residue(x, 8 if p == 2 else p, p, v)
-        except ValueError:
-            # the unit part of x is a unit mod p whenever p is prime
-            raise ValueError(f"{p} is not an odd prime") from None
+        return _class_rep(x.prime, x.valuation, x.unit)
+    if p is None:
+        raise ValueError("p required for rational input")
+    _require_prime(p)
+    return _square_class(x, p)
+
+
+def _square_class(x: Rat, p: int) -> int:
+    """square_class of a rational x at a prime p the caller already holds
+    from a Place: no primality test."""
+    v = vp(x, p)
+    if v is INFINITY:
+        raise ValueError("x must be nonzero")
+    return _class_rep(p, v, unit_residue(x, 8 if p == 2 else p, p, v))
+
+
+def _class_rep(p: int, v: int, unit: int) -> int:
+    """The square-class representative of p^v u from the unit's residue
+    mod 8 (p = 2) or mod p, by Euler's criterion at odd p."""
     if p == 2:
-        rep = {1: 1, 5: 5, 7: -1, 3: -5}[unit_mod % 8]
+        rep = {1: 1, 5: 5, 7: -1, 3: -5}[unit % 8]
+    elif pow(unit, (p - 1) // 2, p) == 1:
+        rep = 1
     else:
-        rep = 1 if legendre(unit_mod % p, p) == 1 else smallest_nonresidue_cached(p)
+        rep = smallest_nonresidue_cached(p)
     if v % 2:
         rep *= p
     return rep

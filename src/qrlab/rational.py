@@ -8,6 +8,7 @@ the rest of the library relies on).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,12 +22,44 @@ DEFAULT_FACTOR_BOUND = 2**96
 #: Trial-division ceiling; Pollard rho splits whatever survives it.
 TRIAL_DIVISION_LIMIT = 10**3
 
-# Miller-Rabin with the first 13 primes as bases is a proof of primality
-# below psi_13 = 3317044064679887385961981 (Sorenson & Webster); above it the
-# same bases make a standard strong pseudoprime test, which is all the
-# library promises there.  The first 12 alone stop at
-# psi_12 = 318665857834031151167461.
+
+def _primes_upto(n: int) -> tuple[int, ...]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+#: The 168 primes up to TRIAL_DIVISION_LIMIT, and their product.
+_SMALL_PRIMES = _primes_upto(TRIAL_DIVISION_LIMIT)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+
+# Miller-Rabin bases, and psi_t, the least strong pseudoprime to the first t
+# of them (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster,
+# Math. Comp. 86, 2017).  An odd n < psi_t with no factor among the bases is
+# prime iff it passes the first t bases, so the test proves primality below
+# psi_13 = 3317044064679887385961981.  Above it, all 13 bases followed by a
+# strong Lucas test make a Baillie-PSW test: no composite is known to pass,
+# but it is no proof.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 class FactorizationError(ValueError):
@@ -75,8 +108,11 @@ INFINITY = _Infinity()
 # primality and factorization
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below psi_13 ~ 3.3e24 (13 prime bases),
-    strong-base test above."""
+    """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved:
+    Miller-Rabin on the first t prime bases, t the least with n < psi_t
+    (two bases below 1373653, nine below 3.8e18).  Above psi_13 it is
+    Baillie-PSW (the 13 bases, then a strong Lucas test with Selfridge's
+    parameters): no composite is known to pass, but none is ruled out."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -87,7 +123,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -97,7 +133,64 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PSI[-1] or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """The strong Lucas probable-prime test on an odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35, 1980).  With
+    n + 1 = d 2^s, n passes when U_d = 0 or V_(d 2^r) = 0 (mod n) for some
+    0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False  # D shares a proper factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # binary ladder on d: (U_k, V_k, Q^k) -> (U_2k, V_2k, Q^2k), and with a
+    # set bit on to (U_2k+1, V_2k+1, Q^2k+1), from U_1 = 1, V_1 = P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:
@@ -186,36 +279,31 @@ class Factorization:
         return iter(self.factors)
 
 
-def _trial_divide(n: int, found: dict[int, int]) -> int:
-    """Divide every prime up to TRIAL_DIVISION_LIMIT out of n > 0 into
-    found and return the cofactor.  Candidates are 2, 3, then 6k +- 1; the
-    scan stops early once c^2 > n, which leaves n equal to 1 or prime."""
-    c = 2
-    while c <= TRIAL_DIVISION_LIMIT and c * c <= n:
-        if n % c == 0:
-            e = 0
-            while n % c == 0:
-                n //= c
-                e += 1
-            found[c] = e
-        c += 1 if c == 2 else 4 if c % 6 == 1 else 2
-    return n
+def _factor_dict(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for an integer n >= 1, in no particular order.
 
-
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
-    """Full prime factorization: trial division to TRIAL_DIVISION_LIMIT, then
-    Pollard rho on whatever survives, every prime certified once.
-
-    Every cofactor left by trial division, and every part rho splits off
-    it, has no prime factor <= TRIAL_DIVISION_LIMIT, so one below
-    TRIAL_DIVISION_LIMIT^2 is prime by construction and needs no
-    Miller-Rabin."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    if abs(n) > bound:
-        raise FactorizationError(f"|n| exceeds workload bound {bound}")
+    The gcd of n with the product of the primes <= TRIAL_DIVISION_LIMIT
+    names the small primes of n, and only those are divided out.  What is
+    left, and every part rho splits off it, has no prime factor <=
+    TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
+    construction; larger ones are certified once by is_probable_prime."""
     found: dict[int, int] = {}
-    stack = [_trial_divide(abs(n), found)]
+    g = math.gcd(n, _SMALL_PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if p * p > g:
+            p = g  # the primes of g are all >= p, so g is one of them
+        elif g % p:
+            continue
+        g //= p
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        found[p] = e
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -226,21 +314,37 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
+    return found
+
+
+def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
+    """Full prime factorization: trial division by the primes up to
+    TRIAL_DIVISION_LIMIT, then Pollard rho on whatever survives, every prime
+    certified once."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    if abs(n) > bound:
+        raise FactorizationError(f"|n| exceeds workload bound {bound}")
+    found = _factor_dict(abs(n))
     return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
 
 
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(sign, ((p, v_p(x)), ...)) for nonzero rational x; exponents signed."""
-    x = Fraction(x)
-    if x == 0:
+    """(sign, ((p, v_p(x)), ...)) for nonzero rational x; exponents signed.
+
+    x is in lowest terms, so the primes of its numerator and denominator
+    are disjoint; each is factored once, on plain ints."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("x must be nonzero")
-    num = factorize(x.numerator if x > 0 else -x.numerator)
-    den = factorize(x.denominator)
-    exps = dict(num.factors)
-    for p, e in den.factors:
-        exps[p] = exps.get(p, 0) - e
-    sign = 1 if x > 0 else -1
-    return sign, tuple(sorted((p, e) for p, e in exps.items() if e))
+    if abs(num) > DEFAULT_FACTOR_BOUND or den > DEFAULT_FACTOR_BOUND:
+        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
+    exps = _factor_dict(abs(num))
+    for p, e in _factor_dict(den).items():
+        exps[p] = -e
+    return (1 if num > 0 else -1), tuple(sorted(exps.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +352,11 @@ def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]
 
 @dataclass(frozen=True, order=False)
 class Place:
-    """A place of Q: the archimedean place or a (certified) finite prime."""
+    """A place of Q: the archimedean place or a finite prime.
+
+    The public constructors test the prime with is_probable_prime, a proof
+    below psi_13 ~ 3.3e24 and Baillie-PSW above it; _trusted skips the test
+    for a prime that factorize has already certified."""
 
     kind: str  # "archimedean" | "finite"
     prime: Optional[int] = None
@@ -270,6 +378,15 @@ class Place:
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls("finite", p)
+
+    @classmethod
+    def _trusted(cls, p: int) -> "Place":
+        """The finite place at p, for a p that came out of factorize: no
+        second primality test."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "kind", "finite")
+        object.__setattr__(place, "prime", p)
+        return place
 
     @classmethod
     def parse(cls, text: str) -> "Place":

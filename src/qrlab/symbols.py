@@ -335,8 +335,10 @@ def binomial_primality(n: int) -> bool:
 
 def smallest_nonresidue(p: int) -> int:
     """The least positive non-residue modulo the odd prime p."""
+    if p == 2 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
     u = 2
-    while legendre(u, p) == 1:
+    while pow(u, (p - 1) // 2, p) == 1:
         u += 1
     return u
 

@@ -4,7 +4,10 @@ textual p-adic elements, character labels)."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -163,6 +166,33 @@ def test_factorize_psi_12(capsys):
     # the least strong pseudoprime to the twelve bases 2..37
     code, out, _ = invoke(capsys, "factorize", "318665857834031151167461")
     assert (code, out) == (0, "sign: 1\n399165290221^1\n798330580441^1")
+
+
+def test_factorize_psi_13(capsys):
+    # the least strong pseudoprime to all thirteen bases 2..41: the strong
+    # Lucas test, not Miller-Rabin, finds it composite
+    code, out, _ = invoke(capsys, "factorize", "3317044064679887385961981")
+    assert (code, out) == (0, "sign: 1\n1287836182261^1\n2575672364521^1")
+    code, _, err = invoke(capsys, "legendre", "2", "3317044064679887385961981")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_import_loads_no_process_pool():
+    # the worker pool and the seeded scans' rng are imported where they are
+    # used, so a one-shot command does not pay for them
+    probe = (
+        "import sys, qrlab.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_command_exits_2(capsys):

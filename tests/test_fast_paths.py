@@ -7,6 +7,8 @@ hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, and the logarithmic valuation against the one-division-per-digit
 loop."""
 
+import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +19,19 @@ from hypothesis import strategies as st
 from oracles import is_prime_trial, primes_below, slow_hilbert
 from qrlab import rational
 from qrlab.conic import solve_conic
-from qrlab.hilbert import hilbert_vector
-from qrlab.padic import IntPolynomial, PAdicElement, PrecisionLossError, hensel_lift
+from qrlab.hilbert import hilbert_vector, local_solve_witness
+from qrlab.padic import (
+    IntPolynomial,
+    PAdicElement,
+    PrecisionLossError,
+    digits,
+    from_digits,
+    hensel_lift,
+    padic_sqrt,
+    smallest_nonresidue_cached,
+    square_class,
+    teichmuller,
+)
 from qrlab.rational import (
     INF_PLACE,
     INFINITY,
@@ -166,6 +179,121 @@ def test_factorize_mixed_products_against_sympy():
         if n <= 2**96:
             assert dict(factorize(n).factors) == sympy.factorint(n), n
             checked += 1
+
+
+def test_small_primes_are_the_primes_up_to_the_trial_limit():
+    assert rational._SMALL_PRIMES == tuple(
+        n for n in range(TRIAL_DIVISION_LIMIT + 1) if is_prime_trial(n)
+    )
+    assert len(rational._SMALL_PRIMES) == 168
+    assert rational._SMALL_PRIMORIAL == math.prod(rational._SMALL_PRIMES)
+
+
+def _exponents_from_factorize(x: Fraction):
+    exps = dict(factorize(x.numerator).factors)
+    for p, e in factorize(x.denominator).factors:
+        exps[p] = exps.get(p, 0) - e
+    return (1 if x > 0 else -1), tuple(sorted((p, e) for p, e in exps.items() if e))
+
+
+# up to 2^64, where the hardest input (two 32-bit primes) takes rho ~2^16 steps
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-(2**64), max_value=2**64).filter(lambda n: n != 0),
+    st.integers(min_value=1, max_value=2**64),
+)
+def test_rational_factor_exponents_matches_factorize(num, den):
+    x = Fraction(num, den)
+    assert rational_factor_exponents(x) == _exponents_from_factorize(x)
+
+
+def test_rational_factor_exponents_keeps_the_workload_bound():
+    with pytest.raises(rational.FactorizationError):
+        rational_factor_exponents(Fraction(1, 2**96 + 1))
+    with pytest.raises(ValueError):
+        rational_factor_exponents(0)
+
+
+# ---------------------------------------------------------------------------
+# primes certified once: trusted constructors inside, validation outside
+
+PSI_13 = 3317044064679887385961981
+
+
+def test_trusted_place_equals_the_validated_one():
+    for p in (2, 3, 1009, 2**61 - 1):
+        assert Place._trusted(p) == Place.finite(p)
+        assert hash(Place._trusted(p)) == hash(Place.finite(p))
+    for bad in (1, 9, PSI_13):
+        with pytest.raises(ValueError):
+            Place.finite(bad)
+        with pytest.raises(ValueError):
+            Place.parse(str(bad))
+
+
+def test_public_padic_constructors_still_validate():
+    f = IntPolynomial((-2, 0, 1))
+    for p in (4, 9, PSI_13):
+        for build in (
+            lambda: PAdicElement(p, 0, 1, 3),
+            lambda: PAdicElement.zero(p),
+            lambda: PAdicElement.from_rational(Fraction(1, 2), p, 3),
+            lambda: hensel_lift(f, 1, 5, p=p),
+            lambda: from_digits([1, 1], p),
+            lambda: teichmuller(1, p, 3),
+            lambda: square_class(Fraction(1, 2), p),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
+
+@pytest.fixture
+def primality_calls(monkeypatch):
+    """Counts is_probable_prime calls made through every qrlab binding."""
+    calls = []
+    real = rational.is_probable_prime
+    for name in ("rational", "padic", "symbols", "hilbert", "analytic", "conic"):
+        module = importlib.import_module(f"qrlab.{name}")
+        if hasattr(module, "is_probable_prime"):
+            monkeypatch.setattr(module, "is_probable_prime", lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_symbol_vector_tests_no_prime(primality_calls):
+    rng = random.Random(6)
+    for _ in range(200):
+        a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                for _ in range(2))
+        hilbert_vector(a, b)
+    assert primality_calls == []
+
+
+def test_local_witness_tests_the_users_prime_once(primality_calls):
+    rng = random.Random(7)
+    for p in (2, 3, 13, 1009, 1013):
+        if p != 2:
+            smallest_nonresidue_cached(p)  # filled once per process
+        for _ in range(20):
+            a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
+                    for _ in range(2))
+            primality_calls.clear()
+            local_solve_witness(a, b, p, precision=64)
+            assert primality_calls == [p], (a, b, p)
+            primality_calls.clear()
+            local_solve_witness(a, b, Place._trusted(p), precision=64)
+            assert primality_calls == [], (a, b, p)
+
+
+def test_padic_arithmetic_tests_no_prime(primality_calls):
+    x = PAdicElement(1009, 1, 5, 20)
+    y = PAdicElement.from_rational(Fraction(7, 3), 1009, 20)
+    primality_calls.clear()
+    for z in (x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x, x.truncate(5)):
+        assert z.prime == 1009
+    assert padic_sqrt(y * y) is not None
+    assert len(digits(y, "teichmuller")) == 20
+    square_class(y)
+    assert primality_calls == []
 
 
 # ---------------------------------------------------------------------------
