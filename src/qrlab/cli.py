@@ -478,6 +478,8 @@ def _product_shard(pairs):
 
 
 def _vonstaudt_shard(ks):
+    if ks:
+        analytic.bernoulli(max(ks))  # one pass fills the cache for every k
     bad = []
     for k in ks:
         try:

@@ -18,11 +18,12 @@ from qrlab.rational import (
     INF_PLACE,
     Place,
     Rat,
+    int_valuation,
     is_rational_square,
+    local_unit,
     rational_factor_exponents,
     unit_residue,
     vp,
-    vp_split,
 )
 from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
 
@@ -35,22 +36,6 @@ def _coerce_place(v: PlaceLike) -> Place:
     if isinstance(v, int):
         return Place.finite(v)
     return Place.parse(v)
-
-
-def _split_at(x, p: int):
-    """(valuation, unit-as-rational-or-residue) for Rational or PAdicElement."""
-    if isinstance(x, PAdicElement):
-        if x.is_zero:
-            raise ValueError("inputs must be nonzero")
-        if x.prime != p:
-            raise ValueError(f"element lives at {x.prime}, not {p}")
-        if p == 2 and x.precision < 3:
-            raise ValueError("need 3 unit digits at 2")
-        return x.valuation, Fraction(x.unit)
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("inputs must be nonzero")
-    return vp_split(x, p)
 
 
 def _symbol_exponent(p: int, alpha: int, ua: int, beta: int, ub: int) -> int:
@@ -80,10 +65,21 @@ def hilbert_symbol(a, b, v: PlaceLike) -> int:
             raise ValueError("inputs must be nonzero")
         return (-1) ** (eps_inf(a) * eps_inf(b))
     p = place.prime
-    alpha, ua = _split_at(a, p)
-    beta, ub = _split_at(b, p)
     m = 8 if p == 2 else p
-    return (-1) ** _symbol_exponent(p, alpha, unit_residue(ua, m), beta, unit_residue(ub, m))
+    split = []
+    for x in (a, b):
+        if not isinstance(x, PAdicElement):
+            split.append(local_unit(x, p, m))
+            continue
+        if x.is_zero:
+            raise ValueError("inputs must be nonzero")
+        if x.prime != p:
+            raise ValueError(f"element lives at {x.prime}, not {p}")
+        if p == 2 and x.precision < 3:
+            raise ValueError("need 3 unit digits at 2")
+        split.append((x.valuation, x.unit % m))
+    (alpha, ua), (beta, ub) = split
+    return (-1) ** _symbol_exponent(p, alpha, ua, beta, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +131,9 @@ def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVe
     for p in {2, *va, *vb}:
         alpha, beta = va.get(p, 0), vb.get(p, 0)
         m = 8 if p == 2 else p
-        ua, ub = unit_residue(a, m, p, alpha), unit_residue(b, m, p, beta)
+        # at odd p the symbol reads u_a only if beta is odd, u_b only if alpha is
+        ua = local_unit(a, p, m)[1] if p == 2 or beta % 2 else 1
+        ub = local_unit(b, p, m)[1] if p == 2 or alpha % 2 else 1
         if _symbol_exponent(p, alpha, ua, beta, ub):
             minus.append(Place._trusted(p))
     return SymbolVector(frozenset(minus))
@@ -146,8 +144,8 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
     of a and b, and the -1 count is even (the product formula).
 
     The numerator and denominator of a and b are each factored once.  The
-    valuations come from those factorizations and the unit residues from
-    plain integer division, so no prime is tested again, and a Place is
+    valuations come from those factorizations, a unit residue is taken only
+    where the symbol reads it, no prime is tested again, and a Place is
     built only where the symbol is -1."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -172,14 +170,24 @@ class LocalWitness:
     approximate: bool = False
 
     def verify(self, a: Rat, b: Rat, tolerance: float = 1e-9) -> bool:
-        err = Fraction(a) * self.x ** 2 + Fraction(b) * self.y ** 2 - 1
+        """Whether a x^2 + b y^2 - 1 is 0 at infinity (within tolerance if
+        approximate), or has p-adic valuation >= precision at p."""
         if self.place.is_infinite:
+            err = Fraction(a) * self.x ** 2 + Fraction(b) * self.y ** 2 - 1
             if self.approximate:
                 return abs(err) <= tolerance
             return err == 0
-        if err == 0:
-            return True
-        return vp(err, self.place.prime) >= self.precision
+        # err = N / D over the common denominator D = ad bd xd^2 yd^2, in
+        # integers: v_p(err) = v_p(N) - v_p(D) >= precision exactly when
+        # p^(precision + v_p(D)) divides N (which N = 0 does)
+        a, b = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in (a, b))
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        xn, xd, yn, yd = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
+        xd2, yd2 = xd * xd, yd * yd
+        D = ad * bd * xd2 * yd2
+        N = an * bd * xn * xn * yd2 + bn * ad * yn * yn * xd2 - D
+        k = self.precision + int_valuation(D, self.place.prime)[0]
+        return k <= 0 or N % self.place.prime**k == 0
 
 
 _SEARCH_DENOMS = 16

@@ -22,8 +22,7 @@ from qrlab.rational import (
     _sqrt_mod_odd_prime,
     int_valuation,
     is_probable_prime,
-    unit_residue,
-    vp,
+    local_unit,
 )
 from qrlab.symbols import smallest_nonresidue
 
@@ -237,8 +236,8 @@ def _rational_element(x: Rat, p: int, precision: int) -> PAdicElement:
     x = Fraction(x)
     if x == 0:
         return PAdicElement._trusted(p, INFINITY, 0, 0)
-    v = vp(x, p)
-    return PAdicElement._trusted(p, v, unit_residue(x, p ** precision, p, v), precision)
+    v, unit = local_unit(x, p, p ** precision)
+    return PAdicElement._trusted(p, v, unit, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +559,7 @@ def square_class(x: Union[PAdicElement, Rat], p: Optional[int] = None) -> int:
 def _square_class(x: Rat, p: int) -> int:
     """square_class of a rational x at a prime p the caller already holds
     from a Place: no primality test."""
-    v = vp(x, p)
-    if v is INFINITY:
-        raise ValueError("x must be nonzero")
-    return _class_rep(p, v, unit_residue(x, 8 if p == 2 else p, p, v))
+    return _class_rep(p, *local_unit(x, p, 8 if p == 2 else p))
 
 
 def _class_rep(p: int, v: int, unit: int) -> int:

@@ -3,7 +3,8 @@ values at every place, and modular square roots.
 
 All functions are pure; rationals are `fractions.Fraction` (always in lowest
 terms with positive denominator, which is exactly the representation contract
-the rest of the library relies on).
+the rest of the library relies on).  A rational is split at a prime p in
+one place, `_local_split`, and every valuation and unit residue is read from it.
 """
 
 from __future__ import annotations
@@ -438,26 +439,43 @@ def int_valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def vp_split(x: Rat, p: int):
-    """x = p^r * u with u prime to p: returns (r, u), or INFINITY for x = 0."""
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    r, num = int_valuation(x.numerator, p)
-    if r:
-        return r, Fraction(num, x.denominator)
-    r, den = int_valuation(x.denominator, p)
-    return -r, Fraction(num, den)
+def _local_split(x: Rat, p: int) -> Optional[tuple[int, int, int]]:
+    """(v, n, d) with x = p^v n / d, n and d ints prime to p, d > 0; None
+    for x = 0.  x is in lowest terms, so p divides its numerator or its
+    denominator, never both."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        return None
+    v, num = int_valuation(num, p)
+    if v == 0:
+        v, den = int_valuation(den, p)
+        v = -v
+    return v, num, den
 
 
 def vp(x: Rat, p: int):
     """The p-adic valuation; INFINITY for x = 0."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    r = int_valuation(x.numerator, p)[0]
-    return r if r else -int_valuation(x.denominator, p)[0]
+    split = _local_split(x, p)
+    return INFINITY if split is None else split[0]
+
+
+def vp_split(x: Rat, p: int):
+    """x = p^r * u with u prime to p: returns (r, u), or INFINITY for x = 0."""
+    split = _local_split(x, p)
+    return INFINITY if split is None else (split[0], Fraction(*split[1:]))
+
+
+def local_unit(x: Rat, p: int, m: int) -> tuple[int, int]:
+    """(v, u mod m) for a nonzero rational x = p^v u, u a p-adic unit: the
+    pair every local symbol, square class and p-adic element is read from.
+    m is a power of p, or 8p, where an even denominator raises ValueError."""
+    split = _local_split(x, p)
+    if split is None:
+        raise ValueError("x must be nonzero")
+    v, num, den = split
+    return v, num * pow(den, -1, m) % m
 
 
 def abs_place(x: Rat, v: Place) -> Fraction:
@@ -467,8 +485,7 @@ def abs_place(x: Rat, v: Place) -> Fraction:
         return Fraction(0)
     if v.is_infinite:
         return abs(x)
-    r, _ = vp_split(x, v.prime)
-    return Fraction(v.prime) ** (-r)
+    return Fraction(v.prime) ** (-vp(x, v.prime))
 
 
 def norm_product_check(x: Rat) -> bool:
@@ -579,18 +596,13 @@ def sqrt_mod_squarefree(a: int, b: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # small shared helpers
 
-def unit_residue(x: Rat, m: int, p: int = 1, v: int = 0) -> int:
-    """The residue mod m of the rational u = x / p^v, whose numerator and
-    denominator must be prime to m.  By default u = x; a caller holding
-    v = v_p(x) from a factorization gets the residue of x's p-adic unit
-    part without building it as a Fraction."""
-    if not isinstance(x, Fraction):
+def unit_residue(x: Rat, m: int) -> int:
+    """The residue mod m of the rational x, whose numerator and denominator
+    must be prime to m: the plain "x mod m" of eps4, eps8 and the 2-adic
+    witness cases.  The residue of the p-adic unit part of x is local_unit's."""
+    if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p**v
-    elif v < 0:
-        den //= p**-v
     if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
         raise ValueError(f"{x} is not a unit modulo {m}")
     return num * pow(den, -1, m) % m

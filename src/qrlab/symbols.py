@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from qrlab.rational import Rat, factorize, is_probable_prime, unit_residue, vp_split
+from qrlab.rational import Rat, factorize, is_probable_prime, local_unit, unit_residue, vp
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +58,10 @@ def legendre(a: Rat, p: int) -> int:
     Euler's criterion a^((p-1)/2); inputs with v_p(a) != 0 are rejected."""
     if p == 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    try:
-        r, u = vp_split(a, p)
-    except TypeError:
-        raise ValueError("a must be nonzero")
+    r, u = local_unit(a, p, p)
     if r != 0:
         raise ValueError(f"v_{p}({a}) = {r} != 0: not a unit at {p}")
-    t = pow(unit_residue(u, p), (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
 def eps_p(a: Rat, p: int) -> int:
@@ -189,19 +185,16 @@ class QuadraticCharacter:
             else:
                 e += eps_p(x, f)
         if self.unramified_sign_prime is not None:
-            r, _ = vp_split(x, self.unramified_sign_prime)
-            e += r
+            e += vp(x, self.unramified_sign_prime)
         return (-1) ** (e % 2)
 
     def eval_local(self, x: Rat, p: int) -> int:
         """Evaluation as a character of Q_p^x: x = p^m u, the quadratic
         factors act on the unit u, the uniformiser is sent to +1 (nu factor
         excepted, which contributes (-1)^m)."""
-        split = vp_split(x, p)
-        try:
-            m, u = split
-        except TypeError:
-            raise ValueError("x must be nonzero")
+        # eps4 and eps8 read the unit mod 8 even at odd p, where they must
+        # still reject an even unit: reduce mod 8p there, not mod p
+        m, u = local_unit(x, p, 8 if p == 2 else 8 * p if self.factors & {4, 8} else p)
         e = 0
         for f in self.factors:
             if f == 4:

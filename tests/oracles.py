@@ -151,3 +151,12 @@ def bernoulli_by_series(k: int) -> Fraction:
     for n in range(1, k + 1):
         c.append(-sum(a[j] * c[n - j] for j in range(1, n + 1)))
     return c[k] * math.factorial(k)
+
+
+def bernoulli_table_by_recurrence(k: int) -> list[Fraction]:
+    """[B_0, ..., B_k] from sum_{j<=m} C(m+1, j) B_j = 0 (so B_1 = -1/2),
+    term by term on Fractions: O(k^2) growing-Fraction operations."""
+    b = [Fraction(1)]
+    for m in range(1, k + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b

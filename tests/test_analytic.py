@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_by_series, power_sum_direct
+from oracles import bernoulli_by_series, bernoulli_table_by_recurrence, power_sum_direct
 from qrlab.analytic import (
+    BERNOULLI_BOUND,
     I_UNIT,
     ONE,
     ComplexValue,
@@ -60,6 +61,20 @@ def test_bernoulli_against_series_inversion():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_tangent_numbers_match_the_recurrence_to_300():
+    # one pass of the tangent-number recurrence fills B_0..B_300
+    bernoulli(300)
+    assert [bernoulli(k) for k in range(301)] == bernoulli_table_by_recurrence(300)
+
+
+def test_bernoulli_workload_bound():
+    for f, args in ((bernoulli, (BERNOULLI_BOUND + 1,)),
+                    (von_staudt_W, (BERNOULLI_BOUND + 2,)),
+                    (power_sum, (BERNOULLI_BOUND + 1, 2))):
+        with pytest.raises(ValueError, match="workload bound"):
+            f(*args)
 
 
 def test_von_staudt_examples():

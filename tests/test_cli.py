@@ -10,8 +10,12 @@ import subprocess
 import sys
 import time
 
+from fractions import Fraction
+
 import pytest
 
+from qrlab import analytic
+from qrlab.analytic import BERNOULLI_BOUND
 from qrlab.cli import run
 from qrlab.hilbert import hilbert_symbol
 from qrlab.rational import is_probable_prime
@@ -152,6 +156,25 @@ def test_power_sum_closed_form_in_bounded_time(capsys):
     code, out, _ = invoke(capsys, "power-sum", "2", str(n))
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (0, str((n - 1) * n * (2 * n - 1) // 6))
+
+
+def test_power_sum_at_the_bernoulli_bound_in_bounded_time(capsys, monkeypatch):
+    # an empty cache, so the one tangent-number pass to k = 2000 is timed
+    monkeypatch.setattr(analytic, "_BERNOULLI", [Fraction(1)])
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "power-sum", str(BERNOULLI_BOUND), "2")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "1")
+
+
+def test_first_k_past_the_bernoulli_bound_exits_2(capsys):
+    k = BERNOULLI_BOUND + 1
+    for argv in (["bernoulli", str(k)], ["von-staudt", str(k + 1)], ["power-sum", str(k), "2"]):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert err.startswith("error:") and "workload bound" in err, argv
 
 
 def test_valuation_base_below_2_exits_2(capsys):

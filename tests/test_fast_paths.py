@@ -4,8 +4,10 @@ per-place evaluation through legendre/eps4/eps8, factorize against trial
 division and sympy (with the cofactors that trial division to 10^3 leaves
 to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
-replaced, and the logarithmic valuation against the one-division-per-digit
-loop."""
+replaced, the logarithmic valuation against the one-division-per-digit
+loop, local_unit and its callers against the old route that built the unit
+as a Fraction, and LocalWitness.verify in integers against its Fraction
+evaluation."""
 
 import importlib
 import math
@@ -19,11 +21,13 @@ from hypothesis import strategies as st
 from oracles import is_prime_trial, primes_below, slow_hilbert
 from qrlab import rational
 from qrlab.conic import solve_conic
-from qrlab.hilbert import hilbert_vector, local_solve_witness
+from qrlab.analytic import p_frac_part
+from qrlab.hilbert import LocalWitness, hilbert_symbol, hilbert_vector, local_solve_witness
 from qrlab.padic import (
     IntPolynomial,
     PAdicElement,
     PrecisionLossError,
+    _class_rep,
     digits,
     from_digits,
     hensel_lift,
@@ -42,10 +46,11 @@ from qrlab.rational import (
     int_valuation,
     rational_factor_exponents,
     sqrt_mod_prime,
+    unit_residue,
     vp,
     vp_split,
 )
-from qrlab.symbols import eps4, eps8, eps_inf, eps_p
+from qrlab.symbols import QuadraticCharacter, eps4, eps8, eps_inf, eps_p, legendre
 
 # ---------------------------------------------------------------------------
 # hilbert_vector
@@ -520,3 +525,233 @@ def test_sqrt_core_matches_sqrt_mod_prime():
     for p in (3, 5, 7, 13, 17, 97, 1009, 1013):
         for a in range(1, p):
             assert _sqrt_mod_odd_prime(a, p) == sqrt_mod_prime(a, p), (a, p)
+
+
+# ---------------------------------------------------------------------------
+# the one local reduction: local_unit and its callers against the old
+# vp_split route, which built the unit as a Fraction and reduced it with
+# unit_residue(x, m, p, v)
+
+
+def _old_vp_split(x, p):
+    x = Fraction(x)
+    if x == 0:
+        return INFINITY
+    r, num = int_valuation(x.numerator, p)
+    if r:
+        return r, Fraction(num, x.denominator)
+    r, den = int_valuation(x.denominator, p)
+    return -r, Fraction(num, den)
+
+
+def _old_unit_residue(x, m, p=1, v=0):
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
+        raise ValueError(f"{x} is not a unit modulo {m}")
+    return num * pow(den, -1, m) % m
+
+
+def _old_legendre(a, p):
+    if p == 2 or not rational.is_probable_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    split = _old_vp_split(a, p)
+    if split is INFINITY:
+        raise ValueError("a must be nonzero")
+    r, u = split
+    if r != 0:
+        raise ValueError("not a unit")
+    return 1 if pow(_old_unit_residue(u, p), (p - 1) // 2, p) == 1 else -1
+
+
+def _old_eval_local(chi, x, p):
+    split = _old_vp_split(x, p)
+    if split is INFINITY:
+        raise ValueError("x must be nonzero")
+    m, u = split
+    e = 0
+    for f in chi.factors:
+        if f == 4:
+            e += (_old_unit_residue(u, 4) - 1) // 2
+        elif f == 8:
+            r = _old_unit_residue(u, 8)
+            e += (r * r - 1) // 8 % 2
+        else:
+            if f != p:
+                raise ValueError(f"factor {f} is not local at {p}")
+            e += 0 if _old_legendre(u, f) == 1 else 1
+    if chi.unramified_sign_prime is not None:
+        if chi.unramified_sign_prime != p:
+            raise ValueError("nu factor is not local at requested prime")
+        e += m
+    return (-1) ** (e % 2)
+
+
+def _old_square_class(x, p):
+    if p < 2 or not rational.is_probable_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    split = _old_vp_split(x, p)
+    if split is INFINITY:
+        raise ValueError("x must be nonzero")
+    v = split[0]
+    return _class_rep(p, v, _old_unit_residue(x, 8 if p == 2 else p, p, v))
+
+
+def _old_from_rational(x, p, precision):
+    if p < 2 or not rational.is_probable_prime(p):
+        raise ValueError(f"{p} is not a prime")
+    x = Fraction(x)
+    if x == 0:
+        return PAdicElement.zero(p)
+    v = _old_vp_split(x, p)[0]
+    return PAdicElement(p, v, _old_unit_residue(x, p**precision, p, v), precision)
+
+
+def _old_p_frac_part(x, p):
+    if not rational.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    v = _old_vp_split(x, p)[0]
+    if v >= 0:
+        return Fraction(0)
+    q = p ** (-v)
+    return Fraction(_old_unit_residue(x, q, p, v), q)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+LOCAL_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 1009])
+# small factors of 2 and of p in numerator and denominator, so that units
+# that are even at odd p (the lambda_4/lambda_8 case) come up often
+LOCAL_INTS = st.builds(
+    lambda s, t, u: s * 2**t * u,
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+def _at(p, v, num, den):
+    """num/den * p^v as an int when it is one, else as a Fraction."""
+    x = Fraction(num, den) * Fraction(p) ** v
+    return x.numerator if x.denominator == 1 else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUATION_PRIMES, st.integers(min_value=-400, max_value=400), NONZERO, NONZERO,
+       st.integers(min_value=1, max_value=6))
+def test_local_unit_matches_vp_split_then_unit_residue(p, v, num, den, k):
+    x = _at(p, v, num, abs(den))
+    r, u = vp_split(x, p)
+    for m in (p**k, 8) if p == 2 else (p**k,):
+        assert rational.local_unit(x, p, m) == (r, unit_residue(u, m))
+        assert rational.local_unit(-x, p, m) == (r, unit_residue(-u, m))
+    assert vp(x, p) == r
+
+
+def test_local_unit_rejects_zero():
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            rational.local_unit(0, p, p)
+        with pytest.raises(ValueError):
+            rational.local_unit(Fraction(0), p, 8)
+
+
+def _hilbert_candidates(a, b):
+    places = {INF_PLACE, *(Place.finite(q) for q in (2, 3, 5, 7))}
+    for x in (a, b):
+        places.update(Place.finite(q) for q, _ in rational_factor_exponents(x)[1])
+    return sorted(places)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LOCAL_PRIMES, st.integers(-5, 5), LOCAL_INTS, LOCAL_INTS,
+       LOCAL_PRIMES, st.integers(-5, 5), LOCAL_INTS, LOCAL_INTS)
+def test_hilbert_symbol_matches_per_place_oracle(p, v, num, den, q, w, num2, den2):
+    a, b = _at(p, v, num, abs(den)), _at(q, w, num2, abs(den2))
+    for place in _hilbert_candidates(a, b):
+        expected = _per_place_symbol(Fraction(a), Fraction(b), place)
+        assert hilbert_symbol(a, b, place) == expected, (a, b, place)
+        assert hilbert_symbol(Fraction(a), Fraction(b), place) == expected
+        if place.is_infinite:
+            continue
+        r = place.prime
+        ea, eb = (PAdicElement.from_rational(x, r, 6) for x in (a, b))
+        assert hilbert_symbol(ea, eb, r) == expected, (a, b, r)
+        assert hilbert_symbol(ea, b, r) == expected
+        assert hilbert_symbol(a, eb, r) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(LOCAL_PRIMES, st.integers(-3, 3), LOCAL_INTS, LOCAL_INTS,
+       st.sets(st.sampled_from([4, 8, "p", 3, 5])), st.booleans(), st.booleans())
+def test_local_callers_match_the_vp_split_route(p, v, num, den, factors, nu, zero):
+    x = 0 if zero else _at(p, v, num, abs(den))
+    fs = frozenset(p if f == "p" else f for f in factors if (f, p) != ("p", 2))
+    chi = QuadraticCharacter(fs, p if nu else None)
+    assert _outcome(chi.eval_local, x, p) == _outcome(_old_eval_local, chi, x, p), (chi, x, p)
+    assert _outcome(legendre, x, p) == _outcome(_old_legendre, x, p), (x, p)
+    assert _outcome(square_class, x, p) == _outcome(_old_square_class, x, p), (x, p)
+    assert _outcome(p_frac_part, x, p) == _outcome(_old_p_frac_part, x, p), (x, p)
+    for precision in (1, 3, 20):
+        new = _outcome(PAdicElement.from_rational, x, p, precision)
+        assert new == _outcome(_old_from_rational, x, p, precision), (x, p, precision)
+
+
+def test_eval_local_reads_lambda4_lambda8_on_the_whole_unit():
+    # at p = 3 the unit 5 is 2 mod 3 but 1 mod 4 and 5 mod 8, and the unit 2
+    # is not a 2-adic unit at all
+    l4, l8 = QuadraticCharacter(frozenset({4})), QuadraticCharacter(frozenset({8}))
+    assert l4.eval_local(Fraction(45), 3) == 1
+    assert l8.eval_local(Fraction(5, 9), 3) == -1
+    for chi in (l4, l8, l4.times(l8)):
+        with pytest.raises(ValueError):
+            chi.eval_local(18, 3)
+        with pytest.raises(ValueError):
+            chi.eval_local(Fraction(9, 2), 3)
+
+
+def _fraction_verify(w, a, b):
+    """LocalWitness.verify at a finite place, in Fraction arithmetic."""
+    err = Fraction(a) * w.x**2 + Fraction(b) * w.y**2 - 1
+    return err == 0 or vp(err, w.place.prime) >= w.precision
+
+
+@settings(max_examples=150, deadline=None)
+@given(LOCAL_PRIMES, LOCAL_INTS, LOCAL_INTS, LOCAL_INTS, LOCAL_INTS,
+       st.integers(min_value=4, max_value=40), st.integers(min_value=-6, max_value=6))
+def test_witness_verify_in_integers_matches_fraction_evaluation(p, an, ad, bn, bd, prec, dk):
+    a, b = Fraction(an, abs(ad)), Fraction(bn, abs(bd))
+    w = local_solve_witness(a, b, p, precision=prec)
+    if w is None:
+        return
+    assert w.verify(a, b) and _fraction_verify(w, a, b)
+    for k in (prec + dk, prec, prec - 1, dk):
+        for t in (1, -3, Fraction(1, 7)):
+            shift = t * Fraction(p) ** k
+            for moved in (
+                LocalWitness(w.place, w.x + shift, w.y, w.precision),
+                LocalWitness(w.place, w.x, w.y - shift, w.precision),
+                LocalWitness(w.place, w.x + shift, w.y + shift, w.precision + dk),
+            ):
+                assert moved.verify(a, b) == _fraction_verify(moved, a, b), (a, b, p, k, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOCAL_PRIMES, small_rationals, small_rationals, small_rationals, small_rationals,
+       st.integers(min_value=-3, max_value=8))
+def test_witness_verify_in_integers_on_arbitrary_points(p, a, b, x, y, prec):
+    w = LocalWitness(Place.finite(p), x, y, prec)
+    assert w.verify(a, b) == _fraction_verify(w, a, b)
