@@ -230,22 +230,29 @@ class LocalCharacter:
 
 
 def conductor_exponent(chi: LocalCharacter) -> int:
-    """a(chi): the smallest n with chi trivial on U_n = 1 + p^n Z_p
-    (n = 0 meaning trivial on all units, the unramified case)."""
+    """a(chi): the smallest n with chi trivial on U_n = 1 + p^n Z_p (n = 0
+    meaning trivial on all units, the unramified case).  In closed form:
+    0 with no ramified factor, 1 for lambda_p, 2 for lambda_4 alone and 3
+    when lambda_8 is present."""
     if chi.place.is_infinite:
         raise ValueError("conductor exponents live at finite places")
-    p = chi.place.prime
-    modulus = 8 if p == 2 else p
-    for n in range(4):
-        step = min(p ** n, modulus)
-        group = [x for x in range(1, modulus + 1) if x % p and (x - 1) % step == 0]
-        if all(chi.value(x) == 1 for x in group):
-            return n
-    raise AssertionError("quadratic characters have conductor exponent <= 3")
+    factors = chi.quad.factors
+    if not factors:
+        return 0
+    if 8 in factors:
+        return 3
+    return 2 if 4 in factors else 1
 
 
 # ---------------------------------------------------------------------------
 # root numbers
+
+#: Largest p^a(chi), the number of Gauss-sum terms, that local_root_number
+#: accepts, and largest sum of the primes of d that root_number_product
+#: accepts (its terms number about that sum): at about 20 us a term, the
+#: largest accepted call takes about 1 s.
+ROOT_NUMBER_BOUND = 5 * 10**4
+
 
 def _e(t: Fraction) -> complex:
     return cmath.exp(complex(0.0, 2.0 * math.pi * float(t)))
@@ -263,6 +270,10 @@ def local_root_number(
         return ONE if chi.r == 0 else ComplexValue(0.0, -1.0)
     p = chi.place.prime
     a = conductor_exponent(chi)
+    if p ** a > ROOT_NUMBER_BOUND:
+        raise ValueError(
+            f"p^a(chi) = {p}^{a} exceeds the root-number workload bound {ROOT_NUMBER_BOUND}"
+        )
     if gamma is None:
         gamma = Fraction(p) ** a
     else:
@@ -289,6 +300,10 @@ def root_number_product(d: int) -> ComplexValue:
     fd = factorize(d)
     if not fd.is_squarefree():
         raise ValueError("d must be squarefree")
+    if sum(p for p, _ in fd.factors) > ROOT_NUMBER_BOUND:
+        raise ValueError(
+            f"the primes of d = {d} sum past the root-number workload bound {ROOT_NUMBER_BOUND}"
+        )
     places = [INF_PLACE, Place._trusted(2)]
     places += [Place._trusted(p) for p, _ in fd.factors if p != 2]
     z = complex(1.0, 0.0)

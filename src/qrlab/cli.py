@@ -62,6 +62,7 @@ def _element(text: str, p: Optional[int], prec: int) -> PAdicElement:
         return x
     if p is None:
         raise ValueError("pass -p for rational input")
+    padic.check_padic_size(p, prec)
     return PAdicElement.from_rational(_rat(text), p, prec)
 
 
@@ -224,7 +225,8 @@ def _h_arith(a):
 def _h_hensel(a):
     coeffs = tuple(_int(c) for c in a.f.split(","))
     f = padic.IntPolynomial(coeffs)
-    root = padic.hensel_lift(f, _int(a.x0), a.prec, p=_int(a.p))
+    padic.check_padic_size(a.p, a.prec)
+    root = padic.hensel_lift(f, _int(a.x0), a.prec, p=a.p)
     return 0, [padic.format_padic(root)], {"root": padic.format_padic(root)}
 
 
@@ -237,7 +239,9 @@ def _h_sqrt(a):
 
 
 def _h_teichmuller(a):
-    t = padic.teichmuller(_int(a.a), _int(a.p), a.prec)
+    p = _int(a.p)
+    padic.check_padic_size(p, a.prec)
+    t = padic.teichmuller(_int(a.a), p, a.prec)
     return 0, [padic.format_padic(t)], {"representative": padic.format_padic(t)}
 
 
@@ -257,6 +261,7 @@ def _h_vp_factorial(a):
 
 
 def _h_sqrt_series(a):
+    padic.check_padic_size(2, a.prec)
     y = padic.sqrt_series_1p8x(_int(a.x), a.prec)
     return 0, [padic.format_padic(y)], {"root": padic.format_padic(y)}
 
@@ -294,7 +299,10 @@ def _h_hilbert(a):
 
 
 def _h_witness(a):
-    w = hilbert.local_solve_witness(_rat(a.a), _rat(a.b), _place(a.v), precision=a.prec)
+    place = _place(a.v)
+    if not place.is_infinite:
+        padic.check_padic_size(place.prime, a.prec)
+    w = hilbert.local_solve_witness(_rat(a.a), _rat(a.b), place, precision=a.prec)
     if w is None:
         return 0, ["none"], {"witness": None}
     lines = [f"x: {_ratstr(w.x)}", f"y: {_ratstr(w.y)}"]

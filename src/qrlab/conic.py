@@ -3,8 +3,10 @@ local symbol vector, and when solvable produce an exact rational point by
 Legendre descent.  Includes the ternary variant a x^2 + b y^2 + c z^2 = 0
 and the global norm test for quadratic extensions.
 
-The descent works on triples (x, y, s) with a x^2 + b y^2 = s^2, moved
-between the forms <a, b> and <a, c> through a frame d^2 - a = b c.
+The descent runs on primitive integer triples (x, y, z) with
+a x^2 + b y^2 = z^2, moved between the forms <a, b> and <a, c> through a
+frame d^2 - a = b c; the rational point is formed once, from the final
+triple.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from qrlab.hilbert import _vector_from_exponents
+from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
     Place,
     Rat,
@@ -26,7 +28,7 @@ from qrlab.rational import (
     squarefree_from_exponents,
 )
 
-Triple = tuple[Fraction, Fraction, Fraction]
+Triple = tuple[Rat, Rat, Rat]
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ class DescentFrame:
 def descent_step(frame: DescentFrame, sol, direction: str) -> Triple:
     """Move a solution between a x^2 + b y^2 = s^2 (the S side) and
     a w^2 + c z^2 = t^2 (the T side); the two directions are mutually
-    inverse up to scaling by the nonzero constant d^2 - a."""
-    x, y, s = (Fraction(t) for t in sol)
+    inverse up to scaling by the nonzero constant d^2 - a.  Integer
+    triples stay integers; other entries are read as Fractions."""
+    x, y, s = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in sol)
     if x == y == s == 0:
         raise ValueError("the zero triple is not a projective solution")
     a, b, c, d = frame.a, frame.b, frame.c, frame.d
@@ -85,8 +88,6 @@ class ConicCertificate:
     def verify(self) -> bool:
         if self.outcome == "solution":
             return self.a * self.x ** 2 + self.b * self.y ** 2 == 1
-        from qrlab.hilbert import hilbert_symbol
-
         return (
             len(self.places) > 0
             and len(self.places) % 2 == 0
@@ -116,62 +117,43 @@ class ConicCertificate:
 _MAX_DEPTH = 64
 
 
-def _smallest_frame_d(a: int, b: int, primes_b) -> int:
-    """The least d in [0, |b|/2] with d^2 = a (mod |b|); primes_b are the
-    primes of the squarefree b."""
-    m = abs(b)
-    if m == 1:
-        return 0
-    d = _sqrt_mod_squarefree_general(a % m, m, primes_b)
-    assert d is not None, (a, b)
-    return d
-
-
-def _isotropic_to_point(a, b, x0, y0) -> tuple[Fraction, Fraction]:
-    """From a x0^2 + b y0^2 = 0 with x0 y0 != 0 to a point on ax^2+by^2=1:
-    the line through the isotropic direction meets the conic again."""
-    # with u = 1: t = (1 - b)/(2 b y0), point (t x0, t y0 + 1)
-    assert b != 1
-    t = (1 - Fraction(b)) / (2 * b * y0)
-    return t * x0, t * y0 + 1
-
-
-def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[Fraction, Fraction, int]:
-    """Exact point on a x^2 + b y^2 = 1 for squarefree integers a, b whose
-    symbol vector is everywhere +1; returns (x, y, max depth reached).
+def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[int, int, int, int]:
+    """A primitive integer triple (x, y, z), z != 0, with a x^2 + b y^2 = z^2
+    for squarefree integers a, b whose symbol vector is everywhere +1, and
+    the max depth reached.  The descent runs on primitive integer triples
+    at every level and builds no Fraction.
 
     primes_a and primes_b are the primes of a and b.  Each level factors c
     once and hands the primes of its squarefree part e down with the
     primes of a, so no level factors a or b again."""
     assert depth < _MAX_DEPTH, "descent failed to terminate"
     if a == 1:
-        return Fraction(1), Fraction(0), depth
+        return 1, 0, 1, depth
     if b == 1:
-        return Fraction(0), Fraction(1), depth
+        return 0, 1, 1, depth
     if abs(a) > abs(b):
-        y, x, d = _descent(b, a, primes_b, primes_a, depth)
-        return x, y, d
-    # |a| <= |b|, |b| >= 2: the local conditions provide d with d^2 = a (|b|)
-    d = _smallest_frame_d(a, b, primes_b)
+        y, x, z, reached = _descent(b, a, primes_b, primes_a, depth)
+        return x, y, z, reached
+    # |a| <= |b|, |b| >= 2: the local conditions provide the least d in
+    # [0, |b|/2] with d^2 = a (mod |b|)
+    d = _sqrt_mod_squarefree_general(a, b, primes_b)
+    assert d is not None, (a, b)
     if d * d == a:
-        return Fraction(1, d), Fraction(0), depth
+        return 1, 0, d, depth
     c = (d * d - a) // b
     fc = factorize(c)
     e, f = fc.squarefree_part(), fc.square_divisor_root()
     primes_e = [p for p, k in fc.factors if k % 2]
-    # solve the lighter form <a, e>, lift to <a, c>, and step back to <a, b>
-    X, Y, reached = _descent(a, e, primes_a, primes_e, depth + 1)
-    frame = DescentFrame(a, b, c, d)
-    w, z, t = X, Y / f, Fraction(1)
-    x, y, s = descent_step(frame, (w, z, t), "backward")
-    if s != 0:
-        return x / s, y / s, reached
-    return (*_isotropic_to_point(a, b, x, y), reached)
-
-
-def _canonical_point(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-    """Among the four sign flips, the lexicographically least with x >= 0."""
-    return abs(x), -abs(y)
+    # solve the lighter form <a, e>, lift to <a, c> = <a, e f^2>, and step
+    # back to <a, b>
+    X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1)
+    x, y, z = descent_step(DescentFrame(a, b, c, d), (X * f, Y, Z * f), "backward")
+    if z == 0:
+        # isotropic: the line through (x : y : 0) and (0 : 1 : 1) meets the
+        # conic again at ((1 - b) x : (1 + b) y : 2 b y)
+        x, y, z = (1 - b) * x, (1 + b) * y, 2 * b * y
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g, reached
 
 
 def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
@@ -193,8 +175,9 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
     b0, sb = squarefree_from_exponents(sign_b, exps_b)
     primes_a = [p for p, e in exps_a if e % 2]
     primes_b = [p for p, e in exps_b if e % 2]
-    X, Y, depth = _descent(a0, b0, primes_a, primes_b)
-    x, y = _canonical_point(X / sa, Y / sb)
+    X, Y, Z, depth = _descent(a0, b0, primes_a, primes_b)
+    # among the four sign flips, the least with x >= 0
+    x, y = abs(Fraction(X, Z) / sa), -abs(Fraction(Y, Z) / sb)
     cert = ConicCertificate(a, b, "solution", x=x, y=y, descent_depth=depth)
     assert cert.verify(), (a, b, x, y)
     return cert

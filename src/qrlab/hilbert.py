@@ -158,6 +158,10 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 # ---------------------------------------------------------------------------
 # local witnesses
 
+#: How far from 0 a x^2 + b y^2 - 1 may be for an approximate real witness.
+WITNESS_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class LocalWitness:
     """x, y with a x^2 + b y^2 = 1 in Q_v, exact to `precision` p-adic digits
@@ -169,13 +173,14 @@ class LocalWitness:
     precision: int
     approximate: bool = False
 
-    def verify(self, a: Rat, b: Rat, tolerance: float = 1e-9) -> bool:
-        """Whether a x^2 + b y^2 - 1 is 0 at infinity (within tolerance if
-        approximate), or has p-adic valuation >= precision at p."""
+    def verify(self, a: Rat, b: Rat) -> bool:
+        """Whether a x^2 + b y^2 - 1 is 0 at infinity (within
+        WITNESS_TOLERANCE if approximate), or has p-adic valuation >=
+        precision at p."""
         if self.place.is_infinite:
             err = Fraction(a) * self.x ** 2 + Fraction(b) * self.y ** 2 - 1
             if self.approximate:
-                return abs(err) <= tolerance
+                return abs(err) <= WITNESS_TOLERANCE
             return err == 0
         # err = N / D over the common denominator D = ad bd xd^2 yd^2, in
         # integers: v_p(err) = v_p(N) - v_p(D) >= precision exactly when

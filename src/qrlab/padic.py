@@ -28,6 +28,11 @@ from qrlab.symbols import smallest_nonresidue
 
 DEFAULT_PRECISION = 32
 
+#: Largest bit size of p^k for p-adic input from text or the command line,
+#: k the --prec digits or the exponent of a textual O(p^k): p^k <= 2^1024.
+#: The slowest command there, `digits --scheme teichmuller`, takes ~2 s.
+PADIC_BITS_BOUND = 1024
+
 
 class PrecisionLossError(ArithmeticError):
     """Raised when a result is indistinguishable from zero at the known
@@ -228,6 +233,15 @@ def arith(op: str, x: PAdicElement, y: PAdicElement) -> PAdicElement:
 def _require_prime(p: int):
     if p < 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not a prime")
+
+
+def check_padic_size(p: int, k: int) -> None:
+    """Refuse p^k above 2^PADIC_BITS_BOUND before anything computes it; a p
+    below 2 is left for the primality check to refuse."""
+    if p >= 2 and k > 0 and k * math.log2(p) > PADIC_BITS_BOUND:
+        raise ValueError(
+            f"{p}^{k} exceeds the p-adic workload bound of 2^{PADIC_BITS_BOUND}"
+        )
 
 
 def _rational_element(x: Rat, p: int, precision: int) -> PAdicElement:
@@ -601,8 +615,9 @@ def format_padic(x: PAdicElement) -> str:
         return "0"
     p = x.prime
     terms = []
+    u = x.unit
     for i in range(x.precision):
-        d = x.unit_digit(i)
+        u, d = divmod(u, p)
         if d == 0:
             continue
         if i == 0:
@@ -615,7 +630,8 @@ def format_padic(x: PAdicElement) -> str:
 
 
 def parse_padic(s: str) -> PAdicElement:
-    """Inverse of format_padic, bit-exact."""
+    """Inverse of format_padic, bit-exact.  The O-term, and the valuation
+    when it is negative, must keep within PADIC_BITS_BOUND."""
     s = s.strip()
     if s == "0":
         raise ValueError("textual zero carries no prime; build it directly")
@@ -628,6 +644,7 @@ def parse_padic(s: str) -> PAdicElement:
     k = e - v
     if k < 1:
         raise ValueError("O-term must exceed the valuation")
+    check_padic_size(p, e - min(v, 0))
     unit = 0
     for part in m["digits"].split("+"):
         part = part.strip()
@@ -641,6 +658,8 @@ def parse_padic(s: str) -> PAdicElement:
             if int(tm["p"]) != p:
                 raise ValueError("prime mismatch in digit term")
             i = 1 if tm["i"] is None else int(tm["i"])
+            if i >= k:
+                raise ValueError(f"digit term {part!r} lies beyond O({p}^{e})")
         if not 0 <= d < p:
             raise ValueError(f"digit {d} out of range for base {p}")
         unit += d * p ** i

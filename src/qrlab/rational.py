@@ -318,14 +318,14 @@ def _factor_dict(n: int) -> dict[int, int]:
     return found
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Full prime factorization: trial division by the primes up to
     TRIAL_DIVISION_LIMIT, then Pollard rho on whatever survives, every prime
     certified once."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    if abs(n) > bound:
-        raise FactorizationError(f"|n| exceeds workload bound {bound}")
+    if abs(n) > DEFAULT_FACTOR_BOUND:
+        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
     found = _factor_dict(abs(n))
     return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
 

@@ -176,6 +176,8 @@ class QuadraticCharacter:
     def eval(self, x: Rat) -> int:
         """Global evaluation at x prime to the modulus (x odd when 4 or 8
         divides the modulus).  The nu factor, if any, uses v_p(x)."""
+        if x == 0:
+            raise ValueError("x must be nonzero")
         e = 0
         for f in self.factors:
             if f == 4:

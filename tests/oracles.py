@@ -160,3 +160,17 @@ def bernoulli_table_by_recurrence(k: int) -> list[Fraction]:
     for m in range(1, k + 1):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
     return b
+
+
+def conductor_by_search(chi) -> int:
+    """a(chi) for a local character at a finite place p: the least n <= 3
+    with chi(x) = 1 on every unit x = 1 (mod p^n) modulo 8 (p = 2) or p,
+    found by evaluating chi on each such x."""
+    p = chi.place.prime
+    modulus = 8 if p == 2 else p
+    for n in range(4):
+        step = min(p ** n, modulus)
+        group = [x for x in range(1, modulus + 1) if x % p and (x - 1) % step == 0]
+        if all(chi.value(x) == 1 for x in group):
+            return n
+    raise AssertionError("quadratic characters have conductor exponent <= 3")

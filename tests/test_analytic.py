@@ -11,11 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_by_series, bernoulli_table_by_recurrence, power_sum_direct
+from oracles import (
+    bernoulli_by_series,
+    bernoulli_table_by_recurrence,
+    conductor_by_search,
+    power_sum_direct,
+    primes_below,
+)
 from qrlab.analytic import (
     BERNOULLI_BOUND,
     I_UNIT,
     ONE,
+    ROOT_NUMBER_BOUND,
     ComplexValue,
     LocalCharacter,
     bernoulli,
@@ -28,7 +35,7 @@ from qrlab.analytic import (
 )
 from qrlab.hilbert import hilbert_symbol
 from qrlab.padic import PAdicElement, PrecisionLossError
-from qrlab.rational import INF_PLACE, Place, factorize, vp_split
+from qrlab.rational import INF_PLACE, Place, factorize, is_probable_prime, vp_split
 from qrlab.symbols import QuadraticCharacter
 
 L4 = QuadraticCharacter(frozenset({4}))
@@ -225,6 +232,16 @@ def test_conductor_table():
         assert conductor_exponent(LocalCharacter.trivial(p)) == 0
 
 
+def test_conductor_closed_form_matches_search():
+    # every character at every p <= 50, against the search over units
+    for p in primes_below(51):
+        ramified = ((), (4,), (8,), (4, 8)) if p == 2 else ((), (p,))
+        for factors in ramified:
+            for nu in (False, True):
+                chi = _chi(p, factors=factors, nu=nu)
+                assert conductor_exponent(chi) == conductor_by_search(chi), (p, factors, nu)
+
+
 def test_conductor_finite_only():
     with pytest.raises(ValueError):
         conductor_exponent(LocalCharacter.at_infinity(1))
@@ -277,8 +294,6 @@ def test_root_number_gauss_sums_odd():
 
 
 def test_root_number_modulus_one():
-    from oracles import primes_below
-
     for p in [q for q in primes_below(100) if q > 2]:
         w = local_root_number(_chi(p, factors=(p,)))
         assert abs(w.modulus() - 1) < 1e-9
@@ -294,6 +309,19 @@ def test_root_number_gamma_independence():
                 continue
             w = local_root_number(chi, gamma=Fraction(p) ** a * unit)
             assert base.distance(w) < 1e-9, (chi, unit)
+
+
+def test_root_number_workload_bound():
+    # p^a(chi) Gauss-sum terms: refused past the bound, before any is summed
+    p = ROOT_NUMBER_BOUND + 1
+    while not is_probable_prime(p):
+        p += 1
+    with pytest.raises(ValueError, match="workload bound"):
+        local_root_number(_chi(p, factors=(p,)))
+    with pytest.raises(ValueError, match="workload bound"):
+        root_number_product(p)
+    # an unramified character has a single term, whatever p is
+    assert approx(local_root_number(_chi(p, nu=True)), 1)
 
 
 def test_root_number_rejects_bad_gamma():

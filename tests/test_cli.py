@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from qrlab import analytic
-from qrlab.analytic import BERNOULLI_BOUND
+from qrlab.analytic import BERNOULLI_BOUND, ROOT_NUMBER_BOUND
 from qrlab.cli import run
 from qrlab.hilbert import hilbert_symbol
+from qrlab.padic import PADIC_BITS_BOUND
 from qrlab.rational import is_probable_prime
 from qrlab.symbols import BINOMIAL_PRIMALITY_BOUND, GAUSS_LEMMA_BOUND, LATTICE_BOUND
 
@@ -175,6 +176,57 @@ def test_first_k_past_the_bernoulli_bound_exits_2(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert err.startswith("error:") and "workload bound" in err, argv
+
+
+def _timed(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < limit, argv
+    return code, out, err
+
+
+def test_root_numbers_in_bounded_time(capsys):
+    # the conductor is closed-form: an unramified character at a large p
+    assert _timed(capsys, ["conductor", "nu_10000019"], 1.0)[:2] == (0, "0")
+    for argv in (
+        ["root-number", "lambda_1000003"],
+        ["root-product", "1000003"],
+        ["root-product", "10000019"],
+        ["root-number", f"lambda_{_next_prime(ROOT_NUMBER_BOUND)}"],
+        # 49939 * 49943 * 49957 * 49991 * 49993 * 49999: each Gauss sum is
+        # accepted alone, the six together are not
+        ["root-product", "15569446005300567780005319193"],
+    ):
+        code, _, err = _timed(capsys, argv, 1.0)
+        assert code == 2, argv
+        assert err.startswith("error:") and "workload bound" in err, argv
+    p = ROOT_NUMBER_BOUND
+    while not is_probable_prime(p):
+        p -= 1
+    assert _timed(capsys, ["root-number", f"lambda_{p}"], 2.0)[0] == 0
+    assert _timed(capsys, ["root-product", str(p)], 2.0)[0] == 0
+
+
+def test_padic_precision_in_bounded_time(capsys):
+    for p, a in ((7, "2"), (5, "2")):
+        k = int(PADIC_BITS_BOUND / math.log2(p))  # the largest k with p^k <= 2^bound
+        for argv in (["sqrt", a, "-p", str(p)], ["teichmuller", a, str(p)]):
+            assert _timed(capsys, argv + ["--prec", str(k)], 2.0)[0] == 0, argv
+            code, _, err = _timed(capsys, argv + ["--prec", str(k + 1)], 1.0)
+            assert code == 2 and "workload bound" in err, argv
+    for argv in (
+        ["sqrt", "2", "-p", "7", "--prec", "20000"],
+        ["teichmuller", "2", "5", "--prec", "5000"],
+        ["digits", "1/3", "-p", "7", "--scheme", "teichmuller", "--prec", "2000"],
+        ["witness", "3", "5", "1013", "--prec", "103"],
+        ["hensel", "-17,0,1", "1", "-p", "2", "--prec", str(PADIC_BITS_BOUND + 1)],
+        ["sqrt-series", "3", "--prec", str(PADIC_BITS_BOUND + 1)],
+        # the O-term of a textual element, and a negative valuation
+        ["sqrt", "7^0 * (1) + O(7^1000000000)"],
+        ["frac-part", "7^-1000000000 * (1) + O(7^2)"],
+    ):
+        code, _, err = _timed(capsys, argv, 1.0)
+        assert code == 2 and "workload bound" in err, argv
 
 
 def test_valuation_base_below_2_exits_2(capsys):

@@ -12,13 +12,20 @@ from qrlab.conic import (
     ConicCertificate,
     DescentFrame,
     NormCertificate,
+    _descent,
     descent_step,
     global_is_norm,
     legendre_ternary,
     solve_conic,
 )
 from qrlab.hilbert import hilbert_symbol, hilbert_vector
-from qrlab.rational import INF_PLACE, Place, factorize
+from qrlab.rational import (
+    INF_PLACE,
+    Place,
+    _sqrt_mod_squarefree_general,
+    factorize,
+    squarefree_split,
+)
 
 small_rationals = st.fractions(
     min_value=Fraction(-60), max_value=Fraction(60), max_denominator=40
@@ -84,6 +91,21 @@ def test_descent_step_preserves_solutions(b, s):
         # backward . forward is multiplication by d^2 - a
         k = Fraction(frame.d ** 2 - a)
         assert (x, y, u) == (k, k, k * s)
+
+
+@given(st.integers(-80, 80), st.integers(-80, 80))
+def test_descent_step_keeps_integer_triples(b, s):
+    # int in, int out, equal to the Fraction route, in both directions
+    frame = _build_frame(b, s)
+    assume(frame is not None)
+    sol = (1, 1, s)
+    for direction in ("forward", "backward"):
+        got = descent_step(frame, sol, direction)
+        assert all(type(t) is int for t in got)
+        assert got == descent_step(frame, tuple(map(Fraction, sol)), direction)
+        if got == (0, 0, 0):
+            break
+        sol = got
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +189,108 @@ def test_solver_scan():
             obstructed = bool(hilbert_vector(a, b).minus_places)
             assert (cert.outcome == "obstruction") == obstructed, (a, b)
             assert cert.verify(), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer-triple descent against the Fraction descent it replaced
+
+def _fraction_descent(a, b, depth=0):
+    """Legendre descent that turns each level's triple back into an affine
+    Fraction point (x, y) on a x^2 + b y^2 = 1, with its own formula for
+    the isotropic case: the route the integer-triple descent replaced,
+    kept as its oracle."""
+    if a == 1:
+        return Fraction(1), Fraction(0), depth
+    if b == 1:
+        return Fraction(0), Fraction(1), depth
+    if abs(a) > abs(b):
+        y, x, reached = _fraction_descent(b, a, depth)
+        return x, y, reached
+    d = _sqrt_mod_squarefree_general(a % abs(b), abs(b), [p for p, _ in factorize(b)])
+    if d * d == a:
+        return Fraction(1, d), Fraction(0), depth
+    c = (d * d - a) // b
+    fc = factorize(c)
+    e, f = fc.squarefree_part(), fc.square_divisor_root()
+    X, Y, reached = _fraction_descent(a, e, depth + 1)
+    x, y, s = descent_step(DescentFrame(a, b, c, d), (X, Y / f, Fraction(1)), "backward")
+    if s != 0:
+        return x / s, y / s, reached
+    t = (1 - Fraction(b)) / (2 * b * y)
+    return t * x, t * y + 1, reached
+
+
+def _fraction_solve(a, b):
+    """(outcome, x, y, places, depth) of solve_conic by the Fraction route."""
+    a, b = Fraction(a), Fraction(b)
+    vector = hilbert_vector(a, b)
+    if vector.minus_places:
+        return "obstruction", None, None, vector.support, 0
+    (a0, sa), (b0, sb) = squarefree_split(a), squarefree_split(b)
+    X, Y, depth = _fraction_descent(a0, b0)
+    return "solution", abs(X / sa), -abs(Y / sb), (), depth
+
+
+def _assert_matches_fraction_route(a, b):
+    cert = solve_conic(a, b)
+    got = (cert.outcome, cert.x, cert.y, cert.places, cert.descent_depth)
+    assert got == _fraction_solve(a, b), (a, b)
+
+
+def test_descent_matches_fraction_route_small():
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            if a and b:
+                _assert_matches_fraction_route(a, b)
+
+
+def test_descent_matches_fraction_route_height_1e9():
+    # 1000 pairs of height 10^9 (almost all obstructed), then 1000 solvable
+    # ones: a of height 10^9 and b = (1 - a x^2) / y^2, x and y of height 10
+    import random
+
+    rng = random.Random(20261018)
+
+    def draw(h):
+        return Fraction(rng.randint(1, h) * rng.choice((1, -1)), rng.randint(1, h))
+
+    for _ in range(1000):
+        _assert_matches_fraction_route(draw(10 ** 9), draw(10 ** 9))
+    solved = 0
+    for _ in range(1000):
+        a = draw(10 ** 9)
+        b = (1 - a * draw(10) ** 2) / draw(10) ** 2
+        if b:
+            _assert_matches_fraction_route(a, b)
+            solved += 1
+    assert solved > 900
+
+
+def test_descent_returns_primitive_triples():
+    import math
+
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if not (a and b) or hilbert_vector(a, b).minus_places:
+                continue
+            a0, b0 = squarefree_split(a)[0], squarefree_split(b)[0]
+            primes_a = [p for p, _ in factorize(a0)]
+            primes_b = [p for p, _ in factorize(b0)]
+            x, y, z, _ = _descent(a0, b0, primes_a, primes_b)
+            assert z != 0 and math.gcd(x, y, z) == 1, (a, b)
+            assert all(type(t) is int for t in (x, y, z))
+            assert a0 * x * x + b0 * y * y == z * z, (a, b)
+
+
+def test_descent_isotropic_branch():
+    # the frame a = -3, b = 3, c = 1, d = 0 steps the sub-solution (0, 1, 1)
+    # back to (-1, 1, 0), an isotropic vector of -3 x^2 + 3 y^2; the second
+    # intersection ((1 - b) x, (1 + b) y, 2 b y) = (2, 4, 6) is (1, 2, 3)
+    assert descent_step(DescentFrame(-3, 3, 1, 0), (0, 1, 1), "backward") == (-1, 1, 0)
+    assert _descent(-3, 3, [3], [3]) == (1, 2, 3, 1)
+    cert = solve_conic(-3, 3)
+    assert (cert.x, cert.y, cert.descent_depth) == (Fraction(1, 3), Fraction(-2, 3), 1)
+    _assert_matches_fraction_route(-3, 3)
 
 
 @given(small_rationals, small_rationals)

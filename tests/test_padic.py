@@ -519,6 +519,25 @@ def test_parse_rejects_malformed():
         parse_padic("gibberish")
 
 
+def test_format_reads_the_unit_digits():
+    x = PAdicElement.from_rational(Fraction(-5, 3), 7, 300)
+    terms = [
+        str(d) if i == 0 else f"{d}*7" if i == 1 else f"{d}*7^{i}"
+        for i, d in ((i, x.unit_digit(i)) for i in range(300))
+        if d
+    ]
+    assert format_padic(x) == f"7^0 * ({' + '.join(terms)}) + O(7^300)"
+
+
+def test_parse_refuses_oversized_text():
+    with pytest.raises(ValueError, match="workload bound"):
+        parse_padic("7^0 * (1) + O(7^1000000000)")
+    with pytest.raises(ValueError, match="workload bound"):
+        parse_padic("7^-1000000000 * (1) + O(7^2)")
+    with pytest.raises(ValueError, match="beyond"):
+        parse_padic("7^0 * (1 + 1*7^100000000) + O(7^3)")
+
+
 @settings(max_examples=150)
 @given(
     st.sampled_from(SMALL_PRIMES),

@@ -294,6 +294,19 @@ def test_character_local_evaluation():
         chi7.eval_local(3, 5)
 
 
+def test_character_rejects_zero():
+    # a nu factor alone used to read v_p(0) = INFINITY and raise TypeError
+    for chi in (
+        QuadraticCharacter(frozenset(), unramified_sign_prime=3),
+        QuadraticCharacter(frozenset({4}), unramified_sign_prime=2),
+        QuadraticCharacter(frozenset({7})),
+    ):
+        with pytest.raises(ValueError):
+            chi.eval(0)
+        with pytest.raises(ValueError):
+            chi.eval_local(0, chi.unramified_sign_prime or 7)
+
+
 # ---------------------------------------------------------------------------
 # unit group product (Wilson mod m)
 
