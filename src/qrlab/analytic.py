@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from qrlab.hilbert import PlaceLike, _coerce_place, ext_char_correspondence
 from qrlab.padic import PAdicElement, PrecisionLossError, square_class
-from qrlab.rational import INF_PLACE, Place, Rat, is_probable_prime, local_unit, vp
+from qrlab.rational import INF_PLACE, TWO_PLACE, Place, Prime, Rat, is_probable_prime, local_unit, vp
 from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, sign_inf
 
 # ---------------------------------------------------------------------------
@@ -26,6 +26,10 @@ from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, sign_inf
 #: Largest k that bernoulli, von_staudt_W and power_sum accept: one pass of
 #: the tangent-number recurrence to k = 2000 takes about 1 s.
 BERNOULLI_BOUND = 2000
+
+#: Most decimal digits power_sum answers with: Python's default limit on
+#: int-to-str conversion, so that every accepted answer can be printed.
+POWER_SUM_DIGITS_BOUND = 4300
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
@@ -76,9 +80,16 @@ def von_staudt_W(k: int) -> int:
 def power_sum(k: int, n: int) -> int:
     """0^k + 1^k + ... + (n-1)^k, by the Bernoulli-polynomial identity
     S_k(n) = sum_m C(k, m) B_m n^(k+1-m)/(k+1-m) (the j = 0 term contributes
-    1 when k = 0): k + 1 terms whatever n is."""
+    1 when k = 0): k + 1 terms whatever n is.  The sum is below
+    n^(k+1)/(k+1), and a k, n for which that bound has more than
+    POWER_SUM_DIGITS_BOUND - 1 digits is refused before any arithmetic."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
+    if (k + 1) * math.log10(n) - math.log10(k + 1) > POWER_SUM_DIGITS_BOUND - 1:
+        raise ValueError(
+            f"S_{k}(n) would exceed the power-sum workload bound of "
+            f"{POWER_SUM_DIGITS_BOUND} digits"
+        )
     B = _bernoulli_table(k)
     total = sum(
         math.comb(k, m) * B[m] * Fraction(n) ** (k + 1 - m) / (k + 1 - m)
@@ -104,8 +115,7 @@ def p_frac_part(x: Union[Rat, PAdicElement], p: Optional[int] = None) -> Fractio
             raise PrecisionLossError("tail digits below precision")
         q = p ** (-x.valuation)
         return Fraction(x.unit % q, q)
-    if p is None or not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = Prime(p)
     v = vp(x, p)
     if v >= 0:  # INFINITY for x = 0
         return Fraction(0)
@@ -304,8 +314,8 @@ def root_number_product(d: int) -> ComplexValue:
         raise ValueError(
             f"the primes of d = {d} sum past the root-number workload bound {ROOT_NUMBER_BOUND}"
         )
-    places = [INF_PLACE, Place._trusted(2)]
-    places += [Place._trusted(p) for p, _ in fd.factors if p != 2]
+    places = [INF_PLACE, TWO_PLACE]
+    places += [Place.finite(p) for p, _ in fd.factors if p != 2]
     z = complex(1.0, 0.0)
     for v in places:
         z *= local_root_number(LocalCharacter.attached_to_extension(d, v)).as_complex()

@@ -19,7 +19,7 @@ from typing import Optional
 
 from qrlab import analytic, conic, hilbert, padic, rational, symbols
 from qrlab.padic import DEFAULT_PRECISION, PAdicElement, PrecisionLossError
-from qrlab.rational import INF_PLACE, Place
+from qrlab.rational import INF_PLACE, TWO_PLACE, Place
 
 # allow negative rationals ("-1/3") and coefficient lists ("-17,0,1") as
 # positional arguments; stock argparse only recognizes plain "-1"
@@ -276,7 +276,7 @@ def _h_digits(a):
     )
 
 
-def _h_square_class(a):
+def _h_squareclass(a):
     if "O(" in a.x:
         c = padic.square_class(padic.parse_padic(a.x))
     else:
@@ -473,10 +473,10 @@ def _reciprocity_shard(pairs):
 def _product_shard(pairs):
     bad = []
     for a, b in pairs:
-        places = {INF_PLACE, Place._trusted(2)}
+        places = {INF_PLACE, TWO_PLACE}
         for x in (a, b):
             sign, exps = rational.rational_factor_exponents(x)
-            places.update(Place._trusted(p) for p, _ in exps)
+            places.update(Place.finite(p) for p, _ in exps)
         prod = 1
         for v in sorted(places):
             prod *= hilbert.hilbert_symbol(a, b, v)
@@ -617,7 +617,7 @@ def _build_parser() -> _Parser:
             "-p": {"type": int, "default": None, "help": "prime"},
             "--scheme": {"choices": ["standard", "teichmuller"], "default": "standard"},
         })
-    cmd("square-class", _h_square_class, "canonical square-class representative in Q_p",
+    cmd("square-class", _h_squareclass, "canonical square-class representative in Q_p",
         pos("x", "rational or textual element"),
         **{"-p": {"type": int, "default": None, "help": "prime"}})
     cmd("hilbert", _h_hilbert, "Hilbert symbol (a,b)_v",

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from qrlab.padic import PAdicElement, _rational_element, _square_class, padic_sqrt
+from qrlab.padic import PAdicElement, padic_sqrt, square_class
 from qrlab.rational import (
     INF_PLACE,
+    TWO_PLACE,
     Place,
+    Prime,
     Rat,
     int_valuation,
     is_rational_square,
+    local_residue,
     local_unit,
     rational_factor_exponents,
     unit_residue,
@@ -125,17 +128,17 @@ class SymbolVector:
 
 def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVector:
     """hilbert_vector from the signed exponents of a and b, as returned by
-    rational_factor_exponents."""
+    rational_factor_exponents, whose primes are Primes already."""
     va, vb = dict(exps_a), dict(exps_b)
     minus = [INF_PLACE] if a < 0 and b < 0 else []
     for p in {2, *va, *vb}:
         alpha, beta = va.get(p, 0), vb.get(p, 0)
         m = 8 if p == 2 else p
         # at odd p the symbol reads u_a only if beta is odd, u_b only if alpha is
-        ua = local_unit(a, p, m)[1] if p == 2 or beta % 2 else 1
-        ub = local_unit(b, p, m)[1] if p == 2 or alpha % 2 else 1
+        ua = local_residue(a, p, alpha, m) if p == 2 or beta % 2 else 1
+        ub = local_residue(b, p, beta, m) if p == 2 or alpha % 2 else 1
         if _symbol_exponent(p, alpha, ua, beta, ub):
-            minus.append(Place._trusted(p))
+            minus.append(TWO_PLACE if p == 2 else Place.finite(p))
     return SymbolVector(frozenset(minus))
 
 
@@ -145,8 +148,8 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 
     The numerator and denominator of a and b are each factored once.  The
     valuations come from those factorizations, a unit residue is taken only
-    where the symbol reads it, no prime is tested again, and a Place is
-    built only where the symbol is -1."""
+    where the symbol reads it, and a Place is built only where the symbol
+    is -1."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
@@ -239,47 +242,47 @@ def _inverse_sqrt(x: Fraction) -> Fraction:
 def _sqrt_rep(x: Fraction, p: int, precision: int) -> Fraction:
     """Rational representative of the p-adic square root of x (x a square
     class-1 value at p), accurate to `precision` digits."""
-    root = padic_sqrt(_rational_element(x, p, precision))
+    root = padic_sqrt(PAdicElement.from_rational(x, p, precision))
     assert root is not None
     return root.rational_rep()
 
 
 def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = v_p(b) = 0 (symbol known to be +1)."""
-    if _square_class(a, p) == 1:
+    if square_class(a, p) == 1:
         return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
-    if _square_class(b, p) == 1:
+    if square_class(b, p) == 1:
         return Fraction(0), Fraction(1) / _sqrt_rep(b, p, K)
     if p != 2:
         # both non-residues: {a x^2} and {1 - b y^2} each cover (p+1)/2
         # residues, so they intersect at a nonzero common value
         for y0 in range(1, p):
             t = (1 - b * y0 * y0) / a
-            if vp(t, p) == 0 and _square_class(t, p) == 1:
+            if vp(t, p) == 0 and square_class(t, p) == 1:
                 return _sqrt_rep(t, p, K), Fraction(y0)
         raise AssertionError("counting argument found no intersection")
     # p = 2, neither unit is 1 mod 8; symbol +1 forces a or b = 5 (mod 8)
     if unit_residue(a, 8) == 5:
-        return _sqrt_rep((1 - 4 * b) / a, 2, K), Fraction(2)
+        return _sqrt_rep((1 - 4 * b) / a, p, K), Fraction(2)
     assert unit_residue(b, 8) == 5
-    return Fraction(2), _sqrt_rep((1 - 4 * a) / b, 2, K)
+    return Fraction(2), _sqrt_rep((1 - 4 * a) / b, p, K)
 
 
 def _witness_unit_by_uniformizer(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = 0, v_p(b) = 1 (symbol +1)."""
-    if _square_class(a, p) == 1:
+    if square_class(a, p) == 1:
         return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
     # for odd p the symbol is lambda_p(a), so a must be class 1 above
     assert p == 2, "odd p with symbol +1 implies a is a square"
     # remaining 2-adic case: a = 1 - b (mod 8), witness y = 1
     assert unit_residue(a, 8) == unit_residue(1 - b, 8)
-    return _sqrt_rep((1 - b) / a, 2, K), Fraction(1)
+    return _sqrt_rep((1 - b) / a, p, K), Fraction(1)
 
 
 def _witness_both_uniformizers(a: Fraction, b: Fraction, p: int, K: int):
     """Case v_p(a) = v_p(b) = 1: reduce by a'' = -a b / p^2, a unit."""
     a2 = -a * b / p ** 2
-    if _square_class(a2, p) == 1:
+    if square_class(a2, p) == 1:
         # a x^2 + b y^2 = ((b y)^2 - a''(p x)^2)/b: split b = t * (b/t), t=1
         s = _sqrt_rep(a2, p, K)
         x = (b - 1) / (2 * s * p)
@@ -317,9 +320,9 @@ def local_solve_witness(
     K = precision + _PRECISION_BUFFER
     va, vb = vp(a, p), vp(b, p)
     alpha, beta = va % 2, vb % 2
-    ea, eb = (va - alpha) // 2, (vb - beta) // 2
-    ar = a / Fraction(p) ** (2 * ea)
-    br = b / Fraction(p) ** (2 * eb)
+    # a = sa^2 ar and b = sb^2 br, sa and sb powers of p
+    sa, sb = Fraction(p) ** ((va - alpha) // 2), Fraction(p) ** ((vb - beta) // 2)
+    ar, br = a / sa**2, b / sb**2
     if (alpha, beta) == (0, 0):
         x, y = _witness_both_units(ar, br, p, K)
     elif (alpha, beta) == (0, 1):
@@ -328,7 +331,7 @@ def local_solve_witness(
         y, x = _witness_unit_by_uniformizer(br, ar, p, K)
     else:
         x, y = _witness_both_uniformizers(ar, br, p, K)
-    witness = LocalWitness(place, x / Fraction(p) ** ea, y / Fraction(p) ** eb, precision)
+    witness = LocalWitness(place, x / sa, y / sb, precision)
     assert witness.verify(a, b), (a, b, p, witness)
     return witness
 
@@ -350,8 +353,9 @@ def ext_char_correspondence(p: int) -> list[tuple[int, QuadraticCharacter]]:
     """The dictionary between quadratic extensions Q_p(sqrt(b)) (b running
     over the nontrivial square classes) and the quadratic characters of
     Q_p^x with kernel the norm group: chi_b(a) = (a, b)_p."""
+    p = Prime(p)
     if p == 2:
-        nu = _nu(2)
+        nu = _nu(p)
         l4 = QuadraticCharacter(frozenset({4}))
         l8 = QuadraticCharacter(frozenset({8}))
         return [

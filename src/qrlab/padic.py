@@ -5,7 +5,8 @@ valuation and 2-adic binomial-series exercises.
 
 Precision is relative: an element stores k unit digits, so its value is
 known modulo p^(v+k).  Exact zero is a distinguished value, never a
-"very small" element.
+"very small" element.  An element holds its prime as a `Prime`, so the
+elements computed from it certify nothing again.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from typing import Optional, Sequence, Union
 
 from qrlab.rational import (
     INFINITY,
+    Prime,
     Rat,
-    _sqrt_mod_odd_prime,
     int_valuation,
-    is_probable_prime,
     local_unit,
+    sqrt_mod_prime,
 )
 from qrlab.symbols import smallest_nonresidue
 
@@ -52,24 +53,8 @@ class PAdicElement:
     precision: int
 
     def __post_init__(self):
-        _require_prime(self.prime)
-        self._check_unit()
-
-    @classmethod
-    def _trusted(cls, p: int, valuation, unit: int, precision: int) -> "PAdicElement":
-        """An element at a p that the caller already holds from a Place or
-        from another element: the unit and precision are checked, but p is
-        not tested for primality again."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "prime", p)
-        object.__setattr__(x, "valuation", valuation)
-        object.__setattr__(x, "unit", unit)
-        object.__setattr__(x, "precision", precision)
-        x._check_unit()
-        return x
-
-    def _check_unit(self):
-        p = self.prime
+        p = Prime(self.prime)
+        object.__setattr__(self, "prime", p)
         if self.valuation is INFINITY:
             if self.unit != 0 or self.precision != 0:
                 raise ValueError("exact zero must have unit 0, precision 0")
@@ -87,8 +72,12 @@ class PAdicElement:
 
     @classmethod
     def from_rational(cls, x: Rat, p: int, precision: int = DEFAULT_PRECISION) -> "PAdicElement":
-        _require_prime(p)
-        return _rational_element(x, p, precision)
+        p = Prime(p)
+        x = Fraction(x)
+        if x == 0:
+            return cls(p, INFINITY, 0, 0)
+        v, unit = local_unit(x, p, p ** precision)
+        return cls(p, v, unit, precision)
 
     # -- structure ---------------------------------------------------------
 
@@ -132,7 +121,7 @@ class PAdicElement:
         k = min(self.precision, precision)
         if k < 1:
             raise ValueError("cannot truncate below one digit")
-        return PAdicElement._trusted(self.prime, self.valuation, self.unit % self.prime ** k, k)
+        return PAdicElement(self.prime, self.valuation, self.unit % self.prime ** k, k)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -146,7 +135,7 @@ class PAdicElement:
         if self.is_zero:
             return self
         mod = self.prime ** self.precision
-        return PAdicElement._trusted(self.prime, self.valuation, mod - self.unit, self.precision)
+        return PAdicElement(self.prime, self.valuation, mod - self.unit, self.precision)
 
     def __add__(self, other: "PAdicElement") -> "PAdicElement":
         self._check_same_prime(other)
@@ -169,7 +158,7 @@ class PAdicElement:
             )
         shift, unit = int_valuation(s, p)
         unit %= p ** (abs_prec - v - shift)
-        return PAdicElement._trusted(p, v + shift, unit, abs_prec - v - shift)
+        return PAdicElement(p, v + shift, unit, abs_prec - v - shift)
 
     def __sub__(self, other: "PAdicElement") -> "PAdicElement":
         return self + (-other)
@@ -177,10 +166,10 @@ class PAdicElement:
     def __mul__(self, other: "PAdicElement") -> "PAdicElement":
         self._check_same_prime(other)
         if self.is_zero or other.is_zero:
-            return PAdicElement._trusted(self.prime, INFINITY, 0, 0)
+            return PAdicElement(self.prime, INFINITY, 0, 0)
         k = min(self.precision, other.precision)
         mod = self.prime ** k
-        return PAdicElement._trusted(
+        return PAdicElement(
             self.prime,
             self.valuation + other.valuation,
             self.unit * other.unit % mod,
@@ -196,7 +185,7 @@ class PAdicElement:
         k = min(self.precision, other.precision)
         mod = self.prime ** k
         inv = pow(other.unit, -1, mod)
-        return PAdicElement._trusted(
+        return PAdicElement(
             self.prime,
             self.valuation - other.valuation,
             self.unit * inv % mod,
@@ -205,13 +194,13 @@ class PAdicElement:
 
     def __pow__(self, n: int) -> "PAdicElement":
         if n < 0:
-            base = PAdicElement._trusted(self.prime, 0, 1, self.precision) / self
+            base = PAdicElement(self.prime, 0, 1, self.precision) / self
             return base ** (-n)
         if self.is_zero:
-            return PAdicElement._trusted(self.prime, 0, 1, 1) if n == 0 else self
+            return PAdicElement(self.prime, 0, 1, 1) if n == 0 else self
         k = self.precision
         # pow is square-and-multiply on the unit; the valuation just scales
-        return PAdicElement._trusted(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
+        return PAdicElement(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
 
     def __str__(self) -> str:
         return format_padic(self)
@@ -230,11 +219,6 @@ def arith(op: str, x: PAdicElement, y: PAdicElement) -> PAdicElement:
     raise ValueError(f"unknown operation {op!r}")
 
 
-def _require_prime(p: int):
-    if p < 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not a prime")
-
-
 def check_padic_size(p: int, k: int) -> None:
     """Refuse p^k above 2^PADIC_BITS_BOUND before anything computes it; a p
     below 2 is left for the primality check to refuse."""
@@ -242,16 +226,6 @@ def check_padic_size(p: int, k: int) -> None:
         raise ValueError(
             f"{p}^{k} exceeds the p-adic workload bound of 2^{PADIC_BITS_BOUND}"
         )
-
-
-def _rational_element(x: Rat, p: int, precision: int) -> PAdicElement:
-    """PAdicElement.from_rational at a p the caller already holds from a
-    Place or an element: no primality test."""
-    x = Fraction(x)
-    if x == 0:
-        return PAdicElement._trusted(p, INFINITY, 0, 0)
-    v, unit = local_unit(x, p, p ** precision)
-    return PAdicElement._trusted(p, v, unit, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +309,9 @@ def hensel_lift(
     else:
         if p is None:
             raise ValueError("p required when x0 is a plain integer")
-        _require_prime(p)
+        p = Prime(p)
         x = int(x0)
-    return _hensel_lift(f, x, target_precision, p)
-
-
-def _hensel_lift(f: IntPolynomial, x: int, N: int, p: int) -> PAdicElement:
-    """hensel_lift from the integer x0 = x at a prime p the caller already
-    holds: no primality test."""
+    N = target_precision
     if N < 1:
         raise ValueError("target precision must be >= 1")
 
@@ -350,7 +319,7 @@ def _hensel_lift(f: IntPolynomial, x: int, N: int, p: int) -> PAdicElement:
     fx = f(x)
     if fx == 0:
         # exact integer root: no refinement needed
-        return _rational_element(x, p, N)
+        return PAdicElement.from_rational(x, p, N)
     dx = fprime(x)
     if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
@@ -382,7 +351,7 @@ def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
             f"value is 0 mod {p}^{abs_precision}: indistinguishable from zero"
         )
     v, u = int_valuation(x, p)
-    return PAdicElement._trusted(p, v, u % p ** (abs_precision - v), abs_precision - v)
+    return PAdicElement(p, v, u % p ** (abs_precision - v), abs_precision - v)
 
 
 # ---------------------------------------------------------------------------
@@ -407,18 +376,18 @@ def padic_sqrt(x: PAdicElement) -> Optional[PAdicElement]:
             return None
         # roots mod 2^k come in pairs +-r and r + 2^(k-1): one digit is lost
         f = IntPolynomial((-x.unit, 0, 1))
-        root = _hensel_lift(f, 1, k, 2).integer_rep() % 2 ** (k - 1)
+        root = hensel_lift(f, 1, k, p).integer_rep() % 2 ** (k - 1)
         if root % 4 == 3:
             root = 2 ** (k - 1) - root
-        return PAdicElement._trusted(2, v // 2, root, k - 1)
-    r0 = _sqrt_mod_odd_prime(x.unit % p, p)
+        return PAdicElement(p, v // 2, root, k - 1)
+    r0 = sqrt_mod_prime(x.unit, p)
     if r0 is None:
         return None
     f = IntPolynomial((-x.unit, 0, 1))
-    root = _hensel_lift(f, r0, k, p).integer_rep()
+    root = hensel_lift(f, r0, k, p).integer_rep()
     if root % p > (p - 1) // 2:
         root = p ** k - root
-    return PAdicElement._trusted(p, v // 2, root, k)
+    return PAdicElement(p, v // 2, root, k)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +398,16 @@ def teichmuller(a: int, p: int, precision: int = DEFAULT_PRECISION) -> PAdicElem
     limit of the p-power iteration a, a^p, a^(p^2), ..."""
     if not 0 <= a < p:
         raise ValueError(f"a must be a residue in [0, {p})")
-    _require_prime(p)
+    p = Prime(p)
     if a == 0:
-        return PAdicElement._trusted(p, INFINITY, 0, 0)
-    return PAdicElement._trusted(p, 0, _teichmuller_unit(a, p, precision), precision)
+        return PAdicElement(p, INFINITY, 0, 0)
+    return PAdicElement(p, 0, _teichmuller_unit(a, p, precision), precision)
 
 
 def _teichmuller_unit(a: int, p: int, precision: int) -> int:
-    """The unit of teichmuller(a, p, precision) for a residue a in [1, p),
-    at a prime p the caller already holds: no primality test."""
+    """The unit of teichmuller(a, p, precision) for a residue a in [1, p):
+    the p-power iteration, shared by teichmuller, unit_decompose and the
+    Teichmuller digits."""
     mod = p ** precision
     x = a
     while True:
@@ -453,7 +423,7 @@ def unit_decompose(x: PAdicElement) -> tuple[PAdicElement, PAdicElement]:
     if x.is_zero or x.valuation != 0:
         raise ValueError("x must be a p-adic unit")
     p, k = x.prime, x.precision
-    tau = PAdicElement._trusted(p, 0, _teichmuller_unit(x.unit % p, p, k), k)
+    tau = PAdicElement(p, 0, _teichmuller_unit(x.unit % p, p, k), k)
     u1 = x / tau
     return tau, u1
 
@@ -467,8 +437,7 @@ def vp_factorial(n: int, p: int) -> tuple[int, int]:
     that n! = (-p)^{v_p(n!)} t_n (mod p^{v_p(n!)+1})."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = Prime(p)
     digits = []
     m = n
     while m:
@@ -541,13 +510,13 @@ def from_digits(ds: Sequence[int], p: int, scheme: str = "standard") -> PAdicEle
     """Rebuild the element x = sum d_i p^i known mod p^len(ds)."""
     if scheme not in ("standard", "teichmuller"):
         raise ValueError(f"unknown digit scheme {scheme!r}")
-    _require_prime(p)
+    p = Prime(p)
     if not ds:
-        return PAdicElement._trusted(p, INFINITY, 0, 0)
+        return PAdicElement(p, INFINITY, 0, 0)
     K = len(ds)
     val = sum(d * p ** i for i, d in enumerate(ds)) % p ** K
     if val == 0:
-        return PAdicElement._trusted(p, INFINITY, 0, 0)
+        return PAdicElement(p, INFINITY, 0, 0)
     return _element_from_int(val, p, K)
 
 
@@ -566,13 +535,7 @@ def square_class(x: Union[PAdicElement, Rat], p: Optional[int] = None) -> int:
         return _class_rep(x.prime, x.valuation, x.unit)
     if p is None:
         raise ValueError("p required for rational input")
-    _require_prime(p)
-    return _square_class(x, p)
-
-
-def _square_class(x: Rat, p: int) -> int:
-    """square_class of a rational x at a prime p the caller already holds
-    from a Place: no primality test."""
+    p = Prime(p)
     return _class_rep(p, *local_unit(x, p, 8 if p == 2 else p))
 
 

@@ -3,8 +3,14 @@ values at every place, and modular square roots.
 
 All functions are pure; rationals are `fractions.Fraction` (always in lowest
 terms with positive denominator, which is exactly the representation contract
-the rest of the library relies on).  A rational is split at a prime p in
-one place, `_local_split`, and every valuation and unit residue is read from it.
+the rest of the library relies on).  The valuation of a rational at a
+prime p is read in one place, `vp`, and the residue of its unit part in
+one other, `local_residue`.
+
+A prime is certified once, by `Prime`: an int that has passed
+is_probable_prime (or comes out of factorize, which certifies what it
+finds), so every function that takes a prime checks it with one call that
+costs a type check when the prime is already a `Prime`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ def _primes_upto(n: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-#: The 168 primes up to TRIAL_DIVISION_LIMIT, and their product.
+#: The 168 primes up to TRIAL_DIVISION_LIMIT as plain ints, which keep the
+#: trial-division loop on CPython's int fast paths, and their product.
 _SMALL_PRIMES = _primes_upto(TRIAL_DIVISION_LIMIT)
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
@@ -194,6 +201,40 @@ def _is_strong_lucas_prp(n: int) -> bool:
     return False
 
 
+class Prime(int):
+    """A certified prime: an int whose only added meaning is that it passed
+    is_probable_prime (a proof below psi_13 ~ 3.3e24, Baillie-PSW above).
+
+    Prime(n) returns n itself when n is already a Prime, and otherwise
+    tests it once and raises ValueError if it is not prime.  It prints,
+    hashes and compares like the int; arithmetic on it returns plain ints,
+    so no product of primes is ever taken for one."""
+
+    __slots__ = ()
+
+    def __new__(cls, n):
+        if type(n) is Prime:
+            return n
+        if not isinstance(n, int) or not is_probable_prime(n):
+            raise ValueError(f"{n} is not prime")
+        return int.__new__(cls, n)
+
+    def __reduce__(self):
+        return Prime, (int(self),)
+
+
+def odd_prime(p: int) -> Prime:
+    """Prime(p), refusing p = 2 as well."""
+    p = Prime(p)
+    if p == 2:
+        raise ValueError("2 is not an odd prime")
+    return p
+
+
+#: Each small prime as a Prime, for the factor core (prime by the sieve).
+_SMALL_PRIME_TABLE = {p: int.__new__(Prime, p) for p in _SMALL_PRIMES}
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant)."""
     if n % 2 == 0:
@@ -280,15 +321,16 @@ class Factorization:
         return iter(self.factors)
 
 
-def _factor_dict(n: int) -> dict[int, int]:
+def _factor_dict(n: int) -> dict[Prime, int]:
     """{p: v_p(n)} for an integer n >= 1, in no particular order.
 
     The gcd of n with the product of the primes <= TRIAL_DIVISION_LIMIT
     names the small primes of n, and only those are divided out.  What is
     left, and every part rho splits off it, has no prime factor <=
     TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
-    construction; larger ones are certified once by is_probable_prime."""
-    found: dict[int, int] = {}
+    construction; larger ones are certified once by is_probable_prime.  The
+    keys are Primes; the loops run on plain ints."""
+    found: dict[Prime, int] = {}
     g = math.gcd(n, _SMALL_PRIMORIAL)
     for p in _SMALL_PRIMES:
         if g == 1:
@@ -303,14 +345,14 @@ def _factor_dict(n: int) -> dict[int, int]:
         while n % p == 0:
             n //= p
             e += 1
-        found[p] = e
+        found[_SMALL_PRIME_TABLE[p]] = e
     stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
         if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
-            found[m] = found.get(m, 0) + 1
+            found[int.__new__(Prime, m)] = found.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
         stack.append(d)
@@ -321,7 +363,7 @@ def _factor_dict(n: int) -> dict[int, int]:
 def factorize(n: int) -> Factorization:
     """Full prime factorization: trial division by the primes up to
     TRIAL_DIVISION_LIMIT, then Pollard rho on whatever survives, every prime
-    certified once."""
+    certified once and returned as a Prime."""
     if n == 0:
         raise ValueError("cannot factor 0")
     if abs(n) > DEFAULT_FACTOR_BOUND:
@@ -353,11 +395,8 @@ def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]
 
 @dataclass(frozen=True, order=False)
 class Place:
-    """A place of Q: the archimedean place or a finite prime.
-
-    The public constructors test the prime with is_probable_prime, a proof
-    below psi_13 ~ 3.3e24 and Baillie-PSW above it; _trusted skips the test
-    for a prime that factorize has already certified."""
+    """A place of Q: the archimedean place or a finite prime, held as a
+    Prime (certified on construction unless it is one already)."""
 
     kind: str  # "archimedean" | "finite"
     prime: Optional[int] = None
@@ -367,8 +406,7 @@ class Place:
             if self.prime is not None:
                 raise ValueError("archimedean place carries no prime")
         elif self.kind == "finite":
-            if self.prime is None or not is_probable_prime(self.prime):
-                raise ValueError(f"{self.prime} is not prime")
+            object.__setattr__(self, "prime", Prime(self.prime))
         else:
             raise ValueError(f"unknown place kind {self.kind!r}")
 
@@ -379,15 +417,6 @@ class Place:
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls("finite", p)
-
-    @classmethod
-    def _trusted(cls, p: int) -> "Place":
-        """The finite place at p, for a p that came out of factorize: no
-        second primality test."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "kind", "finite")
-        object.__setattr__(place, "prime", p)
-        return place
 
     @classmethod
     def parse(cls, text: str) -> "Place":
@@ -417,6 +446,8 @@ class Place:
 
 
 INF_PLACE = Place.infinity()
+#: The place at 2, which every symbol vector and root-number product visits.
+TWO_PLACE = Place.finite(_SMALL_PRIME_TABLE[2])
 
 
 def int_valuation(n: int, p: int) -> tuple[int, int]:
@@ -439,43 +470,44 @@ def int_valuation(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _local_split(x: Rat, p: int) -> Optional[tuple[int, int, int]]:
-    """(v, n, d) with x = p^v n / d, n and d ints prime to p, d > 0; None
-    for x = 0.  x is in lowest terms, so p divides its numerator or its
-    denominator, never both."""
+def vp(x: Rat, p: int):
+    """The p-adic valuation; INFINITY for x = 0.  x is in lowest terms, so
+    p divides its numerator or its denominator, never both."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return None
-    v, num = int_valuation(num, p)
-    if v == 0:
-        v, den = int_valuation(den, p)
-        v = -v
-    return v, num, den
-
-
-def vp(x: Rat, p: int):
-    """The p-adic valuation; INFINITY for x = 0."""
-    split = _local_split(x, p)
-    return INFINITY if split is None else split[0]
+    if x.numerator == 0:
+        return INFINITY
+    v = int_valuation(x.numerator, p)[0]
+    return v if v else -int_valuation(x.denominator, p)[0]
 
 
 def vp_split(x: Rat, p: int):
     """x = p^r * u with u prime to p: returns (r, u), or INFINITY for x = 0."""
-    split = _local_split(x, p)
-    return INFINITY if split is None else (split[0], Fraction(*split[1:]))
+    r = vp(x, p)
+    return INFINITY if r is INFINITY else (r, Fraction(x) / Fraction(p) ** r)
+
+
+def local_residue(x: Rat, p: int, v: int, m: int) -> int:
+    """u mod m for the unit u = x / p^v of a nonzero int or Fraction x whose
+    valuation v = v_p(x) the caller already holds.  m is a power of p, or 8
+    or 8p, where an even denominator raises ValueError."""
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    return num * pow(den, -1, m) % m
 
 
 def local_unit(x: Rat, p: int, m: int) -> tuple[int, int]:
     """(v, u mod m) for a nonzero rational x = p^v u, u a p-adic unit: the
-    pair every local symbol, square class and p-adic element is read from.
-    m is a power of p, or 8p, where an even denominator raises ValueError."""
-    split = _local_split(x, p)
-    if split is None:
+    pair every local symbol, square class and p-adic element is read from."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    v = vp(x, p)
+    if v is INFINITY:
         raise ValueError("x must be nonzero")
-    v, num, den = split
-    return v, num * pow(den, -1, m) % m
+    return v, local_residue(x, p, v, m)
 
 
 def abs_place(x: Rat, v: Place) -> Fraction:
@@ -505,19 +537,12 @@ def norm_product_check(x: Rat) -> bool:
 
 def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     """Square root of a mod an odd prime p, normalized into (0, (p-1)/2];
-    None if a is a non-residue.  a must be prime to p."""
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    None if a is a non-residue.  a must be prime to p.  Euler's criterion,
+    then Tonelli-Shanks."""
+    p = odd_prime(p)
     a %= p
     if a == 0:
         raise ValueError("a must be prime to p")
-    return _sqrt_mod_odd_prime(a, p)
-
-
-def _sqrt_mod_odd_prime(a: int, p: int) -> Optional[int]:
-    """sqrt_mod_prime for a caller that already holds an odd prime p (from
-    factorize, or from a PAdicElement) and a residue a in [1, p): Euler's
-    criterion, then Tonelli-Shanks, with no primality test."""
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     if p % 4 == 3:
@@ -567,7 +592,7 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> Optional[int]:
         elif a % p == 0:
             roots = [0]
         else:
-            r = _sqrt_mod_odd_prime(a % p, p)
+            r = sqrt_mod_prime(a, p)
             if r is None:
                 return None
             roots = [r, p - r] if r != p - r else [r]

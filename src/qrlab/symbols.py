@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from qrlab.rational import Rat, factorize, is_probable_prime, local_unit, unit_residue, vp
+from qrlab.rational import Prime, Rat, factorize, local_unit, odd_prime, unit_residue, vp
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,7 @@ def sign_inf(a: Rat) -> int:
 def legendre(a: Rat, p: int) -> int:
     """The quadratic character of the unit a modulo the odd prime p, by
     Euler's criterion a^((p-1)/2); inputs with v_p(a) != 0 are rejected."""
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    p = odd_prime(p)
     r, u = local_unit(a, p, p)
     if r != 0:
         raise ValueError(f"v_{p}({a}) = {r} != 0: not a unit at {p}")
@@ -84,8 +83,7 @@ def gauss_lemma_sign(a: int, p: int) -> int:
     in [-(p-1)/2, (p-1)/2].  Kept as an independent O(p) oracle for legendre."""
     if p > GAUSS_LEMMA_BOUND:
         raise ValueError(f"p = {p} exceeds the Gauss-lemma workload bound {GAUSS_LEMMA_BOUND}")
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    odd_prime(p)  # p stays a plain int for the loop
     if math.gcd(a, p) != 1:
         raise ValueError("gcd(a, p) must be 1")
     h = (p - 1) // 2
@@ -101,9 +99,8 @@ def lattice_counts(p: int, q: int) -> tuple[int, int]:
         raise ValueError("p and q must be distinct")
     if p * q > LATTICE_BOUND:
         raise ValueError(f"p*q = {p * q} exceeds the lattice workload bound {LATTICE_BOUND}")
-    for r in (p, q):
-        if r == 2 or not is_probable_prime(r):
-            raise ValueError(f"{r} is not an odd prime")
+    odd_prime(p)  # p and q stay plain ints for the loop
+    odd_prime(q)
     pp, qq = (p - 1) // 2, (q - 1) // 2
     m = n = 0
     for x in range(1, pp + 1):
@@ -120,6 +117,7 @@ def lattice_counts(p: int, q: int) -> tuple[int, int]:
 def reciprocity_check(p: int, q: int) -> bool:
     """lambda_p(q) = lambda_q(lambda_4(p) p), plus both supplementary laws
     lambda_p(-1) = lambda_4(p) and lambda_p(2) = lambda_8(p)."""
+    p, q = odd_prime(p), odd_prime(q)
     law = legendre(q, p) == legendre(lambda4(p) * p, q)
     supp1 = legendre(-1, p) == lambda4(p)
     supp2 = legendre(2, p) == lambda8(p)
@@ -140,16 +138,18 @@ class QuadraticCharacter:
     mod-4 sign character, 8 for the mod-8 one, an odd prime p for the
     Legendre character at p.  `unramified_sign_prime`, when set to p, tacks
     on the local factor (-1)^{v_p(x)} (only meaningful for evaluation in
-    Q_p^x; it does not contribute to the modulus).
+    Q_p^x; it does not contribute to the modulus).  Both hold their primes
+    as Primes.
     """
 
     factors: frozenset[int]
     unramified_sign_prime: Optional[int] = None
 
     def __post_init__(self):
-        for f in self.factors:
-            if f not in (4, 8) and (f == 2 or not is_probable_prime(f)):
-                raise ValueError(f"bad character factor {f}")
+        factors = frozenset(f if f in (4, 8) else odd_prime(f) for f in self.factors)
+        object.__setattr__(self, "factors", factors)
+        if self.unramified_sign_prime is not None:
+            object.__setattr__(self, "unramified_sign_prime", Prime(self.unramified_sign_prime))
 
     @property
     def modulus(self) -> int:
@@ -330,8 +330,7 @@ def binomial_primality(n: int) -> bool:
 
 def smallest_nonresidue(p: int) -> int:
     """The least positive non-residue modulo the odd prime p."""
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    p = odd_prime(p)
     u = 2
     while pow(u, (p - 1) // 2, p) == 1:
         u += 1
@@ -361,7 +360,7 @@ def bost_demo() -> MersenneCharacterResult:
     without materializing p: 2012 = 2^2 * 503, so lambda_p(2012) =
     lambda_p(503), which reciprocity turns into a computation mod 503."""
     exponent = 43112609
-    q = 503  # prime, q = 3 (mod 4)
+    q = Prime(503)  # q = 3 (mod 4)
     # ord(2 mod 503) divides 502; reduce the Mersenne exponent mod 502.
     e = exponent % (q - 1)
     two_pow = pow(2, e, q)

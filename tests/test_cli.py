@@ -178,6 +178,23 @@ def test_first_k_past_the_bernoulli_bound_exits_2(capsys):
         assert err.startswith("error:") and "workload bound" in err, argv
 
 
+def test_power_sum_past_the_printable_size_exits_2_at_once(capsys):
+    # both used to do all their work first: the first ran past 60 s, the
+    # second exited 2 on Python's 4300-digit int-to-str limit
+    for argv in (["power-sum", "2000", "1" + "0" * 1000], ["power-sum", "2", "1" + "0" * 1500]):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv[:2]
+        assert code == 2, argv[:2]
+        assert err.startswith("error:") and "workload bound" in err, argv[:2]
+    # an answer of about 4000 digits still prints, in text and in JSON
+    n = 10**1333
+    code, out, _ = invoke(capsys, "power-sum", "2", str(n))
+    assert (code, out) == (0, str((n - 1) * n * (2 * n - 1) // 6)) and len(out) == 3999
+    code, out, _ = invoke(capsys, "power-sum", "2", str(n), "--json")
+    assert code == 0 and json.loads(out)["sum"] == (n - 1) * n * (2 * n - 1) // 6
+
+
 def _timed(capsys, argv, limit):
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv)

@@ -7,10 +7,13 @@ hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, the logarithmic valuation against the one-division-per-digit
 loop, local_unit and its callers against the old route that built the unit
 as a Fraction, and LocalWitness.verify in integers against its Fraction
-evaluation."""
+evaluation.  Also the certified-prime type Prime, and how many primality
+tests each public route makes."""
 
 import importlib
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,8 +24,14 @@ from hypothesis import strategies as st
 from oracles import is_prime_trial, primes_below, slow_hilbert
 from qrlab import rational
 from qrlab.conic import solve_conic
-from qrlab.analytic import p_frac_part
-from qrlab.hilbert import LocalWitness, hilbert_symbol, hilbert_vector, local_solve_witness
+from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
+from qrlab.hilbert import (
+    LocalWitness,
+    ext_char_correspondence,
+    hilbert_symbol,
+    hilbert_vector,
+    local_solve_witness,
+)
 from qrlab.padic import (
     IntPolynomial,
     PAdicElement,
@@ -35,13 +44,14 @@ from qrlab.padic import (
     smallest_nonresidue_cached,
     square_class,
     teichmuller,
+    vp_factorial,
 )
 from qrlab.rational import (
     INF_PLACE,
     INFINITY,
     TRIAL_DIVISION_LIMIT,
     Place,
-    _sqrt_mod_odd_prime,
+    Prime,
     factorize,
     int_valuation,
     rational_factor_exponents,
@@ -50,7 +60,18 @@ from qrlab.rational import (
     vp,
     vp_split,
 )
-from qrlab.symbols import QuadraticCharacter, eps4, eps8, eps_inf, eps_p, legendre
+from qrlab.symbols import (
+    QuadraticCharacter,
+    eps4,
+    eps8,
+    eps_inf,
+    eps_p,
+    gauss_lemma_sign,
+    lattice_counts,
+    legendre,
+    reciprocity_check,
+    smallest_nonresidue,
+)
 
 # ---------------------------------------------------------------------------
 # hilbert_vector
@@ -220,15 +241,48 @@ def test_rational_factor_exponents_keeps_the_workload_bound():
 
 
 # ---------------------------------------------------------------------------
-# primes certified once: trusted constructors inside, validation outside
+# primes certified once: a Prime is tested when it is built, and every
+# public route that takes a prime checks it with Prime(p)
 
 PSI_13 = 3317044064679887385961981
 
 
+def test_prime_refuses_what_is_not_prime():
+    for bad in (15, 1, 0, -7, 4, 9, PSI_13, None, 7.0, Fraction(7)):
+        with pytest.raises(ValueError):
+            Prime(bad)
+
+
+def test_prime_behaves_like_its_int():
+    for n in (2, 3, 1009, 2**61 - 1, 2**89 - 1):
+        p = Prime(n)
+        assert isinstance(p, int) and type(p) is Prime and Prime(p) is p
+        assert (str(p), repr(p), f"{p}", json.dumps([p, {"p": p}])) == (
+            str(n), repr(n), f"{n}", json.dumps([n, {"p": n}]))
+        assert p == n and hash(p) == hash(n) and {p: 1}[n] == 1
+        for value, want in ((p * 1, n), (p + 0, n), (p - 1, n - 1), (-p, -n),
+                            (abs(p), n), (p**2, n * n), (p * p, n * n)):
+            assert type(value) is int and value == want
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(p, protocol))
+            assert type(back) is Prime and back == n
+
+
+def test_factorize_and_places_yield_primes():
+    for n in (2 * 3**4 * 1009, -(2**61 - 1) * 1000003, 1009**2, 2**96):
+        assert all(type(p) is Prime for p, _ in factorize(n).factors), n
+        assert all(type(p) is Prime for p, _ in rational_factor_exponents(Fraction(7, n))[1])
+    for p in (2, 3, 1009):
+        assert type(Place.finite(p).prime) is Prime
+        assert type(Place.parse(str(p)).prime) is Prime
+        assert type(PAdicElement.from_rational(Fraction(1, 3), p, 4).prime) is Prime
+
+
 def test_trusted_place_equals_the_validated_one():
     for p in (2, 3, 1009, 2**61 - 1):
-        assert Place._trusted(p) == Place.finite(p)
-        assert hash(Place._trusted(p)) == hash(Place.finite(p))
+        assert Place.finite(Prime(p)) == Place.finite(p)
+        assert hash(Place.finite(Prime(p))) == hash(Place.finite(p))
+        assert Place.finite(p).json_value() == p and str(Place.finite(p)) == str(p)
     for bad in (1, 9, PSI_13):
         with pytest.raises(ValueError):
             Place.finite(bad)
@@ -247,6 +301,25 @@ def test_public_padic_constructors_still_validate():
             lambda: from_digits([1, 1], p),
             lambda: teichmuller(1, p, 3),
             lambda: square_class(Fraction(1, 2), p),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
+
+def test_every_public_prime_argument_refuses_composites():
+    for p in (4, 9, 15, PSI_13):
+        for build in (
+            lambda: legendre(3, p),
+            lambda: smallest_nonresidue(p),
+            lambda: sqrt_mod_prime(2, p),
+            lambda: p_frac_part(Fraction(1, 3), p),
+            lambda: vp_factorial(10, p),
+            lambda: gauss_lemma_sign(2, p),
+            lambda: lattice_counts(p, 7),
+            lambda: reciprocity_check(p, 7),
+            lambda: hilbert_symbol(2, 3, p),
+            lambda: local_solve_witness(2, 3, p),
+            lambda: ext_char_correspondence(p),
         ):
             with pytest.raises(ValueError):
                 build()
@@ -284,8 +357,9 @@ def test_local_witness_tests_the_users_prime_once(primality_calls):
             primality_calls.clear()
             local_solve_witness(a, b, p, precision=64)
             assert primality_calls == [p], (a, b, p)
+            place = Place.finite(p)
             primality_calls.clear()
-            local_solve_witness(a, b, Place._trusted(p), precision=64)
+            local_solve_witness(a, b, place, precision=64)
             assert primality_calls == [], (a, b, p)
 
 
@@ -298,6 +372,19 @@ def test_padic_arithmetic_tests_no_prime(primality_calls):
     assert padic_sqrt(y * y) is not None
     assert len(digits(y, "teichmuller")) == 20
     square_class(y)
+    assert primality_calls == []
+
+
+def test_root_numbers_test_no_prime_once_the_character_is_built(primality_calls):
+    chars = [LocalCharacter.attached_to_extension(d, p)
+             for d, p in ((-1, 2), (2, 2), (-10, 2), (3, 3), (-7, 7), (7 * 5, 1009), (1013, 1013))]
+    chars += [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p})), nu)
+              for p in (3, 101) for nu in (False, True)]
+    primality_calls.clear()
+    for chi in chars:
+        assert abs(local_root_number(chi).modulus() - 1) < 1e-9
+    for d in (-1, 2, -15, 6 * 101, -(2 * 3 * 5 * 7 * 11 * 13)):
+        assert root_number_product(d).distance(1) < 1e-9
     assert primality_calls == []
 
 
@@ -517,14 +604,16 @@ def test_valuation_needs_a_base_of_at_least_2():
 
 
 # ---------------------------------------------------------------------------
-# modular square roots: the unchecked core behind the public check
+# modular square roots: Euler's criterion and Tonelli-Shanks against a search
 
 
 def test_sqrt_core_matches_sqrt_mod_prime():
     # 17 and 97 are 1 mod 16 and 1 mod 32, so Tonelli-Shanks descends
     for p in (3, 5, 7, 13, 17, 97, 1009, 1013):
+        roots = {r * r % p: r for r in range(1, (p + 1) // 2)}
         for a in range(1, p):
-            assert _sqrt_mod_odd_prime(a, p) == sqrt_mod_prime(a, p), (a, p)
+            assert sqrt_mod_prime(a, p) == roots.get(a), (a, p)
+            assert sqrt_mod_prime(a + 5 * p, Prime(p)) == roots.get(a), (a, p)
 
 
 # ---------------------------------------------------------------------------

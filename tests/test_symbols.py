@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import flips_by_hand, legendre_by_squares, primes_below, unit_group_product
+from qrlab.rational import Prime
 from qrlab.symbols import (
     QuadraticCharacter,
     binomial_primality,
@@ -305,6 +306,20 @@ def test_character_rejects_zero():
             chi.eval(0)
         with pytest.raises(ValueError):
             chi.eval_local(0, chi.unramified_sign_prime or 7)
+
+
+def test_character_certifies_its_primes():
+    # a composite nu prime used to be accepted, and eval(15) read v_15(15) = 1
+    for bad in (15, 1, 4, 3317044064679887385961981):
+        with pytest.raises(ValueError):
+            QuadraticCharacter(frozenset(), bad)
+    for bad in (2, 9, 15, 1, 0):
+        with pytest.raises(ValueError):
+            QuadraticCharacter(frozenset({bad}))
+    chi = QuadraticCharacter(frozenset({4, 8, 7}), 3)
+    assert chi == QuadraticCharacter(frozenset({Prime(7), 4, 8}), Prime(3))
+    assert {type(f).__name__ for f in chi.factors} == {"int", "Prime"}
+    assert type(chi.unramified_sign_prime) is Prime and chi.label() == "nu_3*lambda_4*lambda_7*lambda_8"
 
 
 # ---------------------------------------------------------------------------
