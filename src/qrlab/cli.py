@@ -116,9 +116,8 @@ def _character(text: str, place: Optional[Place]) -> analytic.LocalCharacter:
         raise ValueError(f"character is not local at {place}")
     elif place.is_infinite and (nu or factors):
         raise ValueError("finite-place character at the real place")
-    from qrlab.symbols import QuadraticCharacter
-
-    return analytic.LocalCharacter(place, QuadraticCharacter(frozenset(factors)), nu)
+    quad = symbols.QuadraticCharacter(frozenset(factors), place.prime if nu else None)
+    return analytic.LocalCharacter(place, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +268,8 @@ def _h_sqrt_series(a):
 def _h_digits(a):
     x = _element(a.x, a.p, a.prec)
     ds = padic.digits(x, a.scheme)
-    return (
-        0,
-        [" ".join(str(d) for d in ds)],
-        {"valuation": x.valuation, "digits": ds, "scheme": a.scheme},
-    )
+    val = "infinity" if x.is_zero else x.valuation
+    return 0, [" ".join(str(d) for d in ds)], {"valuation": val, "digits": ds, "scheme": a.scheme}
 
 
 def _h_squareclass(a):

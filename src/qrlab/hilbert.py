@@ -28,7 +28,7 @@ from qrlab.rational import (
     unit_residue,
     vp,
 )
-from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
+from qrlab.symbols import QuadraticCharacter, eps_inf, legendre, smallest_nonresidue
 
 PlaceLike = Union[Place, int, str]
 
@@ -258,7 +258,7 @@ def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
         # residues, so they intersect at a nonzero common value
         for y0 in range(1, p):
             t = (1 - b * y0 * y0) / a
-            if vp(t, p) == 0 and square_class(t, p) == 1:
+            if vp(t, p) == 0 and legendre(t, p) == 1:
                 return _sqrt_rep(t, p, K), Fraction(y0)
         raise AssertionError("counting argument found no intersection")
     # p = 2, neither unit is 1 mod 8; symbol +1 forces a or b = 5 (mod 8)

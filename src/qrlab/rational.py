@@ -648,12 +648,16 @@ def is_rational_square(x: Rat) -> Optional[Fraction]:
 def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction]:
     """(n, s) with sign * prod p^e = n * s^2, n a squarefree integer and
     s > 0 rational, from the signed exponents of rational_factor_exponents."""
-    n, s = sign, Fraction(1)
+    n, num, den = sign, 1, 1
     for p, e in exps:
         if e % 2:
             n *= p
-        s *= Fraction(p) ** (e // 2)
-    return n, s
+        h = e // 2
+        if h > 0:
+            num *= p**h
+        elif h < 0:
+            den *= p**-h
+    return n, Fraction(num, den)
 
 
 def squarefree_split(x: Rat) -> tuple[int, Fraction]:

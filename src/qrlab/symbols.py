@@ -127,7 +127,8 @@ def reciprocity_check(p: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # structural quadratic characters
 
-_CONDUCTORS = {4: 4, 8: 8}
+#: The factors that read a unit mod 4 and mod 8.
+_TWO_ADIC = frozenset({4, 8})
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,7 @@ class QuadraticCharacter:
 
     @property
     def modulus(self) -> int:
-        m = 1
-        for f in self.factors:
-            m = math.lcm(m, _CONDUCTORS.get(f, f))
-        return m
+        return math.lcm(*self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -173,19 +171,27 @@ class QuadraticCharacter:
             nu = self.unramified_sign_prime or other.unramified_sign_prime
         return QuadraticCharacter(self.factors ^ other.factors, nu)
 
+    def _exponent(self, r: int) -> int:
+        """e with (-1)^e the product of the ramified factors at a unit whose
+        residue is r: lambda_4 and lambda_8 read r mod 4 and mod 8 (r odd),
+        lambda_f reads it mod f by Euler's criterion (r prime to f).  The
+        one core of eval and eval_local, on a plain int."""
+        e = 0
+        for f in self.factors:
+            if f == 4:
+                e += r % 4 == 3
+            elif f == 8:
+                e += r % 8 in (3, 5)
+            else:
+                e += pow(r, (f - 1) // 2, f) != 1
+        return e
+
     def eval(self, x: Rat) -> int:
         """Global evaluation at x prime to the modulus (x odd when 4 or 8
         divides the modulus).  The nu factor, if any, uses v_p(x)."""
         if x == 0:
             raise ValueError("x must be nonzero")
-        e = 0
-        for f in self.factors:
-            if f == 4:
-                e += eps4(x)
-            elif f == 8:
-                e += eps8(x)
-            else:
-                e += eps_p(x, f)
+        e = self._exponent(unit_residue(x, self.modulus))
         if self.unramified_sign_prime is not None:
             e += vp(x, self.unramified_sign_prime)
         return (-1) ** (e % 2)
@@ -194,22 +200,19 @@ class QuadraticCharacter:
         """Evaluation as a character of Q_p^x: x = p^m u, the quadratic
         factors act on the unit u, the uniformiser is sent to +1 (nu factor
         excepted, which contributes (-1)^m)."""
-        # eps4 and eps8 read the unit mod 8 even at odd p, where they must
-        # still reject an even unit: reduce mod 8p there, not mod p
-        m, u = local_unit(x, p, 8 if p == 2 else 8 * p if self.factors & {4, 8} else p)
-        e = 0
         for f in self.factors:
-            if f == 4:
-                e += eps4(u)
-            elif f == 8:
-                e += eps8(u)
-            else:
-                if f != p:
-                    raise ValueError(f"factor {f} is not local at {p}")
-                e += eps_p(u, f)
+            if f not in (4, 8, p):
+                raise ValueError(f"factor {f} is not local at {p}")
+        if self.unramified_sign_prime not in (None, p):
+            raise ValueError("nu factor is not local at requested prime")
+        # lambda_4 and lambda_8 read the unit mod 8 even at odd p, where they
+        # must still reject an even unit: reduce mod 8p there, not mod p
+        two_adic = not self.factors.isdisjoint(_TWO_ADIC)
+        m, u = local_unit(x, p, 8 if p == 2 else 8 * p if two_adic else p)
+        if two_adic and u % 2 == 0:
+            raise ValueError(f"{x} is not a 2-adic unit")
+        e = self._exponent(u)
         if self.unramified_sign_prime is not None:
-            if self.unramified_sign_prime != p:
-                raise ValueError("nu factor is not local at requested prime")
             e += m
         return (-1) ** (e % 2)
 

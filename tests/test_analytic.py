@@ -43,7 +43,8 @@ L8 = QuadraticCharacter(frozenset({8}))
 
 
 def _chi(p: int, *, factors=(), nu=False) -> LocalCharacter:
-    return LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset(factors)), nu)
+    quad = QuadraticCharacter(frozenset(factors), p if nu else None)
+    return LocalCharacter(Place.finite(p), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,11 @@ def test_character_validation():
     with pytest.raises(ValueError):
         LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset({5})))
     with pytest.raises(ValueError):
-        LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset(), 3))
+        LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset(), 5))  # nu_5 is not at 3
+    with pytest.raises(ValueError):
+        LocalCharacter(INF_PLACE, QuadraticCharacter(frozenset(), 3))
+    nu3 = LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset({3}), 3))
+    assert nu3.label() == "nu_3*lambda_3" and nu3.value(3) == -1 and nu3.value(2) == -1
 
 
 def test_character_values():

@@ -6,11 +6,13 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,31 @@ def invoke(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # golden examples
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ qrlab ...` line of README.md: the
+    expected text is the lines after it, up to the next prompt or fence."""
+    examples = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ qrlab "):
+            examples.append((shlex.split(line[2:], comments=True)[1:], []))
+        elif line.startswith(("$ ", "```")):
+            examples.append(None)
+        elif examples and examples[-1] is not None:
+            examples[-1][1].append(line)
+    return [(argv, "\n".join(lines)) for argv, lines in filter(None, examples)]
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 16
+    for argv, expected in examples:
+        code, out, _ = invoke(capsys, *argv)
+        assert (code, out) == (0, expected), argv
+
 
 def test_legendre_golden(capsys):
     code, out, _ = invoke(capsys, "legendre", "2", "7")
@@ -227,7 +254,11 @@ def test_root_numbers_in_bounded_time(capsys):
 def test_padic_precision_in_bounded_time(capsys):
     for p, a in ((7, "2"), (5, "2")):
         k = int(PADIC_BITS_BOUND / math.log2(p))  # the largest k with p^k <= 2^bound
-        for argv in (["sqrt", a, "-p", str(p)], ["teichmuller", a, str(p)]):
+        for argv in (
+            ["sqrt", a, "-p", str(p)],
+            ["teichmuller", a, str(p)],
+            ["digits", "1/3", "-p", str(p), "--scheme", "teichmuller"],
+        ):
             assert _timed(capsys, argv + ["--prec", str(k)], 2.0)[0] == 0, argv
             code, _, err = _timed(capsys, argv + ["--prec", str(k + 1)], 1.0)
             assert code == 2 and "workload bound" in err, argv
@@ -307,6 +338,14 @@ def test_negative_rational_positionals(capsys):
 def test_vp_zero_prints_infinity(capsys):
     code, out, _ = invoke(capsys, "vp", "0", "5")
     assert code == 0 and out == "valuation: infinity"
+
+
+def test_digits_of_zero_json_prints_infinity(capsys):
+    # the valuation of 0 used to reach json.dumps as INFINITY: exit 1
+    for scheme in ("standard", "teichmuller"):
+        code, out, _ = invoke(capsys, "digits", "0", "-p", "7", "--scheme", scheme, "--json")
+        assert code == 0
+        assert json.loads(out) == {"valuation": "infinity", "digits": [], "scheme": scheme}
 
 
 def test_padic_textual_roundtrip(capsys):

@@ -41,7 +41,6 @@ from qrlab.padic import (
     from_digits,
     hensel_lift,
     padic_sqrt,
-    smallest_nonresidue_cached,
     square_class,
     teichmuller,
     vp_factorial,
@@ -349,8 +348,6 @@ def test_symbol_vector_tests_no_prime(primality_calls):
 def test_local_witness_tests_the_users_prime_once(primality_calls):
     rng = random.Random(7)
     for p in (2, 3, 13, 1009, 1013):
-        if p != 2:
-            smallest_nonresidue_cached(p)  # filled once per process
         for _ in range(20):
             a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
                     for _ in range(2))
@@ -378,14 +375,57 @@ def test_padic_arithmetic_tests_no_prime(primality_calls):
 def test_root_numbers_test_no_prime_once_the_character_is_built(primality_calls):
     chars = [LocalCharacter.attached_to_extension(d, p)
              for d, p in ((-1, 2), (2, 2), (-10, 2), (3, 3), (-7, 7), (7 * 5, 1009), (1013, 1013))]
-    chars += [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p})), nu)
-              for p in (3, 101) for nu in (False, True)]
+    chars += [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p}), nu))
+              for p in (3, 101) for nu in (None, p)]
     primality_calls.clear()
     for chi in chars:
         assert abs(local_root_number(chi).modulus() - 1) < 1e-9
     for d in (-1, 2, -15, 6 * 101, -(2 * 3 * 5 * 7 * 11 * 13)):
         assert root_number_product(d).distance(1) < 1e-9
     assert primality_calls == []
+
+
+@pytest.fixture
+def local_calls(monkeypatch):
+    """Counts QuadraticCharacter constructions, and vp and local_unit calls
+    made through every qrlab binding."""
+    calls = {"QuadraticCharacter": 0, "vp": 0, "local_unit": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    real_post_init = QuadraticCharacter.__post_init__
+    monkeypatch.setattr(QuadraticCharacter, "__post_init__",
+                        counting("QuadraticCharacter", real_post_init))
+    for name in ("vp", "local_unit"):
+        wrapper = counting(name, getattr(rational, name))
+        for module in ("rational", "padic", "symbols", "hilbert", "analytic", "conic"):
+            module = importlib.import_module(f"qrlab.{module}")
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_root_number_terms_build_no_character_and_split_nothing(local_calls):
+    # the Gauss sum of lambda_p has p - 1 terms: the per-call work must not
+    # grow with them, with nu or without, at p^a or at another gamma
+    counts = set()
+    for p in (3, 101, 9973):
+        for nu in (None, p):
+            chi = LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p}), nu))
+            for gamma in (None, Fraction(5 * p, 7 if p != 7 else 11)):
+                for key in local_calls:
+                    local_calls[key] = 0
+                local_root_number(chi, gamma=gamma)
+                counts.add((nu is None, gamma is None, tuple(sorted(local_calls.items()))))
+    assert len(counts) == 4, counts
+    for *_, items in counts:
+        calls = dict(items)
+        assert calls["QuadraticCharacter"] == 0, counts
+        assert calls["vp"] + calls["local_unit"] <= 4, counts
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +837,29 @@ def test_local_callers_match_the_vp_split_route(p, v, num, den, factors, nu, zer
     for precision in (1, 3, 20):
         new = _outcome(PAdicElement.from_rational, x, p, precision)
         assert new == _outcome(_old_from_rational, x, p, precision), (x, p, precision)
+
+
+def _old_eval(chi, x):
+    """QuadraticCharacter.eval through eps4, eps8 and eps_p, one factor at
+    a time, each reading x again."""
+    if x == 0:
+        raise ValueError("x must be nonzero")
+    e = 0
+    for f in chi.factors:
+        e += eps4(x) if f == 4 else eps8(x) if f == 8 else eps_p(x, f)
+    if chi.unramified_sign_prime is not None:
+        e += vp(x, chi.unramified_sign_prime)
+    return (-1) ** (e % 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(LOCAL_PRIMES, st.integers(-3, 3), LOCAL_INTS, LOCAL_INTS,
+       st.sets(st.sampled_from([4, 8, 3, 5, 7, 1009])), st.sampled_from([None, 2, 3, 7]),
+       st.booleans())
+def test_eval_matches_the_per_factor_route(p, v, num, den, factors, nu, zero):
+    x = 0 if zero else _at(p, v, num, abs(den))
+    chi = QuadraticCharacter(frozenset(factors), nu)
+    assert _outcome(chi.eval, x) == _outcome(_old_eval, chi, x), (chi, x)
 
 
 def test_eval_local_reads_lambda4_lambda8_on_the_whole_unit():
