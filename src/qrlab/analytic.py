@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from qrlab.hilbert import PlaceLike, _coerce_place, ext_char_correspondence
 from qrlab.padic import PAdicElement, PrecisionLossError, square_class
@@ -23,6 +21,8 @@ from qrlab.rational import (
     Place,
     Prime,
     Rat,
+    Record,
+    _set,
     factorize,
     is_probable_prime,
     local_residue,
@@ -112,7 +112,7 @@ def power_sum(k: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the p-adic fractional part
 
-def p_frac_part(x: Union[Rat, PAdicElement], p: Optional[int] = None) -> Fraction:
+def p_frac_part(x: Rat | PAdicElement, p: int | None = None) -> Fraction:
     """<x>_p: the negative-power tail of the p-adic expansion, a rational
     in [0, 1) with denominator a power of p and x - <x>_p integral at p."""
     if isinstance(x, PAdicElement):
@@ -136,13 +136,15 @@ def p_frac_part(x: Union[Rat, PAdicElement], p: Optional[int] = None) -> Fractio
 # ---------------------------------------------------------------------------
 # complex values and local characters
 
-@dataclass(frozen=True)
-class ComplexValue:
+class ComplexValue(Record):
     """A double-precision complex number; comparisons always carry an
     explicit tolerance."""
 
-    re: float
-    im: float
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: float, im: float):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @classmethod
     def of(cls, z: complex) -> "ComplexValue":
@@ -157,7 +159,7 @@ class ComplexValue:
     def modulus(self) -> float:
         return abs(self.as_complex())
 
-    def distance(self, other: Union["ComplexValue", complex]) -> float:
+    def distance(self, other: ComplexValue | complex) -> float:
         w = other.as_complex() if isinstance(other, ComplexValue) else other
         return abs(self.as_complex() - w)
 
@@ -169,16 +171,19 @@ ONE = ComplexValue(1.0, 0.0)
 I_UNIT = ComplexValue(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class LocalCharacter:
+class LocalCharacter(Record):
     """A character of Q_v^x of order dividing 2: at a finite place p a
     quadratic character with conductor dividing 8 or p, whose unramified
     sign nu, if any, sits at p; at the real place the sign character to
     the power r."""
 
-    place: Place
-    quad: QuadraticCharacter = TRIVIAL_CHARACTER
-    r: int = 0
+    __slots__ = ("place", "quad", "r")
+
+    def __init__(self, place: Place, quad: QuadraticCharacter = TRIVIAL_CHARACTER, r: int = 0):
+        _set(self, "place", place)
+        _set(self, "quad", quad)
+        _set(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.place.is_infinite:
@@ -261,7 +266,7 @@ def _e(t: float) -> complex:
 
 
 def local_root_number(
-    chi: LocalCharacter, v: Optional[PlaceLike] = None, gamma: Optional[Rat] = None
+    chi: LocalCharacter, v: PlaceLike | None = None, gamma: Rat | None = None
 ) -> ComplexValue:
     """W_v(chi): i^(-r) at the real place; at p the normalized Gauss sum
     chi(gamma)/sqrt(p^a) * sum over units x mod p^a of chi(x) e(<x/gamma>_p)

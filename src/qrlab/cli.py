@@ -11,15 +11,15 @@ booleans as "true"/"false"; every command takes --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
 
-from qrlab import analytic, conic, hilbert, padic, rational, symbols
-from qrlab.padic import DEFAULT_PRECISION, PAdicElement, PrecisionLossError
-from qrlab.rational import INF_PLACE, TWO_PLACE, Place
+# A call loads only the modules its command needs: each handler imports them
+# itself and calls through the module (symbols.legendre), so a patched
+# binding is seen.  rational, which every command needs, is loaded here.
+from qrlab import rational
+from qrlab.rational import DEFAULT_PRECISION, INF_PLACE, TWO_PLACE, Place, PrecisionLossError
 
 # allow negative rationals ("-1/3") and coefficient lists ("-17,0,1") as
 # positional arguments; stock argparse only recognizes plain "-1"
@@ -53,8 +53,9 @@ def _place(text: str) -> Place:
     return Place.parse(text)
 
 
-def _element(text: str, p: Optional[int], prec: int) -> PAdicElement:
+def _element(text: str, p: int | None, prec: int):
     """A p-adic element from either the textual O(...) form or a rational."""
+    from qrlab import padic
     if "O(" in text:
         x = padic.parse_padic(text)
         if p is not None and x.prime != p:
@@ -63,7 +64,7 @@ def _element(text: str, p: Optional[int], prec: int) -> PAdicElement:
     if p is None:
         raise ValueError("pass -p for rational input")
     padic.check_padic_size(p, prec)
-    return PAdicElement.from_rational(_rat(text), p, prec)
+    return padic.PAdicElement.from_rational(_rat(text), p, prec)
 
 
 def _sign(s: int) -> str:
@@ -79,14 +80,18 @@ def _ratstr(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _character(text: str, place: Optional[Place]) -> analytic.LocalCharacter:
-    """Parse 'nu_2*lambda_4', 'lambda_7', 'sign', '1', ... into a character."""
+def _character(text: str, place: Place | None):
+    """Parse 'nu_2*lambda_4', 'lambda_7', 'sign', '1', ... into a local
+    character.  The tokens multiply: a repeated lambda_P cancels, as in
+    QuadraticCharacter.times, and nu_P counts by parity; the place is still
+    read from every token, cancelled or not."""
+    from qrlab import analytic, symbols
     text = text.strip()
     if text == "sign" or (text == "1" and place is not None and place.is_infinite):
         if place is not None and not place.is_infinite:
             raise ValueError("the sign character lives at the real place")
         return analytic.LocalCharacter.at_infinity(1 if text == "sign" else 0)
-    nu = False
+    nu = 0
     factors = set()
     inferred: set[int] = set()
     for token in text.split("*"):
@@ -98,14 +103,11 @@ def _character(text: str, place: Optional[Place]) -> analytic.LocalCharacter:
             raise ValueError(f"bad character token {token!r}")
         n = int(m.group(2))
         if m.group(1) == "nu":
-            nu = True
+            nu ^= 1
             inferred.add(n)
-        elif n in (4, 8):
-            factors.add(n)
-            inferred.add(2)
         else:
-            factors.add(n)
-            inferred.add(n)
+            factors ^= {n}
+            inferred.add(2 if n in (4, 8) else n)
     if len(inferred) > 1:
         raise ValueError(f"character mixes places {sorted(inferred)}")
     if place is None:
@@ -114,7 +116,7 @@ def _character(text: str, place: Optional[Place]) -> analytic.LocalCharacter:
         place = Place.finite(inferred.pop())
     elif inferred and not place.is_infinite and place.prime not in inferred:
         raise ValueError(f"character is not local at {place}")
-    elif place.is_infinite and (nu or factors):
+    elif place.is_infinite and inferred:
         raise ValueError("finite-place character at the real place")
     quad = symbols.QuadraticCharacter(frozenset(factors), place.prime if nu else None)
     return analytic.LocalCharacter(place, quad)
@@ -158,62 +160,74 @@ def _h_sqrtmod_squarefree(a):
 
 
 def _h_legendre(a):
+    from qrlab import symbols
     s = symbols.legendre(_rat(a.a), _int(a.p))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_lambda4(a):
+    from qrlab import symbols
     s = symbols.lambda4(_rat(a.a))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_lambda8(a):
+    from qrlab import symbols
     s = symbols.lambda8(_rat(a.a))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_gauss_lemma(a):
+    from qrlab import symbols
     s = symbols.gauss_lemma_sign(_int(a.a), _int(a.p))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_lattice(a):
+    from qrlab import symbols
     m, n = symbols.lattice_counts(_int(a.p), _int(a.q))
     return 0, [f"M: {m}", f"N: {n}"], {"M": m, "N": n}
 
 
 def _h_reciprocity(a):
+    from qrlab import symbols
     ok = symbols.reciprocity_check(_int(a.p), _int(a.q))
     return 0, [_bool(ok)], {"holds": ok}
 
 
 def _h_psi(a):
+    from qrlab import symbols
     s = symbols.psi(_int(a.a), _rat(a.n))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_chi(a):
+    from qrlab import symbols
     s = symbols.kronecker_chi(_int(a.a), _int(a.x))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_char_basis(a):
+    from qrlab import symbols
     chars = symbols.quadratic_char_basis(_int(a.m))
     labels = [c.label() for c in chars]
     return 0, labels or ["(none)"], {"m": _int(a.m), "characters": labels}
 
 
 def _h_group_product(a):
+    from qrlab import symbols
     s = symbols.group_product_sign(_int(a.m))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_binomial_prime(a):
+    from qrlab import symbols
     ok = symbols.binomial_primality(_int(a.n))
     return 0, [_bool(ok)], {"prime": ok}
 
 
 def _h_arith(a):
+    from qrlab import padic
     p = a.p
     x = _element(a.x, p, a.prec)
     y = _element(a.y, x.prime, a.prec)
@@ -222,6 +236,7 @@ def _h_arith(a):
 
 
 def _h_hensel(a):
+    from qrlab import padic
     coeffs = tuple(_int(c) for c in a.f.split(","))
     f = padic.IntPolynomial(coeffs)
     padic.check_padic_size(a.p, a.prec)
@@ -230,6 +245,7 @@ def _h_hensel(a):
 
 
 def _h_sqrt(a):
+    from qrlab import padic
     x = _element(a.x, a.p, a.prec)
     r = padic.padic_sqrt(x)
     if r is None:
@@ -238,6 +254,7 @@ def _h_sqrt(a):
 
 
 def _h_teichmuller(a):
+    from qrlab import padic
     p = _int(a.p)
     padic.check_padic_size(p, a.prec)
     t = padic.teichmuller(_int(a.a), p, a.prec)
@@ -245,6 +262,7 @@ def _h_teichmuller(a):
 
 
 def _h_unit_decompose(a):
+    from qrlab import padic
     x = _element(a.x, a.p, a.prec)
     tau, u1 = padic.unit_decompose(x)
     return (
@@ -255,17 +273,20 @@ def _h_unit_decompose(a):
 
 
 def _h_vp_factorial(a):
+    from qrlab import padic
     val, unit = padic.vp_factorial(_int(a.n), _int(a.p))
     return 0, [f"valuation: {val}", f"unit: {unit}"], {"valuation": val, "unit": unit}
 
 
 def _h_sqrt_series(a):
+    from qrlab import padic
     padic.check_padic_size(2, a.prec)
     y = padic.sqrt_series_1p8x(_int(a.x), a.prec)
     return 0, [padic.format_padic(y)], {"root": padic.format_padic(y)}
 
 
 def _h_digits(a):
+    from qrlab import padic
     x = _element(a.x, a.p, a.prec)
     ds = padic.digits(x, a.scheme)
     val = "infinity" if x.is_zero else x.valuation
@@ -273,6 +294,7 @@ def _h_digits(a):
 
 
 def _h_squareclass(a):
+    from qrlab import padic
     if "O(" in a.x:
         c = padic.square_class(padic.parse_padic(a.x))
     else:
@@ -283,6 +305,7 @@ def _h_squareclass(a):
 
 
 def _h_hilbert(a):
+    from qrlab import hilbert
     x, y = _rat(a.a), _rat(a.b)
     if a.all:
         vec = hilbert.hilbert_vector(x, y)
@@ -295,6 +318,7 @@ def _h_hilbert(a):
 
 
 def _h_witness(a):
+    from qrlab import hilbert, padic
     place = _place(a.v)
     if not place.is_infinite:
         padic.check_padic_size(place.prime, a.prec)
@@ -315,11 +339,13 @@ def _h_witness(a):
 
 
 def _h_is_norm(a):
+    from qrlab import hilbert
     ok = hilbert.is_local_norm(_rat(a.a), _rat(a.b), _place(a.v))
     return 0, [_bool(ok)], {"is_norm": ok}
 
 
 def _h_correspondence(a):
+    from qrlab import hilbert
     table = hilbert.ext_char_correspondence(_int(a.p))
     lines = [f"{b}: {chi.label()}" for b, chi in table]
     payload = {"p": _int(a.p), "table": [{"b": b, "character": chi.label()} for b, chi in table]}
@@ -327,6 +353,7 @@ def _h_correspondence(a):
 
 
 def _h_solve(a):
+    from qrlab import conic
     cert = conic.solve_conic(_rat(a.a), _rat(a.b))
     if cert.outcome == "solution":
         lines = [f"solution: x = {_ratstr(cert.x)}, y = {_ratstr(cert.y)}"]
@@ -336,6 +363,7 @@ def _h_solve(a):
 
 
 def _h_descent_step(a):
+    from qrlab import conic
     frame = conic.DescentFrame(_int(a.a), _int(a.b), _int(a.c), _int(a.d))
     triple = conic.descent_step(frame, (_rat(a.x), _rat(a.y), _rat(a.s)), a.direction)
     return (
@@ -346,6 +374,7 @@ def _h_descent_step(a):
 
 
 def _h_ternary(a):
+    from qrlab import conic
     va, vb, vc = _int(a.a), _int(a.b), _int(a.c)
     sol = conic.legendre_ternary(va, vb, vc)
     if sol is None:
@@ -357,6 +386,7 @@ def _h_ternary(a):
 
 
 def _h_global_norm(a):
+    from qrlab import conic
     cert = conic.global_is_norm(_rat(a.a), _rat(a.b))
     if cert.is_norm:
         lines = [f"true: z = {_ratstr(cert.z)}, y = {_ratstr(cert.y)}"]
@@ -374,21 +404,25 @@ def _h_global_norm(a):
 
 
 def _h_bernoulli(a):
+    from qrlab import analytic
     b = analytic.bernoulli(_int(a.k))
     return 0, [_ratstr(b)], {"bernoulli": _ratstr(b)}
 
 
 def _h_von_staudt(a):
+    from qrlab import analytic
     w = analytic.von_staudt_W(_int(a.k))
     return 0, [str(w)], {"W": w}
 
 
 def _h_power_sum(a):
+    from qrlab import analytic
     s = analytic.power_sum(_int(a.k), _int(a.n))
     return 0, [str(s)], {"sum": s}
 
 
 def _h_frac_part(a):
+    from qrlab import analytic, padic
     if "O(" in a.x:
         x = padic.parse_padic(a.x)
         t = analytic.p_frac_part(x, a.p)
@@ -400,6 +434,7 @@ def _h_frac_part(a):
 
 
 def _h_conductor(a):
+    from qrlab import analytic
     place = None if a.p is None else Place.finite(a.p)
     chi = _character(a.chi, place)
     n = analytic.conductor_exponent(chi)
@@ -407,6 +442,7 @@ def _h_conductor(a):
 
 
 def _h_root_number(a):
+    from qrlab import analytic
     place = None if a.v is None else _place(a.v)
     chi = _character(a.chi, place)
     gamma = None if a.gamma is None else _rat(a.gamma)
@@ -415,11 +451,13 @@ def _h_root_number(a):
 
 
 def _h_root_product(a):
+    from qrlab import analytic
     w = analytic.root_number_product(_int(a.d))
     return 0, [str(w)], {"re": w.re, "im": w.im}
 
 
 def _h_bost(a):
+    from qrlab import symbols
     r = symbols.bost_demo()
     lines = [
         f"exponent residue: {r.exponent_residue}",
@@ -463,10 +501,12 @@ def _run_sharded(fn, items, workers):
 
 
 def _reciprocity_shard(pairs):
+    from qrlab import symbols
     return [(p, q) for p, q in pairs if not symbols.reciprocity_check(p, q)]
 
 
 def _product_shard(pairs):
+    from qrlab import hilbert
     bad = []
     for a, b in pairs:
         places = {INF_PLACE, TWO_PLACE}
@@ -482,6 +522,7 @@ def _product_shard(pairs):
 
 
 def _vonstaudt_shard(ks):
+    from qrlab import analytic
     if ks:
         analytic.bernoulli(max(ks))  # one pass fills the cache for every k
     bad = []
@@ -542,136 +583,144 @@ def _h_scan_vonstaudt(a):
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _build_parser() -> _Parser:
+def _pos(name, help_):
+    return name, {"help": help_}
+
+
+def _opt(flag, help_, **kw):
+    return flag, {**kw, "help": help_}
+
+
+_PREC = _opt("--prec", "working precision in digits", type=int, default=DEFAULT_PRECISION)
+_P = _opt("-p", "prime", type=int, default=None)
+_WORKERS = _opt("--workers", "parallel worker processes", type=int, default=1)
+_ELEMENT = _pos("x", "rational or textual element")
+
+#: name -> (handler, help, arguments in order); every command also takes
+#: --json.  The order is the order of the top-level help.
+_COMMANDS = {
+    "factorize": (_h_factorize, "factor a nonzero integer", [_pos("n", "integer")]),
+    "vp": (_h_vp, "p-adic valuation and unit part", [_pos("x", "rational"), _pos("p", "prime")]),
+    "absval": (_h_absval, "normalized absolute value |x|_v",
+               [_pos("x", "rational"), _pos("v", "place: inf or a prime")]),
+    "norm-product": (_h_norm_product, "verify prod_v |x|_v = 1", [_pos("x", "rational")]),
+    "sqrtmod-prime": (_h_sqrtmod_prime, "square root mod an odd prime",
+                      [_pos("a", "integer"), _pos("p", "odd prime")]),
+    "sqrtmod-squarefree": (_h_sqrtmod_squarefree, "smallest folded root mod squarefree b",
+                           [_pos("a", "integer"), _pos("b", "squarefree modulus")]),
+    "legendre": (_h_legendre, "Legendre symbol",
+                 [_pos("a", "rational unit at p"), _pos("p", "odd prime")]),
+    "lambda4": (_h_lambda4, "sign character mod 4", [_pos("a", "odd rational")]),
+    "lambda8": (_h_lambda8, "sign character mod 8", [_pos("a", "odd rational")]),
+    "gauss-lemma": (_h_gauss_lemma, "Legendre symbol by counting sign flips",
+                    [_pos("a", "integer"), _pos("p", "odd prime")]),
+    "lattice": (_h_lattice, "lattice point counts below/above the diagonal",
+                [_pos("p", "odd prime"), _pos("q", "odd prime")]),
+    "reciprocity": (_h_reciprocity, "check the reciprocity law and supplements",
+                    [_pos("p", "odd prime"), _pos("q", "odd prime")]),
+    "psi": (_h_psi, "reciprocity-normalized character psi_a(n)",
+            [_pos("a", "odd integer"), _pos("n", "rational prime to a")]),
+    "chi": (_h_chi, "quadratic character chi_a(x) of conductor dividing 4|a|",
+            [_pos("a", "squarefree integer"), _pos("x", "integer prime to 4a")]),
+    "char-basis": (_h_char_basis, "basis of quadratic characters mod m", [_pos("m", "modulus")]),
+    "group-product": (_h_group_product, "product of all units mod m", [_pos("m", "modulus")]),
+    "binomial-prime": (_h_binomial_prime, "primality via binomial coefficients",
+                       [_pos("n", "integer > 1")]),
+    "arith": (_h_arith, "p-adic ring arithmetic",
+              [("op", {"choices": ["add", "sub", "mul", "div"]}),
+               _ELEMENT, _pos("y", "rational or textual element"), _PREC, _P]),
+    "hensel": (_h_hensel, "Hensel-lift a root of an integer polynomial",
+               [_pos("f", "coefficients, constant first, e.g. -17,0,1"),
+                _pos("x0", "approximate integer root"), _PREC,
+                _opt("-p", "prime", type=int, required=True)]),
+    "sqrt": (_h_sqrt, "p-adic square root", [_ELEMENT, _PREC, _P]),
+    "teichmuller": (_h_teichmuller, "Teichmuller representative of a mod p",
+                    [_pos("a", "residue"), _pos("p", "prime"), _PREC]),
+    "unit-decompose": (_h_unit_decompose, "split a unit as Teichmuller times one-unit",
+                       [_ELEMENT, _PREC, _P]),
+    "vp-factorial": (_h_vp_factorial, "valuation and unit residue of n!",
+                     [_pos("n", "nonnegative integer"), _pos("p", "prime")]),
+    "sqrt-series": (_h_sqrt_series, "the 2-adic square root of 1+8x by its series",
+                    [_pos("x", "integer"), _PREC]),
+    "digits": (_h_digits, "digit expansion of the unit part",
+               [_ELEMENT, _PREC, _P,
+                ("--scheme", {"choices": ["standard", "teichmuller"], "default": "standard"})]),
+    "square-class": (_h_squareclass, "canonical square-class representative in Q_p",
+                     [_ELEMENT, _P]),
+    "hilbert": (_h_hilbert, "Hilbert symbol (a,b)_v",
+                [_pos("a", "rational"), _pos("b", "rational"),
+                 _opt("v", "place (omit with --all)", nargs="?", default=None),
+                 _opt("--all", "list all places with sign -1", action="store_true")]),
+    "witness": (_h_witness, "explicit local solution of ax^2+by^2=1",
+                [_pos("a", "rational"), _pos("b", "rational"), _pos("v", "place"), _PREC]),
+    "is-norm": (_h_is_norm, "is a a norm from Q_v(sqrt b)?",
+                [_pos("a", "rational"), _pos("b", "rational"), _pos("v", "place")]),
+    "correspondence": (_h_correspondence,
+                       "quadratic extensions of Q_p and their norm characters",
+                       [_pos("p", "prime")]),
+    "solve": (_h_solve, "rational point on ax^2+by^2=1 or the obstruction",
+              [_pos("a", "rational"), _pos("b", "rational")]),
+    "descent-step": (_h_descent_step, "one Legendre descent step on a solution triple",
+                     [_pos("a", "frame a"), _pos("b", "frame b"), _pos("c", "frame c"),
+                      _pos("d", "frame d"), _pos("x", "solution x"), _pos("y", "solution y"),
+                      _pos("s", "solution s"),
+                      ("direction", {"choices": ["forward", "backward"]})]),
+    "ternary": (_h_ternary, "nonzero integer zero of ax^2+by^2+cz^2",
+                [_pos("a", "integer"), _pos("b", "integer"), _pos("c", "integer")]),
+    "global-norm": (_h_global_norm, "is a a norm from Q(sqrt b)?",
+                    [_pos("a", "rational"), _pos("b", "rational")]),
+    "bernoulli": (_h_bernoulli, "exact Bernoulli number B_k", [_pos("k", "index")]),
+    "von-staudt": (_h_von_staudt, "the integer B_k + sum 1/l over (l-1) | k",
+                   [_pos("k", "even index")]),
+    "power-sum": (_h_power_sum, "0^k + ... + (n-1)^k via Bernoulli numbers",
+                  [_pos("k", "exponent"), _pos("n", "bound")]),
+    "frac-part": (_h_frac_part, "p-adic fractional part <x>_p", [_ELEMENT, _P]),
+    "conductor": (_h_conductor, "conductor exponent of a local character",
+                  [_pos("chi", "character, e.g. lambda_4 or nu_3*lambda_3"),
+                   _opt("-p", "place for ambiguous characters", type=int, default=None)]),
+    "root-number": (_h_root_number, "local root number W_v(chi)",
+                    [_pos("chi", "character, e.g. lambda_8, nu_5, sign"),
+                     _opt("-v", "place for ambiguous characters", default=None),
+                     _opt("--gamma", "uniformizing element (default p^a)", default=None)]),
+    "root-product": (_h_root_product, "product of root numbers attached to Q(sqrt d)",
+                     [_pos("d", "squarefree integer")]),
+    "bost": (_h_bost, "lambda_p(2012) for the Mersenne prime p = 2^43112609 - 1", []),
+    "scan-reciprocity": (_h_scan_reciprocity, "check reciprocity for all odd p,q < bound",
+                         [_pos("max_prime", "exclusive prime bound"), _WORKERS]),
+    "scan-product-formula": (_h_scan_product_formula,
+                             "product formula on random rational pairs",
+                             [_pos("count", "number of pairs"),
+                              _pos("bound", "numerator/denominator bound"), _WORKERS,
+                              ("--seed", {"type": int, "default": 20260814})]),
+    "scan-vonstaudt": (_h_scan_vonstaudt, "integrality of W_k for even k up to the bound",
+                       [_pos("max_k", "inclusive bound"), _WORKERS]),
+}
+
+
+def _build_parser(names) -> _Parser:
+    """The parser with a subcommand for each of the given command names."""
     top = _Parser(prog="qrlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def cmd(name, handler, help_, *args, prec=False, **flags):
+    for name in names:
+        handler, help_, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
-        for spec in args:
-            p.add_argument(spec[0], **spec[1])
-        if prec:
-            p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
-                           help="working precision in digits")
-        for flag, kw in flags.items():
+        for flag, kw in arguments:
             p.add_argument(flag, **kw)
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.set_defaults(func=handler)
-        return p
-
-    pos = lambda n, h: (n, {"help": h})
-    cmd("factorize", _h_factorize, "factor a nonzero integer", pos("n", "integer"))
-    cmd("vp", _h_vp, "p-adic valuation and unit part", pos("x", "rational"), pos("p", "prime"))
-    cmd("absval", _h_absval, "normalized absolute value |x|_v",
-        pos("x", "rational"), pos("v", "place: inf or a prime"))
-    cmd("norm-product", _h_norm_product, "verify prod_v |x|_v = 1", pos("x", "rational"))
-    cmd("sqrtmod-prime", _h_sqrtmod_prime, "square root mod an odd prime",
-        pos("a", "integer"), pos("p", "odd prime"))
-    cmd("sqrtmod-squarefree", _h_sqrtmod_squarefree, "smallest folded root mod squarefree b",
-        pos("a", "integer"), pos("b", "squarefree modulus"))
-    cmd("legendre", _h_legendre, "Legendre symbol", pos("a", "rational unit at p"),
-        pos("p", "odd prime"))
-    cmd("lambda4", _h_lambda4, "sign character mod 4", pos("a", "odd rational"))
-    cmd("lambda8", _h_lambda8, "sign character mod 8", pos("a", "odd rational"))
-    cmd("gauss-lemma", _h_gauss_lemma, "Legendre symbol by counting sign flips",
-        pos("a", "integer"), pos("p", "odd prime"))
-    cmd("lattice", _h_lattice, "lattice point counts below/above the diagonal",
-        pos("p", "odd prime"), pos("q", "odd prime"))
-    cmd("reciprocity", _h_reciprocity, "check the reciprocity law and supplements",
-        pos("p", "odd prime"), pos("q", "odd prime"))
-    cmd("psi", _h_psi, "reciprocity-normalized character psi_a(n)",
-        pos("a", "odd integer"), pos("n", "rational prime to a"))
-    cmd("chi", _h_chi, "quadratic character chi_a(x) of conductor dividing 4|a|",
-        pos("a", "squarefree integer"), pos("x", "integer prime to 4a"))
-    cmd("char-basis", _h_char_basis, "basis of quadratic characters mod m", pos("m", "modulus"))
-    cmd("group-product", _h_group_product, "product of all units mod m", pos("m", "modulus"))
-    cmd("binomial-prime", _h_binomial_prime, "primality via binomial coefficients",
-        pos("n", "integer > 1"))
-    cmd("arith", _h_arith, "p-adic ring arithmetic",
-        ("op", {"choices": ["add", "sub", "mul", "div"]}),
-        pos("x", "rational or textual element"), pos("y", "rational or textual element"),
-        prec=True, **{"-p": {"type": int, "default": None, "help": "prime"}})
-    cmd("hensel", _h_hensel, "Hensel-lift a root of an integer polynomial",
-        ("f", {"help": "coefficients, constant first, e.g. -17,0,1"}),
-        pos("x0", "approximate integer root"),
-        prec=True, **{"-p": {"type": int, "required": True, "help": "prime"}})
-    cmd("sqrt", _h_sqrt, "p-adic square root",
-        pos("x", "rational or textual element"),
-        prec=True, **{"-p": {"type": int, "default": None, "help": "prime"}})
-    cmd("teichmuller", _h_teichmuller, "Teichmuller representative of a mod p",
-        pos("a", "residue"), pos("p", "prime"), prec=True)
-    cmd("unit-decompose", _h_unit_decompose, "split a unit as Teichmuller times one-unit",
-        pos("x", "rational or textual element"),
-        prec=True, **{"-p": {"type": int, "default": None, "help": "prime"}})
-    cmd("vp-factorial", _h_vp_factorial, "valuation and unit residue of n!",
-        pos("n", "nonnegative integer"), pos("p", "prime"))
-    cmd("sqrt-series", _h_sqrt_series, "the 2-adic square root of 1+8x by its series",
-        pos("x", "integer"), prec=True)
-    cmd("digits", _h_digits, "digit expansion of the unit part",
-        pos("x", "rational or textual element"),
-        prec=True, **{
-            "-p": {"type": int, "default": None, "help": "prime"},
-            "--scheme": {"choices": ["standard", "teichmuller"], "default": "standard"},
-        })
-    cmd("square-class", _h_squareclass, "canonical square-class representative in Q_p",
-        pos("x", "rational or textual element"),
-        **{"-p": {"type": int, "default": None, "help": "prime"}})
-    cmd("hilbert", _h_hilbert, "Hilbert symbol (a,b)_v",
-        pos("a", "rational"), pos("b", "rational"),
-        ("v", {"nargs": "?", "default": None, "help": "place (omit with --all)"}),
-        **{"--all": {"action": "store_true", "help": "list all places with sign -1"}})
-    cmd("witness", _h_witness, "explicit local solution of ax^2+by^2=1",
-        pos("a", "rational"), pos("b", "rational"), pos("v", "place"), prec=True)
-    cmd("is-norm", _h_is_norm, "is a a norm from Q_v(sqrt b)?",
-        pos("a", "rational"), pos("b", "rational"), pos("v", "place"))
-    cmd("correspondence", _h_correspondence,
-        "quadratic extensions of Q_p and their norm characters", pos("p", "prime"))
-    cmd("solve", _h_solve, "rational point on ax^2+by^2=1 or the obstruction",
-        pos("a", "rational"), pos("b", "rational"))
-    cmd("descent-step", _h_descent_step, "one Legendre descent step on a solution triple",
-        pos("a", "frame a"), pos("b", "frame b"), pos("c", "frame c"), pos("d", "frame d"),
-        pos("x", "solution x"), pos("y", "solution y"), pos("s", "solution s"),
-        ("direction", {"choices": ["forward", "backward"]}))
-    cmd("ternary", _h_ternary, "nonzero integer zero of ax^2+by^2+cz^2",
-        pos("a", "integer"), pos("b", "integer"), pos("c", "integer"))
-    cmd("global-norm", _h_global_norm, "is a a norm from Q(sqrt b)?",
-        pos("a", "rational"), pos("b", "rational"))
-    cmd("bernoulli", _h_bernoulli, "exact Bernoulli number B_k", pos("k", "index"))
-    cmd("von-staudt", _h_von_staudt, "the integer B_k + sum 1/l over (l-1) | k",
-        pos("k", "even index"))
-    cmd("power-sum", _h_power_sum, "0^k + ... + (n-1)^k via Bernoulli numbers",
-        pos("k", "exponent"), pos("n", "bound"))
-    cmd("frac-part", _h_frac_part, "p-adic fractional part <x>_p",
-        pos("x", "rational or textual element"),
-        **{"-p": {"type": int, "default": None, "help": "prime"}})
-    cmd("conductor", _h_conductor, "conductor exponent of a local character",
-        pos("chi", "character, e.g. lambda_4 or nu_3*lambda_3"),
-        **{"-p": {"type": int, "default": None, "help": "place for ambiguous characters"}})
-    cmd("root-number", _h_root_number, "local root number W_v(chi)",
-        pos("chi", "character, e.g. lambda_8, nu_5, sign"),
-        **{
-            "-v": {"default": None, "help": "place for ambiguous characters"},
-            "--gamma": {"default": None, "help": "uniformizing element (default p^a)"},
-        })
-    cmd("root-product", _h_root_product, "product of root numbers attached to Q(sqrt d)",
-        pos("d", "squarefree integer"))
-    cmd("bost", _h_bost, "lambda_p(2012) for the Mersenne prime p = 2^43112609 - 1")
-    workers = {"--workers": {"type": int, "default": 1, "help": "parallel worker processes"}}
-    cmd("scan-reciprocity", _h_scan_reciprocity, "check reciprocity for all odd p,q < bound",
-        pos("max_prime", "exclusive prime bound"), **workers)
-    cmd("scan-product-formula", _h_scan_product_formula,
-        "product formula on random rational pairs",
-        pos("count", "number of pairs"), pos("bound", "numerator/denominator bound"),
-        **workers, **{"--seed": {"type": int, "default": 20260814}})
-    cmd("scan-vonstaudt", _h_scan_vonstaudt, "integrality of W_k for even k up to the bound",
-        pos("max_k", "inclusive bound"), **workers)
     return top
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    # Only the named subcommand is registered.  Help, a missing or unknown
+    # command, and arguments left over (whose error prints the top-level
+    # usage) parse with all of them, because that text lists every command.
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = parser.parse_args(argv)
+        args, extra = _build_parser(named).parse_known_args(argv)
+        if extra:
+            _build_parser(_COMMANDS).parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
@@ -683,6 +732,7 @@ def run(argv) -> int:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 1
     if args.json:
+        import json
         print(json.dumps(payload))
     else:
         for line in lines:

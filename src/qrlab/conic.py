@@ -12,14 +12,14 @@ triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
     Place,
     Rat,
+    Record,
+    _set,
     _sqrt_mod_squarefree_general,
     factorize,
     is_rational_square,
@@ -31,14 +31,17 @@ from qrlab.rational import (
 Triple = tuple[Rat, Rat, Rat]
 
 
-@dataclass(frozen=True)
-class DescentFrame:
+class DescentFrame(Record):
     """Nonzero integers a, b, c and d in [0, |b|/2] with d^2 - a = b c."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self):
         if 0 in (self.a, self.b, self.c):
@@ -72,18 +75,29 @@ def descent_step(frame: DescentFrame, sol, direction: str) -> Triple:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class ConicCertificate:
+class ConicCertificate(Record):
     """Outcome of solve_conic: an exact point or the even set of places
     carrying the local obstruction."""
 
-    a: Fraction
-    b: Fraction
-    outcome: str  # "solution" | "obstruction"
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
-    places: tuple = ()
-    descent_depth: int = 0
+    __slots__ = ("a", "b", "outcome", "x", "y", "places", "descent_depth")
+
+    def __init__(
+        self,
+        a: Fraction,
+        b: Fraction,
+        outcome: str,  # "solution" | "obstruction"
+        x: Fraction | None = None,
+        y: Fraction | None = None,
+        places: tuple = (),
+        descent_depth: int = 0,
+    ):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "outcome", outcome)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "places", places)
+        _set(self, "descent_depth", descent_depth)
 
     def verify(self) -> bool:
         if self.outcome == "solution":
@@ -186,7 +200,7 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
 # ---------------------------------------------------------------------------
 # the ternary form
 
-def legendre_ternary(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
+def legendre_ternary(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     """A nonzero integer zero of a x^2 + b y^2 + c z^2 (a b c squarefree),
     or None when one of the classical conditions fails: mixed signs and
     -bc, -ca, -ab squares modulo |a|, |b|, |c| respectively."""
@@ -212,16 +226,26 @@ def legendre_ternary(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # the global norm test
 
-@dataclass(frozen=True)
-class NormCertificate:
+class NormCertificate(Record):
     """a = z^2 - b y^2 when is_norm; otherwise the failing places."""
 
-    a: Fraction
-    b: Fraction
-    is_norm: bool
-    y: Optional[Fraction] = None
-    z: Optional[Fraction] = None
-    places: tuple = ()
+    __slots__ = ("a", "b", "is_norm", "y", "z", "places")
+
+    def __init__(
+        self,
+        a: Fraction,
+        b: Fraction,
+        is_norm: bool,
+        y: Fraction | None = None,
+        z: Fraction | None = None,
+        places: tuple = (),
+    ):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "is_norm", is_norm)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        _set(self, "places", places)
 
     def verify(self) -> bool:
         if self.is_norm:

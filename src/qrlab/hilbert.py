@@ -9,9 +9,7 @@ residues; witnesses are the only finite-precision artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from qrlab.padic import PAdicElement, padic_sqrt, square_class
 from qrlab.rational import (
@@ -20,6 +18,8 @@ from qrlab.rational import (
     Place,
     Prime,
     Rat,
+    Record,
+    _set,
     int_valuation,
     is_rational_square,
     local_residue,
@@ -30,7 +30,7 @@ from qrlab.rational import (
 )
 from qrlab.symbols import QuadraticCharacter, eps_inf, legendre, smallest_nonresidue
 
-PlaceLike = Union[Place, int, str]
+PlaceLike = Place | int | str
 
 
 def _coerce_place(v: PlaceLike) -> Place:
@@ -88,11 +88,14 @@ def hilbert_symbol(a, b, v: PlaceLike) -> int:
 # ---------------------------------------------------------------------------
 # the full symbol vector and the product formula
 
-@dataclass(frozen=True)
-class SymbolVector:
+class SymbolVector(Record):
     """The family ((a,b)_v)_v, stored by its finite -1 support."""
 
-    minus_places: frozenset
+    __slots__ = ("minus_places",)
+
+    def __init__(self, minus_places: frozenset):
+        _set(self, "minus_places", minus_places)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.minus_places) % 2:
@@ -165,16 +168,20 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 WITNESS_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class LocalWitness:
+class LocalWitness(Record):
     """x, y with a x^2 + b y^2 = 1 in Q_v, exact to `precision` p-adic digits
     at a finite place; at infinity exact unless flagged approximate."""
 
-    place: Place
-    x: Fraction
-    y: Fraction
-    precision: int
-    approximate: bool = False
+    __slots__ = ("place", "x", "y", "precision", "approximate")
+
+    def __init__(
+        self, place: Place, x: Fraction, y: Fraction, precision: int, approximate: bool = False
+    ):
+        _set(self, "place", place)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "precision", precision)
+        _set(self, "approximate", approximate)
 
     def verify(self, a: Rat, b: Rat) -> bool:
         """Whether a x^2 + b y^2 - 1 is 0 at infinity (within
@@ -300,7 +307,7 @@ _PRECISION_BUFFER = 8
 
 def local_solve_witness(
     a: Rat, b: Rat, v: PlaceLike, precision: int = 32
-) -> Optional[LocalWitness]:
+) -> LocalWitness | None:
     """A constructive solution of a x^2 + b y^2 = 1 in Q_v, or None exactly
     when the Hilbert symbol is -1.
 

@@ -13,21 +13,22 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from qrlab.rational import (
+    DEFAULT_PRECISION,
     INFINITY,
+    PrecisionLossError,
     Prime,
     Rat,
+    Record,
+    _set,
     int_valuation,
     local_unit,
     sqrt_mod_prime,
 )
 from qrlab.symbols import smallest_nonresidue
-
-DEFAULT_PRECISION = 32
 
 #: Largest bit size of p^k for p-adic input from text or the command line,
 #: k the --prec digits or the exponent of a textual O(p^k): p^k <= 2^1024.
@@ -35,26 +36,24 @@ DEFAULT_PRECISION = 32
 PADIC_BITS_BOUND = 1024
 
 
-class PrecisionLossError(ArithmeticError):
-    """Raised when a result is indistinguishable from zero at the known
-    precision (total cancellation), or otherwise has no certain digits."""
-
-
-@dataclass(frozen=True)
-class PAdicElement:
+class PAdicElement(Record):
     """p^valuation * unit, with unit a residue mod p^precision prime to p.
 
     Exact zero is encoded as valuation = INFINITY with unit 0, precision 0.
     """
 
-    prime: int
-    valuation: object  # int, or INFINITY for exact zero
-    unit: int
-    precision: int
+    __slots__ = ("prime", "valuation", "unit", "precision")
+
+    def __init__(self, prime: int, valuation, unit: int, precision: int):
+        _set(self, "prime", prime)
+        _set(self, "valuation", valuation)  # int, or INFINITY for exact zero
+        _set(self, "unit", unit)
+        _set(self, "precision", precision)
+        self.__post_init__()
 
     def __post_init__(self):
         p = Prime(self.prime)
-        object.__setattr__(self, "prime", p)
+        _set(self, "prime", p)
         if self.valuation is INFINITY:
             if self.unit != 0 or self.precision != 0:
                 raise ValueError("exact zero must have unit 0, precision 0")
@@ -231,17 +230,20 @@ def check_padic_size(p: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 # integer polynomials
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense integer polynomial, constant coefficient first."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple):
+        _set(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self):
         coeffs = tuple(int(c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
 
     @property
     def degree(self) -> int:
@@ -279,9 +281,9 @@ class IntPolynomial:
 
 def hensel_lift(
     f: IntPolynomial,
-    x0: Union[PAdicElement, int],
+    x0: PAdicElement | int,
     target_precision: int,
-    p: Optional[int] = None,
+    p: int | None = None,
 ) -> PAdicElement:
     """Newton-refine an approximate root: from v_p(f(x0)) = m > 2*delta with
     delta = v_p(f'(x0)), produce xi with f(xi) = 0 (mod p^N) and
@@ -357,7 +359,7 @@ def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
 # ---------------------------------------------------------------------------
 # square roots
 
-def padic_sqrt(x: PAdicElement) -> Optional[PAdicElement]:
+def padic_sqrt(x: PAdicElement) -> PAdicElement | None:
     """The square root of x in Q_p if one exists: requires even valuation
     and a square unit (lambda_p(u) = +1 for odd p, u = 1 mod 8 for p = 2).
 
@@ -524,7 +526,7 @@ def from_digits(ds: Sequence[int], p: int, scheme: str = "standard") -> PAdicEle
 # ---------------------------------------------------------------------------
 # square classes of Q_p^x / (Q_p^x)^2
 
-def square_class(x: Union[PAdicElement, Rat], p: Optional[int] = None) -> int:
+def square_class(x: PAdicElement | Rat, p: int | None = None) -> int:
     """A canonical representative of x modulo squares: for odd p one of
     {1, u, p, u*p} with u the least positive non-residue; for p = 2 one of
     {1, 5, -1, -5, 2, 10, -2, -10}."""

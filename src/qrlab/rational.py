@@ -17,17 +17,27 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from operator import attrgetter
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 #: Workload ceiling for factorize(); inputs with |n| above this are refused.
 DEFAULT_FACTOR_BOUND = 2**96
 
 #: Trial-division ceiling; Pollard rho splits whatever survives it.
 TRIAL_DIVISION_LIMIT = 10**3
+
+#: Unit digits of a p-adic element read from a rational when none are given.
+DEFAULT_PRECISION = 32
+
+
+class PrecisionLossError(ArithmeticError):
+    """Raised when a p-adic result is indistinguishable from zero at the
+    known precision (total cancellation), or otherwise has no certain
+    digits.  Defined here, with DEFAULT_PRECISION, so that the CLI can
+    name both without loading the p-adic module."""
 
 
 def _primes_upto(n: int) -> tuple[int, ...]:
@@ -110,6 +120,47 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the library's immutable value classes.  A subclass names its
+    fields in __slots__ and sets each once in __init__ through `_set`
+    (object.__setattr__), then runs its __post_init__ check if it has one.
+    Assignment raises AttributeError.  Equality and hashing go by the
+    fields, between instances of one class; repr reads "Name(field=value,
+    ...)"; pickle and copy rebuild an instance through __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += cls.__slots__
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +316,15 @@ def _pollard_rho(n: int) -> int:
     raise FactorizationError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """sign * prod(p^e) with primes strictly increasing; reconstructs input."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        _set(self, "sign", sign)
+        _set(self, "factors", factors)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -393,20 +447,23 @@ def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]
 # ---------------------------------------------------------------------------
 # places, valuations, absolute values
 
-@dataclass(frozen=True, order=False)
-class Place:
+class Place(Record):
     """A place of Q: the archimedean place or a finite prime, held as a
     Prime (certified on construction unless it is one already)."""
 
-    kind: str  # "archimedean" | "finite"
-    prime: Optional[int] = None
+    __slots__ = ("kind", "prime")
+
+    def __init__(self, kind: str, prime: int | None = None):
+        _set(self, "kind", kind)  # "archimedean" | "finite"
+        _set(self, "prime", prime)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind == "archimedean":
             if self.prime is not None:
                 raise ValueError("archimedean place carries no prime")
         elif self.kind == "finite":
-            object.__setattr__(self, "prime", Prime(self.prime))
+            _set(self, "prime", Prime(self.prime))
         else:
             raise ValueError(f"unknown place kind {self.kind!r}")
 
@@ -535,7 +592,7 @@ def norm_product_check(x: Rat) -> bool:
 # ---------------------------------------------------------------------------
 # modular square roots
 
-def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
+def sqrt_mod_prime(a: int, p: int) -> int | None:
     """Square root of a mod an odd prime p, normalized into (0, (p-1)/2];
     None if a is a non-residue.  a must be prime to p.  Euler's criterion,
     then Tonelli-Shanks."""
@@ -580,7 +637,7 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * t) % (m1 * m2)
 
 
-def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> Optional[int]:
+def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> int | None:
     """Smallest d in [0, |b|/2] with d^2 = a (mod b), b squarefree with the
     given primes; shared primes allowed (p | gcd(a,b) forces d = 0 mod p).
     None if impossible."""
@@ -607,7 +664,7 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> Optional[int]:
     return min(candidates)
 
 
-def sqrt_mod_squarefree(a: int, b: int) -> Optional[int]:
+def sqrt_mod_squarefree(a: int, b: int) -> int | None:
     """Square root of a modulo a squarefree b with |b| > 1, gcd(a,b) = 1,
     returned as the smallest d in [0, |b|/2]; None when no root exists."""
     fac = factorize(b) if abs(b) > 1 else None
@@ -633,7 +690,7 @@ def unit_residue(x: Rat, m: int) -> int:
     return num * pow(den, -1, m) % m
 
 
-def is_rational_square(x: Rat) -> Optional[Fraction]:
+def is_rational_square(x: Rat) -> Fraction | None:
     """The nonnegative exact square root of x if x is a rational square."""
     x = Fraction(x)
     if x < 0:

@@ -12,11 +12,19 @@ from being mixed up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from qrlab.rational import Prime, Rat, factorize, local_unit, odd_prime, unit_residue, vp
+from qrlab.rational import (
+    Prime,
+    Rat,
+    Record,
+    _set,
+    factorize,
+    local_unit,
+    odd_prime,
+    unit_residue,
+    vp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +139,7 @@ def reciprocity_check(p: int, q: int) -> bool:
 _TWO_ADIC = frozenset({4, 8})
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
+class QuadraticCharacter(Record):
     """A product of primitive quadratic characters, stored structurally.
 
     `factors` is a set drawn from {4, 8} and odd primes: 4 stands for the
@@ -143,14 +150,18 @@ class QuadraticCharacter:
     as Primes.
     """
 
-    factors: frozenset[int]
-    unramified_sign_prime: Optional[int] = None
+    __slots__ = ("factors", "unramified_sign_prime")
+
+    def __init__(self, factors: frozenset[int], unramified_sign_prime: int | None = None):
+        _set(self, "factors", factors)
+        _set(self, "unramified_sign_prime", unramified_sign_prime)
+        self.__post_init__()
 
     def __post_init__(self):
         factors = frozenset(f if f in (4, 8) else odd_prime(f) for f in self.factors)
-        object.__setattr__(self, "factors", factors)
+        _set(self, "factors", factors)
         if self.unramified_sign_prime is not None:
-            object.__setattr__(self, "unramified_sign_prime", Prime(self.unramified_sign_prime))
+            _set(self, "unramified_sign_prime", Prime(self.unramified_sign_prime))
 
     @property
     def modulus(self) -> int:
@@ -343,15 +354,34 @@ def smallest_nonresidue(p: int) -> int:
 # ---------------------------------------------------------------------------
 # the Mersenne showcase: lambda_p(2012) for p = 2^43112609 - 1
 
-@dataclass(frozen=True)
-class MersenneCharacterResult:
-    exponent: int
-    exponent_residue: int  # 43112609 mod 502
-    two_power_residue: int  # 2^347 mod 503
-    p_residue: int  # p mod 503
-    euler_argument: int  # the residue fed to Euler's criterion mod 503
-    sign_euler: int
-    sign_factored: int  # cross-check via 91 = 7 * 13
+class MersenneCharacterResult(Record):
+    __slots__ = (
+        "exponent",
+        "exponent_residue",
+        "two_power_residue",
+        "p_residue",
+        "euler_argument",
+        "sign_euler",
+        "sign_factored",
+    )
+
+    def __init__(
+        self,
+        exponent: int,
+        exponent_residue: int,  # 43112609 mod 502
+        two_power_residue: int,  # 2^347 mod 503
+        p_residue: int,  # p mod 503
+        euler_argument: int,  # the residue fed to Euler's criterion mod 503
+        sign_euler: int,
+        sign_factored: int,  # cross-check via 91 = 7 * 13
+    ):
+        _set(self, "exponent", exponent)
+        _set(self, "exponent_residue", exponent_residue)
+        _set(self, "two_power_residue", two_power_residue)
+        _set(self, "p_residue", p_residue)
+        _set(self, "euler_argument", euler_argument)
+        _set(self, "sign_euler", sign_euler)
+        _set(self, "sign_factored", sign_factored)
 
     @property
     def sign(self) -> int:

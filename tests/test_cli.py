@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qrlab import analytic
+from qrlab import analytic, cli
 from qrlab.analytic import BERNOULLI_BOUND, ROOT_NUMBER_BOUND
 from qrlab.cli import run
 from qrlab.hilbert import hilbert_symbol
@@ -300,22 +300,180 @@ def test_factorize_psi_13(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_import_loads_no_process_pool():
-    # the worker pool and the seeded scans' rng are imported where they are
-    # used, so a one-shot command does not pay for them
-    probe = (
-        "import sys, qrlab.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child(*argv):
+    """Stdout of a fresh `python -S` child with qrlab from the source tree."""
+    return subprocess.run(
+        [sys.executable, "-S", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+
+
+def _loaded_after(code, watched):
+    """The watched modules, and every qrlab module, loaded after `code`
+    runs in a fresh child (read from the last line it prints)."""
+    probe = f"import sys; {code}; print(*(m for m in sys.modules if m in {watched!r} or m.startswith('qrlab.')))"
+    return set(_child("-c", probe).splitlines()[-1].split())
+
+
+def test_import_loads_no_process_pool():
+    # the worker pool and the seeded scans' rng are imported where they are
+    # used, so a one-shot command does not pay for them
+    watched = ("concurrent.futures", "multiprocessing", "random")
+    assert not _loaded_after("import qrlab.cli", watched).intersection(watched)
+
+
+LIBRARY = ("rational", "symbols", "padic", "hilbert", "conic", "analytic")
+SLOW_STDLIB = ("dataclasses", "typing", "inspect", "json")
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    # import qrlab.cli compiles and runs cli and rational only, and none of
+    # the slow standard modules; the library itself needs neither
+    # dataclasses nor typing
+    assert _loaded_after("import qrlab.cli", SLOW_STDLIB) == {"qrlab.cli", "qrlab.rational"}
+    imports = "; ".join(f"import qrlab.{name}" for name in LIBRARY)
+    loaded = _loaded_after(imports, SLOW_STDLIB)
+    assert loaded == {f"qrlab.{name}" for name in LIBRARY}
+    # legendre needs symbols alone, and prints text without json
+    run_legendre = "from qrlab import cli; cli.run(['legendre', '2', '7'])"
+    loaded = _loaded_after(run_legendre, SLOW_STDLIB)
+    assert loaded == {"qrlab.cli", "qrlab.rational", "qrlab.symbols"}
+
+
+def test_precision_names_are_one_object_across_modules():
+    from qrlab import padic, rational
+
+    assert padic.PrecisionLossError is rational.PrecisionLossError is cli.PrecisionLossError
+    assert padic.DEFAULT_PRECISION == rational.DEFAULT_PRECISION == 32
+
+
+def test_sharded_scans_run_in_a_fresh_process():
+    # the workers of a fresh child have only cli and rational loaded: each
+    # shard function imports the modules it calls
+    for argv, report in (
+        (["scan-reciprocity", "60", "--workers", "2"], "16 primes, 120 pairs, 0 failures"),
+        (["scan-vonstaudt", "40", "--workers", "2"], "20 values, 0 failures"),
+        (["scan-product-formula", "20", "100", "--workers", "2"], "20 pairs, 0 failures"),
+    ):
+        assert _child("-m", "qrlab.cli", *argv) == report + "\n", argv
+
+
+# argparse's help and error text as printed before the parser was built one
+# subcommand at a time, at a width of 80 columns
+COMMAND_NAMES = (
+    "factorize", "vp", "absval", "norm-product", "sqrtmod-prime", "sqrtmod-squarefree",
+    "legendre", "lambda4", "lambda8", "gauss-lemma", "lattice", "reciprocity", "psi", "chi",
+    "char-basis", "group-product", "binomial-prime", "arith", "hensel", "sqrt", "teichmuller",
+    "unit-decompose", "vp-factorial", "sqrt-series", "digits", "square-class", "hilbert",
+    "witness", "is-norm", "correspondence", "solve", "descent-step", "ternary", "global-norm",
+    "bernoulli", "von-staudt", "power-sum", "frac-part", "conductor", "root-number",
+    "root-product", "bost", "scan-reciprocity", "scan-product-formula", "scan-vonstaudt",
+)
+CHOICES = "{" + ",".join(COMMAND_NAMES) + "}"
+USAGE = f"""usage: qrlab [-h]
+             {CHOICES}
+             ...
+"""
+TOP_HELP = USAGE + f"""
+Command-line front end: one subcommand per library operation, plus the
+
+positional arguments:
+  {CHOICES}
+    factorize           factor a nonzero integer
+    vp                  p-adic valuation and unit part
+    absval              normalized absolute value |x|_v
+    norm-product        verify prod_v |x|_v = 1
+    sqrtmod-prime       square root mod an odd prime
+    sqrtmod-squarefree  smallest folded root mod squarefree b
+    legendre            Legendre symbol
+    lambda4             sign character mod 4
+    lambda8             sign character mod 8
+    gauss-lemma         Legendre symbol by counting sign flips
+    lattice             lattice point counts below/above the diagonal
+    reciprocity         check the reciprocity law and supplements
+    psi                 reciprocity-normalized character psi_a(n)
+    chi                 quadratic character chi_a(x) of conductor dividing
+                        4|a|
+    char-basis          basis of quadratic characters mod m
+    group-product       product of all units mod m
+    binomial-prime      primality via binomial coefficients
+    arith               p-adic ring arithmetic
+    hensel              Hensel-lift a root of an integer polynomial
+    sqrt                p-adic square root
+    teichmuller         Teichmuller representative of a mod p
+    unit-decompose      split a unit as Teichmuller times one-unit
+    vp-factorial        valuation and unit residue of n!
+    sqrt-series         the 2-adic square root of 1+8x by its series
+    digits              digit expansion of the unit part
+    square-class        canonical square-class representative in Q_p
+    hilbert             Hilbert symbol (a,b)_v
+    witness             explicit local solution of ax^2+by^2=1
+    is-norm             is a a norm from Q_v(sqrt b)?
+    correspondence      quadratic extensions of Q_p and their norm characters
+    solve               rational point on ax^2+by^2=1 or the obstruction
+    descent-step        one Legendre descent step on a solution triple
+    ternary             nonzero integer zero of ax^2+by^2+cz^2
+    global-norm         is a a norm from Q(sqrt b)?
+    bernoulli           exact Bernoulli number B_k
+    von-staudt          the integer B_k + sum 1/l over (l-1) | k
+    power-sum           0^k + ... + (n-1)^k via Bernoulli numbers
+    frac-part           p-adic fractional part <x>_p
+    conductor           conductor exponent of a local character
+    root-number         local root number W_v(chi)
+    root-product        product of root numbers attached to Q(sqrt d)
+    bost                lambda_p(2012) for the Mersenne prime p = 2^43112609 -
+                        1
+    scan-reciprocity    check reciprocity for all odd p,q < bound
+    scan-product-formula
+                        product formula on random rational pairs
+    scan-vonstaudt      integrality of W_k for even k up to the bound
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _invalid_choice(choices):
+    return USAGE + f"qrlab: error: argument command: invalid choice: 'nonsense' (choose from {choices})\n"
+
+
+def test_top_level_help_and_errors_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out == TOP_HELP
+    assert run(["nonsense"]) == 2
+    # newer argparse releases print the choices with str, not repr
+    err = capsys.readouterr().err
+    quoted = ", ".join(f"'{name}'" for name in COMMAND_NAMES)
+    assert err in (_invalid_choice(quoted), _invalid_choice(", ".join(COMMAND_NAMES)))
+    # an argument left over after a valid command is reported with the
+    # top-level usage, which names every command
+    assert run(["legendre", "2", "7", "extra"]) == 2
+    assert capsys.readouterr().err == USAGE + "qrlab: error: unrecognized arguments: extra\n"
+    assert run([]) == 2
+    assert capsys.readouterr().err.startswith(USAGE)
+
+
+def test_each_command_builds_and_helps_alone(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: built.append(list(names)) or build(names))
+    full = build(COMMAND_NAMES)
+    assert tuple(cli._COMMANDS) == COMMAND_NAMES
+    for name in COMMAND_NAMES:
+        built.clear()
+        assert run([name, "--help"]) == 0, name
+        assert built == [[name]], name
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            full.parse_args([name, "--help"])
+        assert alone == capsys.readouterr().out and alone.startswith(f"usage: qrlab {name} ")
 
 
 def test_unknown_command_exits_2(capsys):
@@ -413,6 +571,25 @@ def test_conductor_labels(capsys):
     assert invoke(capsys, "conductor", "lambda_7")[1] == "1"
     assert invoke(capsys, "conductor", "nu_5")[1] == "0"
     assert invoke(capsys, "conductor", "1", "-p", "3")[1] == "0"
+
+
+def test_repeated_character_tokens_multiply(capsys):
+    # a character times itself is trivial: lambda_P tokens cancel in pairs
+    # and nu_P counts by parity, while the place still comes from them
+    assert invoke(capsys, "conductor", "lambda_3*lambda_3")[:2] == (0, "0")
+    assert invoke(capsys, "conductor", "nu_3*nu_3")[:2] == (0, "0")
+    assert invoke(capsys, "root-number", "1", "-v", "3")[:2] == (0, "1+0·i")
+    assert invoke(capsys, "root-number", "lambda_3*lambda_3")[:2] == (0, "1+0·i")
+    assert invoke(capsys, "conductor", "lambda_4*lambda_8*lambda_4")[:2] == (
+        invoke(capsys, "conductor", "lambda_8")[:2]
+    )
+    assert invoke(capsys, "root-number", "nu_3*nu_3*lambda_3")[:2] == (
+        invoke(capsys, "root-number", "lambda_3")[:2]
+    )
+    for argv in (["root-number", "lambda_3*lambda_3", "-v", "inf"],
+                 ["conductor", "lambda_3*lambda_3*lambda_5"]):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
 
 
 def test_frac_part_textual_element(capsys):
