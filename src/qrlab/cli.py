@@ -699,7 +699,7 @@ _COMMANDS = {
 
 def _build_parser(names) -> _Parser:
     """The parser with a subcommand for each of the given command names."""
-    top = _Parser(prog="qrlab", description=__doc__.splitlines()[0])
+    top = _Parser(prog="qrlab", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in names:
         handler, help_, arguments = _COMMANDS[name]

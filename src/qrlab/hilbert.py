@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qrlab.padic import PAdicElement, padic_sqrt, square_class
+from qrlab.padic import PAdicElement, unit_sqrt
 from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
@@ -25,10 +25,8 @@ from qrlab.rational import (
     local_residue,
     local_unit,
     rational_factor_exponents,
-    unit_residue,
-    vp,
 )
-from qrlab.symbols import QuadraticCharacter, eps_inf, legendre, smallest_nonresidue
+from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
 
 PlaceLike = Place | int | str
 
@@ -246,60 +244,35 @@ def _inverse_sqrt(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(den // (num << -2 * k)) << -k)
 
 
-def _sqrt_rep(x: Fraction, p: int, precision: int) -> Fraction:
-    """Rational representative of the p-adic square root of x (x a square
-    class-1 value at p), accurate to `precision` digits."""
-    root = padic_sqrt(PAdicElement.from_rational(x, p, precision))
-    assert root is not None
-    return root.rational_rep()
-
-
-def _witness_both_units(a: Fraction, b: Fraction, p: int, K: int):
-    """Case v_p(a) = v_p(b) = 0 (symbol known to be +1)."""
-    if square_class(a, p) == 1:
-        return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
-    if square_class(b, p) == 1:
-        return Fraction(0), Fraction(1) / _sqrt_rep(b, p, K)
-    if p != 2:
-        # both non-residues: {a x^2} and {1 - b y^2} each cover (p+1)/2
-        # residues, so they intersect at a nonzero common value
-        for y0 in range(1, p):
-            t = (1 - b * y0 * y0) / a
-            if vp(t, p) == 0 and legendre(t, p) == 1:
-                return _sqrt_rep(t, p, K), Fraction(y0)
-        raise AssertionError("counting argument found no intersection")
-    # p = 2, neither unit is 1 mod 8; symbol +1 forces a or b = 5 (mod 8)
-    if unit_residue(a, 8) == 5:
-        return _sqrt_rep((1 - 4 * b) / a, p, K), Fraction(2)
-    assert unit_residue(b, 8) == 5
-    return Fraction(2), _sqrt_rep((1 - 4 * a) / b, p, K)
-
-
-def _witness_unit_by_uniformizer(a: Fraction, b: Fraction, p: int, K: int):
-    """Case v_p(a) = 0, v_p(b) = 1 (symbol +1)."""
-    if square_class(a, p) == 1:
-        return Fraction(1) / _sqrt_rep(a, p, K), Fraction(0)
-    # for odd p the symbol is lambda_p(a), so a must be class 1 above
-    assert p == 2, "odd p with symbol +1 implies a is a square"
-    # remaining 2-adic case: a = 1 - b (mod 8), witness y = 1
-    assert unit_residue(a, 8) == unit_residue(1 - b, 8)
-    return _sqrt_rep((1 - b) / a, p, K), Fraction(1)
-
-
-def _witness_both_uniformizers(a: Fraction, b: Fraction, p: int, K: int):
-    """Case v_p(a) = v_p(b) = 1: reduce by a'' = -a b / p^2, a unit."""
-    a2 = -a * b / p ** 2
-    if square_class(a2, p) == 1:
-        # a x^2 + b y^2 = ((b y)^2 - a''(p x)^2)/b: split b = t * (b/t), t=1
-        s = _sqrt_rep(a2, p, K)
-        x = (b - 1) / (2 * s * p)
-        y = (1 + b) / (2 * b)
-        return x, y
-    # only reachable at p = 2: pull a witness for (a'', b), case (0, 1)
-    w, z = _witness_unit_by_uniformizer(a2, b, p, K)
-    assert z != 0
-    # b = (1/z)^2 - a''(w/z)^2 turns into a x^2 + b y^2 = 1
-    return w / (p * z), 1 / (b * z)
+def _unit_witness(ua: int, ub: int, beta: int, p: int, k: int) -> tuple[Fraction, Fraction]:
+    """(x, y) with A x^2 + p^beta B y^2 = 1 to k digits, for beta in {0, 1}
+    and p-adic units A, B of residues ua, ub mod p^k with (A, p^beta B)_p = +1.
+    Every square root is unit_sqrt's on a residue mod p^k."""
+    mod = p**k
+    r = unit_sqrt(ua, p, k)
+    if r is not None:
+        return Fraction(1, r), Fraction(0)
+    inv = pow(ua, -1, mod)
+    if beta:
+        # for odd p the symbol is lambda_p(A), so A would be a square; at 2
+        # it leaves A = 1 - 2B (mod 8), and y = 1
+        return Fraction(unit_sqrt((1 - 2 * ub) * inv % mod, p, k)), Fraction(1)
+    r = unit_sqrt(ub, p, k)
+    if r is not None:
+        return Fraction(0), Fraction(1, r)
+    if p == 2:
+        # neither unit is 1 mod 8; symbol +1 forces A or B = 5 (mod 8)
+        if ua % 8 == 5:
+            return Fraction(unit_sqrt((1 - 4 * ub) * inv % mod, p, k)), Fraction(2)
+        return Fraction(2), Fraction(unit_sqrt((1 - 4 * ua) * pow(ub, -1, mod) % mod, p, k))
+    # both non-residues: {A x^2} and {1 - B y^2} each cover (p+1)/2
+    # residues, so they intersect at a nonzero common value
+    for y0 in range(1, p):
+        t = (1 - ub * y0 * y0) * inv % mod
+        r = unit_sqrt(t, p, k) if t % p else None
+        if r is not None:
+            return Fraction(r), Fraction(y0)
+    raise AssertionError("counting argument found no intersection")
 
 
 _PRECISION_BUFFER = 8
@@ -311,33 +284,47 @@ def local_solve_witness(
     """A constructive solution of a x^2 + b y^2 = 1 in Q_v, or None exactly
     when the Hilbert symbol is -1.
 
-    The construction reduces a and b by squares of p so both have valuation
-    0 or 1, then walks the square-class case table; square roots are Hensel
-    lifts carried to `precision` + buffer digits.
+    At a finite place a and b are each reduced once, to a valuation and a
+    unit residue mod p^K.  The symbol is read from those residues, and the
+    square-class case table is walked on them: a and b lose even powers
+    of p, so both have valuation 0 or 1, and every square root is a Hensel
+    lift of a residue mod p^K.  K is `precision` plus a buffer of digits,
+    because the table spends some: the case of two uniformizers divides by
+    2p, and a root at p = 2 is known only mod 2^(K-1).  The real place
+    needs no precision and ignores it.
     """
     place = _coerce_place(v)
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
-    if hilbert_symbol(a, b, place) == -1:
-        return None
     if place.is_infinite:
-        return _infinite_witness(a, b)
+        return None if a < 0 and b < 0 else _infinite_witness(a, b)
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     p = place.prime
     K = precision + _PRECISION_BUFFER
-    va, vb = vp(a, p), vp(b, p)
-    alpha, beta = va % 2, vb % 2
-    # a = sa^2 ar and b = sb^2 br, sa and sb powers of p
-    sa, sb = Fraction(p) ** ((va - alpha) // 2), Fraction(p) ** ((vb - beta) // 2)
-    ar, br = a / sa**2, b / sb**2
-    if (alpha, beta) == (0, 0):
-        x, y = _witness_both_units(ar, br, p, K)
-    elif (alpha, beta) == (0, 1):
-        x, y = _witness_unit_by_uniformizer(ar, br, p, K)
-    elif (alpha, beta) == (1, 0):
-        y, x = _witness_unit_by_uniformizer(br, ar, p, K)
+    va, ua = local_unit(a, p, p**K)
+    vb, ub = local_unit(b, p, p**K)
+    m = 8 if p == 2 else p
+    if _symbol_exponent(p, va, ua % m, vb, ub % m):
+        return None
+    # a = sa^2 p^(va % 2) A and b = sb^2 p^(vb % 2) B, sa and sb powers of p
+    sa, sb = Fraction(p) ** (va // 2), Fraction(p) ** (vb // 2)
+    if va % 2 == 0:
+        x, y = _unit_witness(ua, ub, vb % 2, p, K)
+    elif vb % 2 == 0:
+        y, x = _unit_witness(ub, ua, 1, p, K)
     else:
-        x, y = _witness_both_uniformizers(ar, br, p, K)
+        # a'' = -a b / (sa sb p)^2 is a unit, and br = b / sb^2: a witness
+        # (w, z) of (a'', br) gives one of (ar, br), ar = a / sa^2
+        br = b / sb**2
+        w, z = _unit_witness(-ua * ub % p**K, ub, 1, p, K)
+        if z == 0:
+            # a'' = 1/w^2: ar x^2 + br y^2 = ((br y)^2 - a''(p x)^2)/br
+            x, y = (br - 1) * w / (2 * p), (1 + br) / (2 * br)
+        else:
+            # br = (1/z)^2 - a''(w/z)^2
+            x, y = w / (p * z), 1 / (br * z)
     witness = LocalWitness(place, x / sa, y / sb, precision)
     assert witness.verify(a, b), (a, b, p, witness)
     return witness

@@ -75,6 +75,8 @@ class PAdicElement(Record):
         x = Fraction(x)
         if x == 0:
             return cls(p, INFINITY, 0, 0)
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
         v, unit = local_unit(x, p, p ** precision)
         return cls(p, v, unit, precision)
 
@@ -320,8 +322,11 @@ def hensel_lift(
     fprime = f.derivative()
     fx = f(x)
     if fx == 0:
-        # exact integer root: no refinement needed
-        return PAdicElement.from_rational(x, p, N)
+        # exact integer root: no refinement needed, and N digits of its unit
+        if x == 0:
+            return PAdicElement.zero(p)
+        v, u = int_valuation(x, p)
+        return PAdicElement(p, v, u % p ** N, N)
     dx = fprime(x)
     if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
@@ -362,34 +367,37 @@ def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
 def padic_sqrt(x: PAdicElement) -> PAdicElement | None:
     """The square root of x in Q_p if one exists: requires even valuation
     and a square unit (lambda_p(u) = +1 for odd p, u = 1 mod 8 for p = 2).
-
-    Normalization: for odd p the root's first digit lies in [1, (p-1)/2];
-    for p = 2 the root's unit is = 1 (mod 4).
-    """
+    The root's unit is unit_sqrt's, so it keeps one digit less at p = 2."""
     if x.is_zero:
         raise ValueError("square root of exact zero is trivially zero; pass a unit")
     p, v, k = x.prime, x.valuation, x.precision
     if v % 2:
         return None
+    if p == 2 and k < 3:
+        raise ValueError("need at least 3 unit digits to decide squareness at 2")
+    root = unit_sqrt(x.unit, p, k)
+    return None if root is None else PAdicElement(p, v // 2, root, k - 1 if p == 2 else k)
+
+
+def unit_sqrt(u: int, p: int, k: int) -> int | None:
+    """The normalized square root of the unit residue u mod p^k, or None
+    when u is not a square in Z_p; p is a Prime, and k >= 3 at p = 2.
+
+    For odd p the root is taken mod p^k with its first digit in
+    [1, (p-1)/2].  At p = 2 the roots mod 2^k come in pairs +-r and
+    r + 2^(k-1), so one digit is lost: the root is taken mod 2^(k-1) and
+    is = 1 (mod 4).
+    """
     if p == 2:
-        if k < 3:
-            raise ValueError("need at least 3 unit digits to decide squareness at 2")
-        if x.unit % 8 != 1:
+        if u % 8 != 1:
             return None
-        # roots mod 2^k come in pairs +-r and r + 2^(k-1): one digit is lost
-        f = IntPolynomial((-x.unit, 0, 1))
-        root = hensel_lift(f, 1, k, p).integer_rep() % 2 ** (k - 1)
-        if root % 4 == 3:
-            root = 2 ** (k - 1) - root
-        return PAdicElement(p, v // 2, root, k - 1)
-    r0 = sqrt_mod_prime(x.unit, p)
+        root = hensel_lift(IntPolynomial((-u, 0, 1)), 1, k, p).integer_rep() % 2 ** (k - 1)
+        return 2 ** (k - 1) - root if root % 4 == 3 else root
+    r0 = sqrt_mod_prime(u, p)
     if r0 is None:
         return None
-    f = IntPolynomial((-x.unit, 0, 1))
-    root = hensel_lift(f, r0, k, p).integer_rep()
-    if root % p > (p - 1) // 2:
-        root = p ** k - root
-    return PAdicElement(p, v // 2, root, k)
+    root = hensel_lift(IntPolynomial((-u, 0, 1)), r0, k, p).integer_rep()
+    return p ** k - root if root % p > (p - 1) // 2 else root
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,8 @@ def teichmuller(a: int, p: int, precision: int = DEFAULT_PRECISION) -> PAdicElem
     p = Prime(p)
     if a == 0:
         return PAdicElement(p, INFINITY, 0, 0)
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
     return PAdicElement(p, 0, _teichmuller_unit(a, p, precision), precision)
 
 

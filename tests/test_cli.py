@@ -381,7 +381,8 @@ USAGE = f"""usage: qrlab [-h]
              ...
 """
 TOP_HELP = USAGE + f"""
-Command-line front end: one subcommand per library operation, plus the
+Command-line front end: one subcommand per library operation, plus the batch
+scan commands used by the acceptance checks.
 
 positional arguments:
   {CHOICES}
@@ -527,6 +528,21 @@ def test_witness_respects_symbol(capsys):
     expected = hilbert_symbol(a, b, p)
     code, out, _ = invoke(capsys, "witness", str(a), str(b), str(p), "--json")
     assert (json.loads(out)["witness"] is not None) == (expected == 1)
+
+
+def test_precision_below_one_digit_exits_2(capsys):
+    # a finite-place witness checked to no digit is refused, as every
+    # p-adic command refuses an element of no digit; the real place takes
+    # no precision
+    for prec in ("0", "-1", "-8", "-9"):
+        for argv in (["witness", "2", "7", "7"], ["witness", "-6", "10", "2"],
+                     ["sqrt", "2", "-p", "7"], ["hensel", "-17,0,1", "1", "-p", "2"],
+                     ["arith", "add", "1/3", "2", "-p", "5"], ["teichmuller", "2", "5"],
+                     ["unit-decompose", "2", "-p", "5"], ["digits", "1/3", "-p", "7"]):
+            code, out, err = invoke(capsys, *argv, "--prec", prec)
+            assert (code, out) == (2, ""), (argv, prec)
+            assert err.startswith("error:"), (argv, prec)
+        assert invoke(capsys, "witness", "2", "7", "inf", "--prec", prec)[:2] == (0, "x: 1/3\ny: 1/3")
 
 
 def test_descent_step_golden(capsys):

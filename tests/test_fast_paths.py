@@ -10,6 +10,7 @@ as a Fraction, and LocalWitness.verify in integers against its Fraction
 evaluation.  Also the certified-prime type Prime, and how many primality
 tests each public route makes."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -907,3 +908,76 @@ def test_witness_verify_in_integers_matches_fraction_evaluation(p, an, ad, bn, b
 def test_witness_verify_in_integers_on_arbitrary_points(p, a, b, x, y, prec):
     w = LocalWitness(Place.finite(p), x, y, prec)
     assert w.verify(a, b) == _fraction_verify(w, a, b)
+
+
+# ---------------------------------------------------------------------------
+# local_solve_witness: outputs recorded before each input was reduced at p
+# only once, one row per branch of the square-class case table, and a hash
+# over a seeded sweep of primes, p-power scalings and precisions
+
+GOLDEN_WITNESSES = [
+    (2, 7, 7, 6, Fraction(1, 116646786350), 0),  # unit a is a square
+    (3, 5, 7, 6, 136819206063, 1),  # two non-residues
+    (5, 3, 2, 8, 9593, 2),  # two units at 2
+    (3, 6, 2, 8, 26893, 1),  # unit and uniformizer at 2
+    (-6, 10, 2, 8, Fraction(3525, 2), Fraction(1, 10)),  # two uniformizers at 2
+]
+
+WITNESS_SWEEP_SHA256 = "96df9bd8602342cb6ff4c23a553365810292daafa53a1e77e9101bf117575501"
+
+
+@pytest.mark.parametrize("a, b, p, precision, x, y", GOLDEN_WITNESSES)
+def test_local_witness_golden_branches(a, b, p, precision, x, y):
+    w = local_solve_witness(a, b, p, precision)
+    assert (w.x, w.y) == (x, y)
+    assert w.verify(a, b)
+
+
+def test_local_witness_sweep_hash():
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for p in (2, 3, 5, 7, 1009, 1013):
+        for precision in (1, 2, 5, 32, 128):
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+                            * Fraction(p) ** e for e in (i, j))
+                    w = local_solve_witness(a, b, p, precision)
+                    h.update(f"{a} {b} {p} {precision}: {w and (w.x, w.y)}\n".encode())
+    assert h.hexdigest() == WITNESS_SWEEP_SHA256
+
+
+def test_local_witness_reduces_each_input_once(local_calls, monkeypatch):
+    # a finite-place witness reads a and b from one local_unit call each,
+    # and neither the symbol, the square classes nor the roots reduce them
+    # again: the case table and the roots work on those two residues
+    again = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            again.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, name in (("hilbert", "hilbert_symbol"), ("padic", "square_class"),
+                        ("padic", "padic_sqrt")):
+        wrapper = counting(name, getattr(importlib.import_module(f"qrlab.{owner}"), name))
+        for module in ("padic", "hilbert"):
+            module = importlib.import_module(f"qrlab.{module}")
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    real_from_rational = PAdicElement.__dict__["from_rational"].__func__
+    monkeypatch.setattr(PAdicElement, "from_rational",
+                        classmethod(counting("from_rational", real_from_rational)))
+    cases = [row[:4] for row in GOLDEN_WITNESSES] + [
+        (5, 2, 2, 8),  # symbol -1
+        (4, 3, 7, 10), (1, 3, 2, 10), (9, 1, 5, 1),  # roots that are exact integers
+        (Fraction(6, 49), Fraction(-15, 7), 7, 32), (Fraction(2, 9), 3 * 81, 3, 5),
+        (7, 2, 1009, 40), (-3 * 1013**3, Fraction(5, 1013), 1013, 128),
+    ]
+    for a, b, p, precision in cases:
+        for v in (p, Place.finite(p)):
+            local_calls["local_unit"] = 0
+            local_solve_witness(a, b, v, precision)
+            assert local_calls["local_unit"] == 2, (a, b, p, local_calls)
+            assert again == [], (a, b, p, again)
