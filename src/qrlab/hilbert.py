@@ -308,8 +308,9 @@ def local_solve_witness(
     m = 8 if p == 2 else p
     if _symbol_exponent(p, va, ua % m, vb, ub % m):
         return None
-    # a = sa^2 p^(va % 2) A and b = sb^2 p^(vb % 2) B, sa and sb powers of p
-    sa, sb = Fraction(p) ** (va // 2), Fraction(p) ** (vb // 2)
+    # a = sa^2 p^(va % 2) A and b = sb^2 p^(vb % 2) B, sa = p^ea and
+    # sb = p^eb; mostly ea = eb = 0, and then nothing is scaled
+    ea, eb = va // 2, vb // 2
     if va % 2 == 0:
         x, y = _unit_witness(ua, ub, vb % 2, p, K)
     elif vb % 2 == 0:
@@ -317,7 +318,7 @@ def local_solve_witness(
     else:
         # a'' = -a b / (sa sb p)^2 is a unit, and br = b / sb^2: a witness
         # (w, z) of (a'', br) gives one of (ar, br), ar = a / sa^2
-        br = b / sb**2
+        br = b / Fraction(p) ** (2 * eb) if eb else b
         w, z = _unit_witness(-ua * ub % p**K, ub, 1, p, K)
         if z == 0:
             # a'' = 1/w^2: ar x^2 + br y^2 = ((br y)^2 - a''(p x)^2)/br
@@ -325,7 +326,11 @@ def local_solve_witness(
         else:
             # br = (1/z)^2 - a''(w/z)^2
             x, y = w / (p * z), 1 / (br * z)
-    witness = LocalWitness(place, x / sa, y / sb, precision)
+    if ea:
+        x /= Fraction(p) ** ea
+    if eb:
+        y /= Fraction(p) ** eb
+    witness = LocalWitness(place, x, y, precision)
     assert witness.verify(a, b), (a, b, p, witness)
     return witness
 

@@ -289,7 +289,41 @@ def hensel_lift(
 ) -> PAdicElement:
     """Newton-refine an approximate root: from v_p(f(x0)) = m > 2*delta with
     delta = v_p(f'(x0)), produce xi with f(xi) = 0 (mod p^N) and
-    xi = x0 (mod p^(m-delta)).  That root is unique mod p^N.
+    xi = x0 (mod p^(m-delta)).  That root is unique mod p^N, so f = 0,
+    of which every x is a root, is refused.
+
+    The lift runs on integers in _lift, the one Newton core that unit_sqrt
+    shares; this wrapper checks the seed and builds the element."""
+    if isinstance(x0, PAdicElement):
+        p = x0.prime
+        if not x0.is_zero and x0.valuation < 0:
+            raise ValueError("x0 must lie in Z_p")
+        x = 0 if x0.is_zero else x0.integer_rep()
+    else:
+        if p is None:
+            raise ValueError("p required when x0 is a plain integer")
+        p = Prime(p)
+        x = int(x0)
+    N = target_precision
+    if N < 1:
+        raise ValueError("target precision must be >= 1")
+    if not f.coefficients:
+        raise ValueError("f = 0: every x is a root, so none is simple")
+
+    root, exact = _lift(f, f.derivative(), x, p, N)
+    if exact:
+        # exact integer root: no refinement needed, and N digits of its unit
+        if x == 0:
+            return PAdicElement.zero(p)
+        v, u = int_valuation(x, p)
+        return PAdicElement(p, v, u % p ** N, N)
+    return _element_from_int(root, p, N)
+
+
+def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
+    """(xi mod p^N, exact) for the Hensel lift xi of the integer seed x, with
+    f and fprime = f' callables on ints; exact says that f(x) = 0 already,
+    so xi = x.  The one Newton loop of hensel_lift and unit_sqrt.
 
     Schedule: Newton iteration with precision doubling (von zur Gathen &
     Gerhard, Modern Computer Algebra, ch. 9).  v_p(f(x)) is measured once,
@@ -305,28 +339,9 @@ def hensel_lift(
     multiples of p^(m-delta), w moves by multiples of p^(m-2*delta), so the
     old s is still good to m - 2*delta digits, and one Newton step
     s <- s(2 - w*s) doubles that to the next step's m - 2*delta."""
-    if isinstance(x0, PAdicElement):
-        p = x0.prime
-        if not x0.is_zero and x0.valuation < 0:
-            raise ValueError("x0 must lie in Z_p")
-        x = 0 if x0.is_zero else x0.integer_rep()
-    else:
-        if p is None:
-            raise ValueError("p required when x0 is a plain integer")
-        p = Prime(p)
-        x = int(x0)
-    N = target_precision
-    if N < 1:
-        raise ValueError("target precision must be >= 1")
-
-    fprime = f.derivative()
     fx = f(x)
     if fx == 0:
-        # exact integer root: no refinement needed, and N digits of its unit
-        if x == 0:
-            return PAdicElement.zero(p)
-        v, u = int_valuation(x, p)
-        return PAdicElement(p, v, u % p ** N, N)
+        return x % p ** N, True
     dx = fprime(x)
     if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
@@ -347,7 +362,7 @@ def hensel_lift(
             mod = p ** (m - 2 * delta)
             s = s * (2 - fprime(x) // pd * s) % mod
             fx = f(x)
-    return _element_from_int(x % p ** N, p, N)
+    return x % p ** N, False
 
 
 def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:
@@ -386,17 +401,18 @@ def unit_sqrt(u: int, p: int, k: int) -> int | None:
     For odd p the root is taken mod p^k with its first digit in
     [1, (p-1)/2].  At p = 2 the roots mod 2^k come in pairs +-r and
     r + 2^(k-1), so one digit is lost: the root is taken mod 2^(k-1) and
-    is = 1 (mod 4).
+    is = 1 (mod 4).  The root of T^2 - u is lifted on plain ints by _lift,
+    the Newton core hensel_lift runs.
     """
     if p == 2:
         if u % 8 != 1:
             return None
-        root = hensel_lift(IntPolynomial((-u, 0, 1)), 1, k, p).integer_rep() % 2 ** (k - 1)
+        root = _lift(lambda t: t * t - u, lambda t: 2 * t, 1, p, k)[0] % 2 ** (k - 1)
         return 2 ** (k - 1) - root if root % 4 == 3 else root
     r0 = sqrt_mod_prime(u, p)
     if r0 is None:
         return None
-    root = hensel_lift(IntPolynomial((-u, 0, 1)), r0, k, p).integer_rep()
+    root = _lift(lambda t: t * t - u, lambda t: 2 * t, r0, p, k)[0]
     return p ** k - root if root % p > (p - 1) // 2 else root
 
 

@@ -2,6 +2,8 @@
 report formats, and the argument grammar (negative rationals, places,
 textual p-adic elements, character labels)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrlab import analytic, cli
 from qrlab.analytic import BERNOULLI_BOUND, ROOT_NUMBER_BOUND
@@ -521,6 +525,14 @@ def test_hensel_command(capsys):
     assert out == "2^0 * (1 + 1*2^3) + O(2^4)"  # the root of T^2 - 17 above 1 is 9 mod 16
 
 
+def test_hensel_of_the_zero_polynomial_exits_2(capsys):
+    # every x is a root of f = 0, so there is no one root to print
+    for f in ("0", "0,0,0"):
+        code, out, err = invoke(capsys, "hensel", f, "3", "-p", "7")
+        assert (code, out) == (2, ""), f
+        assert err.startswith("error: f = 0"), f
+
+
 def test_witness_respects_symbol(capsys):
     code, out, _ = invoke(capsys, "witness", "2", "7", "7", "--prec", "8", "--json")
     assert code == 0 and json.loads(out)["witness"] is not None
@@ -650,3 +662,70 @@ def test_assorted_exact_outputs(capsys):
     assert invoke(capsys, "vp-factorial", "10", "3")[1] == "valuation: 4\nunit: 1"
     assert invoke(capsys, "teichmuller", "1", "7")[1] == "7^0 * (1) + O(7^32)"
     assert invoke(capsys, "digits", "7", "-p", "2", "--prec", "5")[1] == "1 1 1 0 0"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the p-adic commands: every call answers or exits 2, never 1
+
+_FUZZ_MODULI = st.sampled_from(
+    [2, 3, 5, 7, 13, 1009, 1013] + [-7, -1, 0, 1, 4, 9, 15, 1001, 2**61]
+).map(str)
+_FUZZ_RATIONALS = st.one_of(
+    st.builds(
+        lambda n, base, e, d: f"{n * base**e}/{d}",  # d = 0 is malformed input
+        st.integers(-60, 60), st.sampled_from([2, 3, 7, 1009]), st.integers(0, 6),
+        st.integers(0, 60),
+    ),
+    st.builds(lambda r, d: f"{r * r}/{d * d}", st.integers(0, 10**4), st.integers(1, 60)),
+)
+_FUZZ_PRECISIONS = st.sampled_from([-1, 0, 1, 2, 3, 32, 128, PADIC_BITS_BOUND + 1])
+
+
+def _fuzz_argv(command):
+    """argv for one p-adic command, with or without --prec and --json."""
+    return st.tuples(
+        command, st.one_of(st.none(), _FUZZ_PRECISIONS), st.booleans()
+    ).map(lambda t: t[0] + (["--prec", str(t[1])] if t[1] is not None else [])
+          + (["--json"] if t[2] else []))
+
+
+def _fuzz_poly(f: list[int], x0: int, p: int, root: bool) -> list[int]:
+    """f, or with root set and p > 1, f shifted to vanish at x0 mod p, so
+    that some seeds meet the Hensel hypothesis."""
+    if root and p > 1:
+        f = [f[0] - sum(c * x0**i for i, c in enumerate(f)) % p] + f[1:]
+    return f
+
+
+_FUZZ_COMMANDS = {
+    "hensel": st.builds(
+        lambda f, x0, p, root: ["hensel", ",".join(map(str, _fuzz_poly(f, x0, int(p), root))),
+                                str(x0), "-p", p],
+        st.lists(st.integers(-20, 20), min_size=1, max_size=5), st.integers(-100, 100),
+        _FUZZ_MODULI, st.booleans()),
+    "sqrt": st.builds(lambda x, p: ["sqrt", x, "-p", p], _FUZZ_RATIONALS, _FUZZ_MODULI),
+    "witness": st.builds(lambda a, b, v: ["witness", a, b, v], _FUZZ_RATIONALS,
+                         _FUZZ_RATIONALS, st.one_of(_FUZZ_MODULI, st.just("inf"))),
+    "teichmuller": st.builds(lambda a, p: ["teichmuller", str(a), p],
+                             st.one_of(st.integers(-3, 14), st.integers(-3, 1100)),
+                             _FUZZ_MODULI),
+    "digits": st.builds(lambda x, p, scheme: ["digits", x, "-p", p, "--scheme", scheme],
+                        _FUZZ_RATIONALS, _FUZZ_MODULI,
+                        st.sampled_from(["standard", "teichmuller"])),
+    "unit-decompose": st.builds(lambda x, p: ["unit-decompose", x, "-p", p],
+                                _FUZZ_RATIONALS, _FUZZ_MODULI),
+    "arith": st.builds(lambda op, x, y, p: ["arith", op, x, y, "-p", p],
+                       st.sampled_from(["add", "sub", "mul", "div"]), _FUZZ_RATIONALS,
+                       _FUZZ_RATIONALS, _FUZZ_MODULI),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_padic_commands_exit_0_or_2(command, data):
+    argv = data.draw(_fuzz_argv(_FUZZ_COMMANDS[command]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())

@@ -4,7 +4,8 @@ per-place evaluation through legendre/eps4/eps8, factorize against trial
 division and sympy (with the cofactors that trial division to 10^3 leaves
 to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
-replaced, the logarithmic valuation against the one-division-per-digit
+replaced, unit_sqrt on plain ints against the polynomial route it replaced,
+the logarithmic valuation against the one-division-per-digit
 loop, local_unit and its callers against the old route that built the unit
 as a Fraction, and LocalWitness.verify in integers against its Fraction
 evaluation.  Also the certified-prime type Prime, and how many primality
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial, primes_below, slow_hilbert
-from qrlab import rational
+from qrlab import padic, rational
 from qrlab.conic import solve_conic
 from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
 from qrlab.hilbert import (
@@ -44,6 +45,7 @@ from qrlab.padic import (
     padic_sqrt,
     square_class,
     teichmuller,
+    unit_sqrt,
     vp_factorial,
 )
 from qrlab.rational import (
@@ -610,6 +612,42 @@ def test_hensel_n_equals_one_and_exact_roots():
 
 
 # ---------------------------------------------------------------------------
+# unit_sqrt: the integer Newton core against the polynomial route it replaced
+
+
+def _polynomial_unit_sqrt(u: int, p: int, k: int) -> int | None:
+    """unit_sqrt by the route it used to take: hensel_lift on the
+    IntPolynomial T^2 - u, read back through integer_rep, then normalized."""
+    if p == 2:
+        if u % 8 != 1:
+            return None
+        root = hensel_lift(IntPolynomial((-u, 0, 1)), 1, k, p).integer_rep() % 2 ** (k - 1)
+        return 2 ** (k - 1) - root if root % 4 == 3 else root
+    r0 = sqrt_mod_prime(u, p)
+    if r0 is None:
+        return None
+    root = hensel_lift(IntPolynomial((-u, 0, 1)), r0, k, p).integer_rep()
+    return p ** k - root if root % p > (p - 1) // 2 else root
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1009, 1013])
+def test_unit_sqrt_matches_the_polynomial_route(p):
+    rng = random.Random(5150 + p)
+    p = Prime(p)
+    for k in range(3 if p == 2 else 1, 137):
+        mod = p**k
+        # random units (at 2 half of them 1 mod 8, so that most have roots),
+        # and exact squares, whose seed can be an exact integer root
+        units = [rng.randrange(1, mod) for _ in range(3)]
+        units += [8 * rng.randrange(mod // 8) + 1 if p == 2 else rng.randrange(1, mod)
+                  for _ in range(3)]
+        units += [r * r % mod for r in (rng.randrange(1, 60), rng.randrange(1, mod))]
+        for u in units:
+            if u % p:
+                assert unit_sqrt(u, p, k) == _polynomial_unit_sqrt(u, p, k), (u, p, k)
+
+
+# ---------------------------------------------------------------------------
 # valuations: O(log v) divisions against one division per digit
 
 VALUATION_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 1009, 2**61 - 1])
@@ -969,6 +1007,11 @@ def test_local_witness_reduces_each_input_once(local_calls, monkeypatch):
     real_from_rational = PAdicElement.__dict__["from_rational"].__func__
     monkeypatch.setattr(PAdicElement, "from_rational",
                         classmethod(counting("from_rational", real_from_rational)))
+    # the roots are lifted on plain ints: no polynomial, no element and no
+    # hensel_lift call on the way
+    for cls in (IntPolynomial, PAdicElement):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(padic, "hensel_lift", counting("hensel_lift", hensel_lift))
     cases = [row[:4] for row in GOLDEN_WITNESSES] + [
         (5, 2, 2, 8),  # symbol -1
         (4, 3, 7, 10), (1, 3, 2, 10), (9, 1, 5, 1),  # roots that are exact integers
@@ -981,3 +1024,27 @@ def test_local_witness_reduces_each_input_once(local_calls, monkeypatch):
             local_solve_witness(a, b, v, precision)
             assert local_calls["local_unit"] == 2, (a, b, p, local_calls)
             assert again == [], (a, b, p, again)
+
+
+def test_hensel_lift_and_unit_sqrt_share_one_newton_core(monkeypatch):
+    # both lift through padic._lift, so a second Newton loop in either
+    # would leave the core uncalled; unit_sqrt hands it T^2 - u and 2T
+    calls = []
+
+    def counting(f, fprime, x, p, N):
+        calls.append((f, fprime, x, p, N))
+        return real(f, fprime, x, p, N)
+
+    real = padic._lift
+    monkeypatch.setattr(padic, "_lift", counting)
+    for u, p, k, r0 in ((2, 7, 20, 3), (17, 2, 10, 1), (3 * 1013 + 4, 1013, 40, 2)):
+        f = IntPolynomial((-u, 0, 1))
+        lifted = hensel_lift(f, r0, k, p=p).integer_rep()
+        root = unit_sqrt(u, Prime(p), k)
+        assert [call[2:] for call in calls] == [(r0, p, k)] * 2
+        mod = p ** (k - 1) if p == 2 else p**k
+        assert root in (lifted % mod, -lifted % mod)
+        g, gprime = calls[1][:2]
+        for t in (0, 1, -5, 10**40 + 3):
+            assert (g(t), gprime(t)) == (f(t), f.derivative()(t))
+        calls.clear()

@@ -260,6 +260,14 @@ def test_hensel_rejects_bad_hypotheses():
         hensel_lift(IntPolynomial((-17, 0, 1)), PAdicElement(2, -1, 1, 4), 4)
 
 
+def test_hensel_refuses_the_zero_polynomial():
+    # every x is a root of f = 0, so no root is simple or unique
+    for f in (IntPolynomial(()), IntPolynomial((0,)), IntPolynomial((0, 0, 0))):
+        for x0 in (3, 0, PAdicElement(7, 0, 3, 10)):
+            with pytest.raises(ValueError, match="f = 0"):
+                hensel_lift(f, x0, 32, p=7)
+
+
 # ---------------------------------------------------------------------------
 # square roots
 

@@ -1,5 +1,6 @@
 """Differential tests against sympy: the Legendre symbol, square roots mod
-a prime, mod a squarefree number and mod p^k (through padic_sqrt), and the
+a prime, mod a squarefree number and mod p^k (through padic_sqrt at odd p
+and unit_sqrt at 2), and the
 solvability of a x^2 + b y^2 + c z^2 = 0.  Each test skips when sympy is
 missing; CI installs it and fails on such a skip."""
 
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from qrlab.conic import legendre_ternary
-from qrlab.padic import PAdicElement, padic_sqrt
+from qrlab.padic import PAdicElement, padic_sqrt, unit_sqrt
 from qrlab.rational import factorize, sqrt_mod_prime, sqrt_mod_squarefree
 from qrlab.symbols import legendre
 
@@ -70,6 +71,26 @@ def test_padic_sqrt_against_sqrt_mod_prime_powers():
                     continue
                 want = next(r for r in roots if r % p <= (p - 1) // 2)
                 assert root == PAdicElement(p, v // 2, want, k), (u, p, k)
+
+
+def test_unit_sqrt_at_2_against_sqrt_mod_powers_of_2():
+    # mod 2^k the roots of a square unit are +-r and +-r + 2^(k-1): the two
+    # that are 1 mod 4 agree mod 2^(k-1), which is the root unit_sqrt keeps
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
+    rng = random.Random(4)
+    for k in range(3, 41):
+        units = [rng.randrange(1, 2**k, 2) for _ in range(6)]
+        units += [8 * rng.randrange(2 ** (k - 3)) + 1 for _ in range(6)]
+        for u in units:
+            roots = sqrt_mod(u, 2**k, all_roots=True)
+            root = unit_sqrt(u, 2, k)
+            if not roots:
+                assert root is None, (u, k)
+                continue
+            want = next(r for r in roots if r % 4 == 1) % 2 ** (k - 1)
+            assert root == want, (u, k)
 
 
 def test_legendre_ternary_solvability_against_diop_ternary_quadratic():
