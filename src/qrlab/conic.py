@@ -24,7 +24,6 @@ from qrlab.rational import (
     factorize,
     is_rational_square,
     rational_factor_exponents,
-    sqrt_mod_squarefree,
     squarefree_from_exponents,
 )
 
@@ -135,7 +134,7 @@ def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[int, i
     """A primitive integer triple (x, y, z), z != 0, with a x^2 + b y^2 = z^2
     for squarefree integers a, b whose symbol vector is everywhere +1, and
     the max depth reached.  The descent runs on primitive integer triples
-    at every level and builds no Fraction.
+    at every level; no Fraction enters a triple.
 
     primes_a and primes_b are the primes of a and b.  Each level factors c
     once and hands the primes of its squarefree part e down with the
@@ -155,9 +154,8 @@ def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[int, i
     if d * d == a:
         return 1, 0, d, depth
     c = (d * d - a) // b
-    fc = factorize(c)
-    e, f = fc.squarefree_part(), fc.square_divisor_root()
-    primes_e = [p for p, k in fc.factors if k % 2]
+    e, f, primes_e = squarefree_from_exponents(*rational_factor_exponents(c))
+    f = f.numerator  # c is an integer, so f is one
     # solve the lighter form <a, e>, lift to <a, c> = <a, e f^2>, and step
     # back to <a, b>
     X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1)
@@ -185,10 +183,8 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
         assert cert.verify()
         return cert
     # scale to squarefree integers: a x^2 = a0 (sa x)^2
-    a0, sa = squarefree_from_exponents(sign_a, exps_a)
-    b0, sb = squarefree_from_exponents(sign_b, exps_b)
-    primes_a = [p for p, e in exps_a if e % 2]
-    primes_b = [p for p, e in exps_b if e % 2]
+    a0, sa, primes_a = squarefree_from_exponents(sign_a, exps_a)
+    b0, sb, primes_b = squarefree_from_exponents(sign_b, exps_b)
     X, Y, Z, depth = _descent(a0, b0, primes_a, primes_b)
     # among the four sign flips, the least with x >= 0
     x, y = abs(Fraction(X, Z) / sa), -abs(Fraction(Y, Z) / sb)
@@ -202,25 +198,20 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
 
 def legendre_ternary(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     """A nonzero integer zero of a x^2 + b y^2 + c z^2 (a b c squarefree),
-    or None when one of the classical conditions fails: mixed signs and
-    -bc, -ca, -ab squares modulo |a|, |b|, |c| respectively."""
+    or None when the conic (-a/c) x^2 + (-b/c) y^2 = 1 has a local
+    obstruction: by Hasse-Minkowski, exactly when one of Legendre's
+    conditions fails (mixed signs, and -bc, -ca, -ab squares modulo |a|,
+    |b|, |c| respectively)."""
     if a * b * c == 0:
         raise ValueError("coefficients must be nonzero")
     if not factorize(a * b * c).is_squarefree():
         raise ValueError("a b c must be squarefree")
-    if a > 0 and b > 0 and c > 0 or a < 0 and b < 0 and c < 0:
-        return None  # definite over R
-    for s, m in ((-b * c, a), (-c * a, b), (-a * b, c)):
-        if abs(m) > 1 and sqrt_mod_squarefree(s, m) is None:
-            return None
     cert = solve_conic(Fraction(-a, c), Fraction(-b, c))
-    assert cert.outcome == "solution", (a, b, c)
-    den = math.lcm(cert.x.denominator, cert.y.denominator)
-    x, y, z = abs(cert.x.numerator * (den // cert.x.denominator)), abs(
-        cert.y.numerator * (den // cert.y.denominator)
-    ), den
-    g = math.gcd(math.gcd(x, y), z)
-    return x // g, y // g, z // g
+    if cert.outcome == "obstruction":
+        return None
+    # z is the least common denominator, so the triple is primitive
+    z = math.lcm(cert.x.denominator, cert.y.denominator)
+    return int(abs(cert.x * z)), int(abs(cert.y * z)), z
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,8 @@ def hensel_lift(
     """Newton-refine an approximate root: from v_p(f(x0)) = m > 2*delta with
     delta = v_p(f'(x0)), produce xi with f(xi) = 0 (mod p^N) and
     xi = x0 (mod p^(m-delta)).  That root is unique mod p^N, so f = 0,
-    of which every x is a root, is refused.
+    of which every x is a root, is refused, as is a nonzero constant f,
+    which has none.
 
     The lift runs on integers in _lift, the one Newton core that unit_sqrt
     shares; this wrapper checks the seed and builds the element."""
@@ -309,6 +310,8 @@ def hensel_lift(
         raise ValueError("target precision must be >= 1")
     if not f.coefficients:
         raise ValueError("f = 0: every x is a root, so none is simple")
+    if f.degree == 0:
+        raise ValueError("f is a nonzero constant: it has no root")
 
     root, exact = _lift(f, f.derivative(), x, p, N)
     if exact:

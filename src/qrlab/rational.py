@@ -631,37 +631,36 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """The residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return (r1 + m1 * t) % (m1 * m2)
-
-
 def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> int | None:
     """Smallest d in [0, |b|/2] with d^2 = a (mod b), b squarefree with the
     given primes; shared primes allowed (p | gcd(a,b) forces d = 0 mod p).
-    None if impossible."""
+    None if impossible.
+
+    Each prime p contributes t_p = r_p (b/p) ((b/p)^-1 mod p), the CRT
+    basis element that is r_p mod p and 0 mod the other primes, so the
+    roots mod b are the sums of +-t_p.  d and -d fold to the same value, so
+    the first t_p with two signs keeps its sign."""
     b = abs(b)
-    residues = [(0, 1)]
+    fixed, signed = 0, []
     for p in primes:
         if p == 2:
-            roots = [a % 2]
+            r = a % 2
         elif a % p == 0:
-            roots = [0]
+            r = 0
         else:
             r = sqrt_mod_prime(a, p)
             if r is None:
                 return None
-            roots = [r, p - r] if r != p - r else [r]
-        residues = [(crt_pair(d, m, r, p), m * p) for d, m in residues for r in roots]
-    candidates = []
-    for d, m in residues:
-        assert m == b
-        d %= b
-        if 2 * d > b:
-            d = b - d
-        candidates.append(d)
-    return min(candidates)
+        q = b // p
+        t = r * q * pow(q, -1, p)
+        if r == -r % p:  # one root mod p (p = 2 or r = 0): no sign to choose
+            fixed += t
+        else:
+            signed.append(t)
+    sums = [fixed + sum(signed[:1])]
+    for t in signed[1:]:
+        sums = [s + t for s in sums] + [s - t for s in sums]
+    return min(min(d, b - d) for d in (s % b for s in sums))
 
 
 def sqrt_mod_squarefree(a: int, b: int) -> int | None:
@@ -702,19 +701,21 @@ def is_rational_square(x: Rat) -> Fraction | None:
     return None
 
 
-def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction]:
-    """(n, s) with sign * prod p^e = n * s^2, n a squarefree integer and
-    s > 0 rational, from the signed exponents of rational_factor_exponents."""
-    n, num, den = sign, 1, 1
+def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction, list[int]]:
+    """(n, s, primes) with sign * prod p^e = n * s^2, n a squarefree integer,
+    s > 0 rational and primes those of n, from the signed exponents of
+    rational_factor_exponents."""
+    n, num, den, primes = sign, 1, 1, []
     for p, e in exps:
         if e % 2:
             n *= p
+            primes.append(p)
         h = e // 2
         if h > 0:
             num *= p**h
         elif h < 0:
             den *= p**-h
-    return n, Fraction(num, den)
+    return n, Fraction(num, den), primes
 
 
 def squarefree_split(x: Rat) -> tuple[int, Fraction]:
@@ -722,4 +723,4 @@ def squarefree_split(x: Rat) -> tuple[int, Fraction]:
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
-    return squarefree_from_exponents(*rational_factor_exponents(x))
+    return squarefree_from_exponents(*rational_factor_exponents(x))[:2]

@@ -533,6 +533,14 @@ def test_hensel_of_the_zero_polynomial_exits_2(capsys):
         assert err.startswith("error: f = 0"), f
 
 
+def test_hensel_of_a_nonzero_constant_exits_2(capsys):
+    # a nonzero constant has no root at all, simple or not
+    for argv in (["5", "0", "-p", "7"], ["1", "0", "-p", "2"], ["-3,0,0", "4", "-p", "3"]):
+        code, out, err = invoke(capsys, "hensel", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: f is a nonzero constant: it has no root\n", argv
+
+
 def test_witness_respects_symbol(capsys):
     code, out, _ = invoke(capsys, "witness", "2", "7", "7", "--prec", "8", "--json")
     assert code == 0 and json.loads(out)["witness"] is not None
@@ -724,8 +732,87 @@ _FUZZ_COMMANDS = {
 @settings(max_examples=120, deadline=2000)
 @given(data=st.data())
 def test_padic_commands_exit_0_or_2(command, data):
-    argv = data.draw(_fuzz_argv(_FUZZ_COMMANDS[command]))
+    _assert_exits_0_or_2(data.draw(_fuzz_argv(_FUZZ_COMMANDS[command])))
+
+
+def _assert_exits_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 2), (argv, code, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the conic and modular-root commands: every call answers or exits
+# 2, never 1.  Numerators and denominators near 2^60 make the squarefree
+# parts of a and b near 2^120, so the descent meets factorize's 2^96 bound.
+
+_NEAR_2_60 = st.builds(lambda s, o: s * (2**60 + o), st.sampled_from([1, -1]),
+                       st.integers(-2**12, 2**12))
+_FUZZ_INTS = st.one_of(st.integers(-60, 60), _NEAR_2_60,
+                       st.lists(st.sampled_from([-1, 2, 3, 5, 7, 11, 13, 1009, 1013]),
+                                max_size=6).map(math.prod))
+_FUZZ_CONIC_RATIONALS = st.builds(lambda n, d: Fraction(n) / d, _FUZZ_INTS,
+                                  _FUZZ_INTS.filter(bool).map(abs))
+
+
+def _fuzz_ratstr(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _solvable_pair(a, x, y):
+    """a and b = (1 - a x^2) / y^2, so that (x, y) solves the conic and the
+    descent runs; b = 0 is refused with exit 2.  With these heights the
+    squarefree parts of a and b stay below 2^64, so every c of the descent
+    is below 2^62 and rho splits it well within the deadline."""
+    return [_fuzz_ratstr(a), _fuzz_ratstr((1 - a * x * x) / (y * y))]
+
+
+def _frame_argv(b, y, s, direction):
+    """A valid frame a = s^2 - b y^2, d^2 - a = b c, and the triple (1, y, s),
+    which solves the S side; frames with a or c = 0 are refused with exit 2."""
+    a = s * s - b * y * y
+    d = s % abs(b)
+    d = min(d, abs(b) - d)
+    return [str(t) for t in (a, b, (d * d - a) // b, d, 1, y, s)] + [direction]
+
+
+_DIRECTIONS = st.sampled_from(["forward", "backward"])
+_CONIC_PAIRS = st.one_of(
+    st.lists(_FUZZ_CONIC_RATIONALS.map(_fuzz_ratstr), min_size=2, max_size=2),
+    st.builds(_solvable_pair,
+              st.builds(Fraction, st.integers(-2**28, 2**28).filter(bool), st.integers(1, 2**28)),
+              st.integers(-12, 12), st.integers(1, 12)),
+)
+_CONIC_COMMANDS = {
+    "solve": _CONIC_PAIRS.map(lambda ab: ["solve"] + ab),
+    "global-norm": _CONIC_PAIRS.map(lambda ab: ["global-norm"] + ab),
+    "ternary": st.lists(_FUZZ_INTS.map(str), min_size=3, max_size=3).map(
+        lambda abc: ["ternary"] + abc),
+    "descent-step": st.one_of(
+        st.builds(_frame_argv, _FUZZ_INTS.filter(bool), _FUZZ_INTS, _FUZZ_INTS, _DIRECTIONS),
+        st.builds(lambda t, direction: [str(v) for v in t] + [direction],
+                  st.lists(_FUZZ_INTS, min_size=7, max_size=7), _DIRECTIONS),
+    ).map(lambda t: ["descent-step"] + t),
+    "sqrtmod-squarefree": st.builds(lambda a, b: ["sqrtmod-squarefree", str(a), str(b)],
+                                    _FUZZ_INTS, _FUZZ_INTS),
+    "sqrtmod-prime": st.builds(lambda a, p: ["sqrtmod-prime", str(a), p],
+                               _FUZZ_INTS, _FUZZ_MODULI),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONIC_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_conic_commands_exit_0_or_2(command, data):
+    json_flag = ["--json"] if data.draw(st.booleans()) else []
+    _assert_exits_0_or_2(data.draw(_CONIC_COMMANDS[command]) + json_flag)
+
+
+def test_descent_past_the_factor_bound_exits_2(capsys):
+    # both inputs lie within 2^96, but the descent reaches a c past it
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "solve", "193", "870704899398907883/757073404951759891")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "workload bound" in err

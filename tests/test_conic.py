@@ -2,6 +2,7 @@
 invariants, the full local-global solver with certificates, the ternary
 form, and the global norm test."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from qrlab.rational import (
     Place,
     _sqrt_mod_squarefree_general,
     factorize,
+    sqrt_mod_squarefree,
     squarefree_split,
 )
 
@@ -267,8 +269,6 @@ def test_descent_matches_fraction_route_height_1e9():
 
 
 def test_descent_returns_primitive_triples():
-    import math
-
     for a in range(-40, 41):
         for b in range(-40, 41):
             if not (a and b) or hilbert_vector(a, b).minus_places:
@@ -313,8 +313,6 @@ def test_ternary_example():
 
 
 def test_ternary_solutions_are_primitive_zeros():
-    import math
-
     for (a, b, c) in ((2, 3, -5), (1, 5, -6), (3, 5, -2), (-7, 2, 5), (1, 1, -1)):
         sol = legendre_ternary(a, b, c)
         assert sol is not None, (a, b, c)
@@ -362,6 +360,34 @@ def test_ternary_matches_brute_force():
         got = legendre_ternary(a, b, c) is not None
         if _ternary_brute(a, b, c):
             assert got, (a, b, c)
+
+
+def _legendre_conditions_hold(a, b, c):
+    """Legendre's classical conditions on a x^2 + b y^2 + c z^2 (a b c
+    squarefree): mixed signs, and -bc, -ca, -ab squares modulo |a|, |b|,
+    |c| respectively.  These residue tests decided solvability in
+    legendre_ternary before solve_conic's obstruction did."""
+    if a > 0 and b > 0 and c > 0 or a < 0 and b < 0 and c < 0:
+        return False
+    return all(abs(m) == 1 or sqrt_mod_squarefree(s, m) is not None
+               for s, m in ((-b * c, a), (-c * a, b), (-a * b, c)))
+
+
+def test_ternary_is_none_exactly_when_legendres_conditions_fail():
+    values = [n for n in range(-30, 31) if n and factorize(n).is_squarefree()]
+    solvable = unsolvable = 0
+    for a in values:
+        for b in values:
+            if math.gcd(a, b) != 1:
+                continue
+            for c in values:
+                if math.gcd(a * b, c) != 1:
+                    continue  # a b c is squarefree exactly when they are coprime
+                holds = _legendre_conditions_hold(a, b, c)
+                assert (legendre_ternary(a, b, c) is not None) == holds, (a, b, c)
+                solvable += holds
+                unsolvable += not holds
+    assert solvable > 1000 and unsolvable > 1000, (solvable, unsolvable)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ division and sympy (with the cofactors that trial division to 10^3 leaves
 to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, unit_sqrt on plain ints against the polynomial route it replaced,
-the logarithmic valuation against the one-division-per-digit
-loop, local_unit and its callers against the old route that built the unit
+square roots mod squarefree b from one CRT basis against the pairwise-CRT
+enumeration they replaced, the logarithmic valuation against the
+one-division-per-digit loop, local_unit and its callers against the old route that built the unit
 as a Fraction, and LocalWitness.verify in integers against its Fraction
 evaluation.  Also the certified-prime type Prime, and how many primality
 tests each public route makes."""
@@ -693,6 +694,69 @@ def test_sqrt_core_matches_sqrt_mod_prime():
         for a in range(1, p):
             assert sqrt_mod_prime(a, p) == roots.get(a), (a, p)
             assert sqrt_mod_prime(a + 5 * p, Prime(p)) == roots.get(a), (a, p)
+
+
+def _old_crt_pair(r1, m1, r2, m2):
+    t = (r2 - r1) * pow(m1, -1, m2) % m2
+    return (r1 + m1 * t) % (m1 * m2)
+
+
+def _old_sqrt_mod_squarefree_general(a, b, primes):
+    """The pairwise-CRT enumeration that the CRT basis replaced: every
+    combination of the roots mod each prime, glued one prime at a time with
+    one modular inverse per combination, then the least folded root."""
+    b = abs(b)
+    residues = [(0, 1)]
+    for p in primes:
+        if p == 2:
+            roots = [a % 2]
+        elif a % p == 0:
+            roots = [0]
+        else:
+            r = sqrt_mod_prime(a, p)
+            if r is None:
+                return None
+            roots = [r, p - r] if r != p - r else [r]
+        residues = [(_old_crt_pair(d, m, r, p), m * p) for d, m in residues for r in roots]
+    candidates = []
+    for d, m in residues:
+        assert m == b
+        d %= b
+        if 2 * d > b:
+            d = b - d
+        candidates.append(d)
+    return min(candidates)
+
+
+def test_crt_basis_matches_the_pairwise_enumeration():
+    # b of 1 to 8 primes, even in a third of the draws, of either sign; a is
+    # 0, a multiple of one prime of b, a square plus a multiple of b (so a
+    # root exists), or arbitrary
+    rng = random.Random(20261019)
+    primes = primes_below(200)
+    kinds = [0, 0, 0, 0]
+    for _ in range(4000):
+        ps = rng.sample(primes, rng.randint(1, 8))
+        if rng.random() < 0.3 and 2 not in ps:
+            ps[0] = 2
+        ps.sort()
+        b = math.prod(ps) * rng.choice((1, -1))
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = 0
+        elif kind == 1:
+            a = rng.choice(ps) * rng.randint(-10**6, 10**6)
+        elif kind == 2:
+            a = rng.randint(0, 10**6) ** 2 + rng.randint(-5, 5) * b
+        else:
+            a = rng.randint(-10**12, 10**12)
+        got = rational._sqrt_mod_squarefree_general(a, b, ps)
+        assert got == _old_sqrt_mod_squarefree_general(a, b, ps), (a, b, ps)
+        assert got is not None or kind != 2, (a, b)
+        if got is not None:
+            assert (got * got - a) % b == 0 and 0 <= 2 * got <= abs(b), (a, b, got)
+            kinds[kind] += 1
+    assert min(kinds) > 100, kinds  # every kind of input reached a root
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,14 @@ def test_hensel_refuses_the_zero_polynomial():
                 hensel_lift(f, x0, 32, p=7)
 
 
+def test_hensel_refuses_a_nonzero_constant():
+    # f' = 0 too, but the reason is that f has no root at all
+    for f in (IntPolynomial((5,)), IntPolynomial((-1, 0, 0))):
+        for x0 in (0, 7, PAdicElement(7, 0, 3, 10)):
+            with pytest.raises(ValueError, match="nonzero constant: it has no root"):
+                hensel_lift(f, x0, 32, p=7)
+
+
 # ---------------------------------------------------------------------------
 # square roots
 
