@@ -16,11 +16,14 @@ from fractions import Fraction
 
 from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
+    DEFAULT_FACTOR_BOUND,
+    FactorizationError,
     Place,
     Rat,
     Record,
     _set,
     _sqrt_mod_squarefree_general,
+    _squarefree_core,
     factorize,
     is_rational_square,
     rational_factor_exponents,
@@ -130,15 +133,20 @@ class ConicCertificate(Record):
 _MAX_DEPTH = 64
 
 
-def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[int, int, int, int]:
+def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0,
+             root: int | None = None) -> tuple[int, int, int, int]:
     """A primitive integer triple (x, y, z), z != 0, with a x^2 + b y^2 = z^2
     for squarefree integers a, b whose symbol vector is everywhere +1, and
     the max depth reached.  The descent runs on primitive integer triples
     at every level; no Fraction enters a triple.
 
     primes_a and primes_b are the primes of a and b.  Each level factors c
-    once and hands the primes of its squarefree part e down with the
-    primes of a, so no level factors a or b again."""
+    once, splits it on plain ints, and hands the primes of its squarefree
+    part e down with the primes of a, so no level factors a or b again.  It hands its d
+    down too: d^2 - a = b c makes d a root of a mod e, so the next level
+    takes its least root mod e from d and runs no Tonelli-Shanks, unless
+    it swaps a and e.  root is that d, or None at the top and after a
+    swap."""
     assert depth < _MAX_DEPTH, "descent failed to terminate"
     if a == 1:
         return 1, 0, 1, depth
@@ -149,16 +157,16 @@ def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0) -> tuple[int, i
         return x, y, z, reached
     # |a| <= |b|, |b| >= 2: the local conditions provide the least d in
     # [0, |b|/2] with d^2 = a (mod |b|)
-    d = _sqrt_mod_squarefree_general(a, b, primes_b)
+    d = _sqrt_mod_squarefree_general(a, b, primes_b, root)
     assert d is not None, (a, b)
     if d * d == a:
         return 1, 0, d, depth
     c = (d * d - a) // b
-    e, f, primes_e = squarefree_from_exponents(*rational_factor_exponents(c))
-    f = f.numerator  # c is an integer, so f is one
+    # c is an integer, so the split's denominator is 1
+    e, f, _, primes_e = _squarefree_core(*rational_factor_exponents(c))
     # solve the lighter form <a, e>, lift to <a, c> = <a, e f^2>, and step
     # back to <a, b>
-    X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1)
+    X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1, d)
     x, y, z = descent_step(DescentFrame(a, b, c, d), (X * f, Y, Z * f), "backward")
     if z == 0:
         # isotropic: the line through (x : y : 0) and (0 : 1 : 1) meets the
@@ -201,10 +209,16 @@ def legendre_ternary(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     or None when the conic (-a/c) x^2 + (-b/c) y^2 = 1 has a local
     obstruction: by Hasse-Minkowski, exactly when one of Legendre's
     conditions fails (mixed signs, and -bc, -ca, -ab squares modulo |a|,
-    |b|, |c| respectively)."""
+    |b|, |c| respectively).
+
+    a b c is squarefree exactly when a, b and c are and are pairwise
+    prime, so each is factored apart and the product never is."""
     if a * b * c == 0:
         raise ValueError("coefficients must be nonzero")
-    if not factorize(a * b * c).is_squarefree():
+    if abs(a * b * c) > DEFAULT_FACTOR_BOUND:
+        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
+    if (math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1
+            or not all(factorize(t).is_squarefree() for t in (a, b, c))):
         raise ValueError("a b c must be squarefree")
     cert = solve_conic(Fraction(-a, c), Fraction(-b, c))
     if cert.outcome == "obstruction":

@@ -594,47 +594,60 @@ def norm_product_check(x: Rat) -> bool:
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """Square root of a mod an odd prime p, normalized into (0, (p-1)/2];
-    None if a is a non-residue.  a must be prime to p.  Euler's criterion,
-    then Tonelli-Shanks."""
+    None if a is a non-residue.  a must be prime to p.
+
+    One full-size exponentiation per call, with no separate Euler test: a
+    non-residue shows in the root itself.  For p = 3 (mod 4), r =
+    a^((p+1)/4) and r^2 = a fails; for p = 5 (mod 8), Atkin's formula
+    r = a v (i - 1) with v = (2a)^((p-5)/8), i = 2 a v^2, and r^2 = a
+    fails; for p = 1 (mod 8), Tonelli-Shanks from w = a^((q-1)/2), p - 1 =
+    q 2^s, where t = a^q has order 2^s exactly when a is a non-residue."""
     p = odd_prime(p)
     a %= p
     if a == 0:
         raise ValueError("a must be prime to p")
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        r = a * v * (2 * a * v * v - 1) % p
     else:
-        # Tonelli-Shanks: write p-1 = q*2^s, descend through the 2-Sylow tower.
+        # Tonelli-Shanks: descend through the 2-Sylow tower from r = a^((q+1)/2)
         q, s = p - 1, 0
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
+        w = pow(a, (q - 1) // 2, p)
+        r = a * w % p
+        t = r * w % p
+        m, c = s, None
         while t != 1:
             t2, i = t * t % p, 1
             while t2 != 1:
                 t2 = t2 * t2 % p
                 i += 1
+            if i == m:
+                return None  # t of order 2^s: a^((p-1)/2) = -1
+            if c is None:
+                z = 3  # 2 is a residue mod p = 1 (mod 8)
+                while _jacobi(z, p) != -1:
+                    z += 1
+                c = pow(z, q, p)
             b = pow(c, 1 << (m - i - 1), p)
             r = r * b % p
             t = t * b * b % p
             c = b * b % p
             m = i
-    assert r * r % p == a
+    if r * r % p != a:
+        return None
     return min(r, p - r)
 
 
-def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> int | None:
+def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None) -> int | None:
     """Smallest d in [0, |b|/2] with d^2 = a (mod b), b squarefree with the
     given primes; shared primes allowed (p | gcd(a,b) forces d = 0 mod p).
-    None if impossible.
+    None if impossible.  A caller that already holds some root, root^2 = a
+    (mod b), passes it, and no prime needs sqrt_mod_prime.
 
     Each prime p contributes t_p = r_p (b/p) ((b/p)^-1 mod p), the CRT
     basis element that is r_p mod p and 0 mod the other primes, so the
@@ -647,6 +660,8 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes) -> int | None:
             r = a % 2
         elif a % p == 0:
             r = 0
+        elif root is not None:
+            r = root % p  # either root mod p: the folded +-sums are the same
         else:
             r = sqrt_mod_prime(a, p)
             if r is None:
@@ -701,10 +716,10 @@ def is_rational_square(x: Rat) -> Fraction | None:
     return None
 
 
-def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction, list[int]]:
-    """(n, s, primes) with sign * prod p^e = n * s^2, n a squarefree integer,
-    s > 0 rational and primes those of n, from the signed exponents of
-    rational_factor_exponents."""
+def _squarefree_core(sign: int, exps) -> tuple[int, int, int, list[int]]:
+    """(n, num, den, primes) with sign * prod p^e = n * (num/den)^2 over
+    the pairs (p, e), e signed, n squarefree and primes those of n: the one
+    squarefree split, on plain ints."""
     n, num, den, primes = sign, 1, 1, []
     for p, e in exps:
         if e % 2:
@@ -715,6 +730,14 @@ def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction, list[int]
             num *= p**h
         elif h < 0:
             den *= p**-h
+    return n, num, den, primes
+
+
+def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction, list[int]]:
+    """(n, s, primes) with sign * prod p^e = n * s^2, n a squarefree integer,
+    s > 0 rational and primes those of n, from the signed exponents of
+    rational_factor_exponents."""
+    n, num, den, primes = _squarefree_core(sign, exps)
     return n, Fraction(num, den), primes
 
 

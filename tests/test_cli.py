@@ -816,3 +816,54 @@ def test_descent_past_the_factor_bound_exits_2(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "workload bound" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the arithmetic, symbol and local commands: every call answers or
+# exits 2, never 1.  Rationals come from both fuzzes above, so heights near
+# 2^60 reach rho; places and moduli include composites, 0, negatives and junk.
+
+_FUZZ_ANY_RATIONALS = st.one_of(_FUZZ_RATIONALS, _FUZZ_CONIC_RATIONALS.map(_fuzz_ratstr),
+                                st.sampled_from(["x", "1/0", "-0", "3/-4"]))
+_FUZZ_PLACES = st.one_of(_FUZZ_MODULI, st.sampled_from(["inf", "infinity", "oo", "-inf", "x"]))
+
+
+def _textual_element(p, v, digits, k):
+    """p^v * (d0 + d1*p + d2*p^2 ...) + O(p^(v+k)), valid when p is prime,
+    every digit lies in [0, p) and k exceeds the last digit's index."""
+    terms = [f"{d}*{p}^{i}" if i > 1 else f"{d}*{p}" if i else str(d)
+             for i, d in enumerate(digits)]
+    return f"{p}^{v} * ({' + '.join(terms)}) + O({p}^{v + k})"
+
+
+_FUZZ_ELEMENTS = st.one_of(
+    _FUZZ_ANY_RATIONALS,
+    st.builds(_textual_element, st.sampled_from([2, 3, 7, 15]), st.integers(-3, 3),
+              st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(0, 6)),
+)
+_ARITHMETIC_COMMANDS = {
+    "factorize": st.one_of(_FUZZ_INTS.map(str), _FUZZ_ANY_RATIONALS).map(
+        lambda n: ["factorize", n]),
+    "vp": st.builds(lambda x, p: ["vp", x, p], _FUZZ_ANY_RATIONALS, _FUZZ_MODULI),
+    "absval": st.builds(lambda x, v: ["absval", x, v], _FUZZ_ANY_RATIONALS, _FUZZ_PLACES),
+    "norm-product": _FUZZ_ANY_RATIONALS.map(lambda x: ["norm-product", x]),
+    "legendre": st.builds(lambda a, p: ["legendre", a, p], _FUZZ_ANY_RATIONALS, _FUZZ_MODULI),
+    "lambda4": _FUZZ_ANY_RATIONALS.map(lambda a: ["lambda4", a]),
+    "lambda8": _FUZZ_ANY_RATIONALS.map(lambda a: ["lambda8", a]),
+    "hilbert": st.builds(lambda a, b, v: ["hilbert", a, b] + v, _FUZZ_ANY_RATIONALS,
+                         _FUZZ_ANY_RATIONALS,
+                         st.one_of(_FUZZ_PLACES.map(lambda v: [v]),
+                                   st.sampled_from([[], ["--all"], ["7", "--all"]]))),
+    "is-norm": st.builds(lambda a, b, v: ["is-norm", a, b, v], _FUZZ_ANY_RATIONALS,
+                         _FUZZ_ANY_RATIONALS, _FUZZ_PLACES),
+    "square-class": st.builds(lambda x, p: ["square-class", x] + p, _FUZZ_ELEMENTS,
+                              st.one_of(st.just([]), _FUZZ_MODULI.map(lambda p: ["-p", p]))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARITHMETIC_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_arithmetic_commands_exit_0_or_2(command, data):
+    json_flag = ["--json"] if data.draw(st.booleans()) else []
+    _assert_exits_0_or_2(data.draw(_ARITHMETIC_COMMANDS[command]) + json_flag)

@@ -20,8 +20,10 @@ from qrlab.conic import (
     solve_conic,
 )
 from qrlab.hilbert import hilbert_symbol, hilbert_vector
+from qrlab import rational
 from qrlab.rational import (
     INF_PLACE,
+    FactorizationError,
     Place,
     _sqrt_mod_squarefree_general,
     factorize,
@@ -338,6 +340,37 @@ def test_ternary_rejects():
     with pytest.raises(ValueError):
         legendre_ternary(0, 1, -1)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-300, 300).filter(bool), min_size=3, max_size=3))
+def test_ternary_squarefree_check_matches_the_product(abc):
+    # a, b, c apart and pairwise prime against factoring the product
+    a, b, c = abc
+    try:
+        legendre_ternary(a, b, c)
+        refused = False
+    except ValueError as err:
+        assert str(err) == "a b c must be squarefree"
+        refused = True
+    assert refused == (not factorize(a * b * c).is_squarefree()), abc
+
+
+def test_ternary_factors_no_product(monkeypatch):
+    # two 40-bit primes: factoring their product took rho ~0.8 s; factored
+    # apart, each is certified by Miller-Rabin alone
+    calls = []
+    rho = rational._pollard_rho
+    monkeypatch.setattr(rational, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    assert legendre_ternary(1099511640127, 1099512615433, -1) is None
+    assert legendre_ternary(140737488367699, 140737489342987, -1) is None
+    assert calls == []
+
+
+def test_ternary_keeps_the_workload_bound():
+    # each coefficient is below 2^96, the product is not
+    with pytest.raises(FactorizationError, match="workload bound"):
+        legendre_ternary(2**40 + 15, 2**40 + 99, 2**17 - 1)
 
 def _ternary_brute(a, b, c, bound=12):
     for x in range(bound):

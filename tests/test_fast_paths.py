@@ -5,12 +5,15 @@ division and sympy (with the cofactors that trial division to 10^3 leaves
 to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, unit_sqrt on plain ints against the polynomial route it replaced,
-square roots mod squarefree b from one CRT basis against the pairwise-CRT
-enumeration they replaced, the logarithmic valuation against the
-one-division-per-digit loop, local_unit and its callers against the old route that built the unit
-as a Fraction, and LocalWitness.verify in integers against its Fraction
-evaluation.  Also the certified-prime type Prime, and how many primality
-tests each public route makes."""
+sqrt_mod_prime's one exponentiation per root against Euler's criterion and
+Tonelli-Shanks, square roots mod squarefree b from one CRT basis against the
+pairwise-CRT enumeration they replaced, the descent that carries each
+frame's d down against one that takes a fresh root at every level, the
+logarithmic valuation against the one-division-per-digit loop, local_unit
+and its callers against the old route that built the unit as a Fraction,
+and LocalWitness.verify in integers against its Fraction evaluation.
+Also the certified-prime type Prime, and how many primality tests each
+public route makes."""
 
 import hashlib
 import importlib
@@ -25,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_prime_trial, primes_below, slow_hilbert
-from qrlab import padic, rational
+from qrlab import conic, padic, rational
 from qrlab.conic import solve_conic
 from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
 from qrlab.hilbert import (
@@ -684,7 +687,8 @@ def test_valuation_needs_a_base_of_at_least_2():
 
 
 # ---------------------------------------------------------------------------
-# modular square roots: Euler's criterion and Tonelli-Shanks against a search
+# modular square roots: one exponentiation per root against a search and
+# against Euler's criterion followed by Tonelli-Shanks
 
 
 def test_sqrt_core_matches_sqrt_mod_prime():
@@ -695,6 +699,86 @@ def test_sqrt_core_matches_sqrt_mod_prime():
             assert sqrt_mod_prime(a, p) == roots.get(a), (a, p)
             assert sqrt_mod_prime(a + 5 * p, Prime(p)) == roots.get(a), (a, p)
 
+
+
+def _old_sqrt_mod_prime(a, p):
+    """The route sqrt_mod_prime took before it spent one exponentiation per
+    root: Euler's criterion, then a^((p+1)/4) or Tonelli-Shanks with a pow
+    per non-residue candidate."""
+    a %= p
+    if a == 0:
+        raise ValueError("a must be prime to p")
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            t2, i = t * t % p, 1
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            t = t * b * b % p
+            c = b * b % p
+            m = i
+    assert r * r % p == a
+    return min(r, p - r)
+
+
+#: Primes of each class mod 8; 257, 7681, 12289 and 65537 are 1 + q 2^s with
+#: s = 8, 9, 12 and 16, so Tonelli-Shanks climbs a tall 2-Sylow tower.
+_SQRT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 73, 89, 97, 113,
+                1009, 1013, 257, 7681, 12289, 65537)
+
+
+def test_sqrt_mod_prime_matches_euler_then_tonelli_shanks_on_every_residue():
+    assert {p % 8 for p in _SQRT_PRIMES} == {1, 3, 5, 7}
+    for p in _SQRT_PRIMES:
+        assert [sqrt_mod_prime(a, p) for a in range(1, p)] == [
+            _old_sqrt_mod_prime(a, p) for a in range(1, p)], p
+        with pytest.raises(ValueError):
+            sqrt_mod_prime(3 * p, p)
+
+
+def _next_prime(n):
+    n |= 1
+    while not rational.is_probable_prime(n):
+        n += 2
+    return n
+
+
+def test_sqrt_mod_prime_matches_euler_then_tonelli_shanks_on_large_primes():
+    # 200 seeded 40-48-bit primes, each with five residues and five
+    # non-residues
+    rng = random.Random(20261019)
+    classes = set()
+    for _ in range(200):
+        p = _next_prime(rng.getrandbits(rng.randint(40, 48)) | 1 << 39)
+        classes.add(p % 8)
+        residues = [pow(rng.randrange(1, p), 2, p) for _ in range(5)]
+        z = rng.randrange(2, p)
+        while legendre(z, p) != -1:
+            z = rng.randrange(2, p)
+        nonresidues = [z * r % p for r in residues]
+        for a in residues:
+            r = sqrt_mod_prime(a, p)
+            assert r == _old_sqrt_mod_prime(a, p) and r * r % p == a, (a, p)
+        for a in nonresidues:
+            assert sqrt_mod_prime(a, p) is None and _old_sqrt_mod_prime(a, p) is None, (a, p)
+    assert classes == {1, 3, 5, 7}
 
 def _old_crt_pair(r1, m1, r2, m2):
     t = (r2 - r1) * pow(m1, -1, m2) % m2
@@ -757,6 +841,101 @@ def test_crt_basis_matches_the_pairwise_enumeration():
             assert (got * got - a) % b == 0 and 0 <= 2 * got <= abs(b), (a, b, got)
             kinds[kind] += 1
     assert min(kinds) > 100, kinds  # every kind of input reached a root
+
+
+# ---------------------------------------------------------------------------
+# Legendre descent: carrying each frame's d down against a fresh least root
+# at every level
+
+
+def _old_descent(a, b, primes_a, primes_b, depth=0):
+    """The descent before it carried d down: a fresh least root of a mod b
+    at every level, and c split through rational_factor_exponents."""
+    assert depth < 64
+    if a == 1:
+        return 1, 0, 1, depth
+    if b == 1:
+        return 0, 1, 1, depth
+    if abs(a) > abs(b):
+        y, x, z, reached = _old_descent(b, a, primes_b, primes_a, depth)
+        return x, y, z, reached
+    d = rational._sqrt_mod_squarefree_general(a, b, primes_b)
+    if d * d == a:
+        return 1, 0, d, depth
+    c = (d * d - a) // b
+    e, f, primes_e = rational.squarefree_from_exponents(*rational_factor_exponents(c))
+    f = f.numerator
+    X, Y, Z, reached = _old_descent(a, e, primes_a, primes_e, depth + 1)
+    x, y, z = conic.descent_step(conic.DescentFrame(a, b, c, d), (X * f, Y, Z * f), "backward")
+    if z == 0:
+        x, y, z = (1 - b) * x, (1 + b) * y, 2 * b * y
+    g = math.gcd(x, y, z)
+    return x // g, y // g, z // g, reached
+
+
+def _solvable_squarefree_pairs(seed, count):
+    """Signed squarefree a, b of one to three primes of 10-48 bits, with
+    every Hilbert symbol +1, and their primes."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b = (rng.choice((1, -1)) * math.prod(
+            _next_prime(rng.getrandbits(rng.randint(10, 48 // k)) | 1 << 9) for _ in range(k))
+            for k in (rng.randint(1, 3), rng.randint(1, 3)))
+        fa, fb = factorize(a), factorize(b)
+        if (fa.is_squarefree() and fb.is_squarefree() and math.gcd(a, b) == 1
+                and not hilbert_vector(a, b).minus_places):
+            pairs.append((a, b, [p for p, _ in fa], [p for p, _ in fb]))
+    return pairs
+
+
+_DESCENT_PAIRS = _solvable_squarefree_pairs(20261019, 300)
+
+
+def test_descent_matches_the_fresh_root_descent():
+    depths = []
+    for a, b, primes_a, primes_b in _DESCENT_PAIRS:
+        got = conic._descent(a, b, primes_a, primes_b)
+        assert got == _old_descent(a, b, primes_a, primes_b), (a, b)
+        depths.append(got[3])
+    assert max(depths) >= 4  # the pairs reach deep descents
+
+
+def test_descent_takes_no_root_mod_a_prime_of_a_frames_e(monkeypatch):
+    # A level reached through a frame (one deeper than its caller, not a
+    # swap) that keeps its order takes its roots from the caller's d; only
+    # the top level and a level after a swap call sqrt_mod_prime, once for
+    # each odd prime of b that does not divide a.
+    stack, expected, fresh, carried = [], [], [], []
+    saved = 0
+    descent, root = conic._descent, rational.sqrt_mod_prime
+
+    def traced_descent(a, b, primes_a, primes_b, depth=0, *rest):
+        nonlocal saved
+        via_frame = bool(stack) and depth == stack[-1][0] + 1
+        stack.append((depth, via_frame))
+        if 1 not in (a, b) and abs(a) <= abs(b):
+            needed = [(a % p, p) for p in primes_b if p != 2 and a % p]
+            if via_frame:
+                saved += len(needed)
+            else:
+                expected.extend(needed)
+        try:
+            return descent(a, b, primes_a, primes_b, depth, *rest)
+        finally:
+            stack.pop()
+
+    def traced_root(a, p):
+        (carried if stack[-1][1] else fresh).append((a % p, p))
+        return root(a, p)
+
+    monkeypatch.setattr(conic, "_descent", traced_descent)
+    monkeypatch.setattr(rational, "sqrt_mod_prime", traced_root)
+    for a, b, primes_a, primes_b in _DESCENT_PAIRS[:100]:
+        solve_conic(a, b)
+    assert carried == []
+    assert fresh == expected
+    assert saved > len(fresh) // 4, (saved, len(fresh))
 
 
 # ---------------------------------------------------------------------------
