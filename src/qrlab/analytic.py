@@ -153,22 +153,11 @@ class ComplexValue(Record):
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def times(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue.of(self.as_complex() * other.as_complex())
-
-    def modulus(self) -> float:
-        return abs(self.as_complex())
-
-    def distance(self, other: ComplexValue | complex) -> float:
-        w = other.as_complex() if isinstance(other, ComplexValue) else other
-        return abs(self.as_complex() - w)
-
     def __str__(self) -> str:
         return f"{self.re:.12g}{self.im:+.12g}·i"
 
 
 ONE = ComplexValue(1.0, 0.0)
-I_UNIT = ComplexValue(0.0, 1.0)
 
 
 class LocalCharacter(Record):
@@ -200,10 +189,6 @@ class LocalCharacter(Record):
             allowed = {4, 8} if p == 2 else {p}
             if not self.quad.factors <= allowed:
                 raise ValueError(f"factors {set(self.quad.factors)} are not local at {p}")
-
-    @classmethod
-    def trivial(cls, v: PlaceLike) -> "LocalCharacter":
-        return cls(_coerce_place(v))
 
     @classmethod
     def at_infinity(cls, r: int) -> "LocalCharacter":

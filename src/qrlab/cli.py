@@ -11,6 +11,7 @@ booleans as "true"/"false"; every command takes --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -483,12 +484,22 @@ def _h_bost(a):
 # ---------------------------------------------------------------------------
 # scans (shardable across processes; results kept in input order)
 
+#: Largest max_prime of scan-reciprocity: its 28203 pairs take about 0.6 s.
+SCAN_PRIME_BOUND = 1500
+
+#: Most pairs of scan-product-formula: about 1.6 s at heights up to 10^6.
+SCAN_PAIRS_BOUND = 10**4
+
+
 def _chunks(items, n):
     size = max(1, -(-len(items) // n))
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _run_sharded(fn, items, workers):
+    # the pool starts all its workers at once: no more than this process's CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     if workers <= 1 or len(items) <= 1:
         return fn(items)
     from concurrent.futures import ProcessPoolExecutor
@@ -536,6 +547,8 @@ def _vonstaudt_shard(ks):
 
 def _h_scan_reciprocity(a):
     bound = _int(a.max_prime)
+    if bound > SCAN_PRIME_BOUND:
+        raise ValueError(f"max_prime = {bound} exceeds the scan workload bound {SCAN_PRIME_BOUND}")
     primes = [p for p in range(3, bound) if rational.is_probable_prime(p)]
     pairs = [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]]
     failures = _run_sharded(_reciprocity_shard, pairs, a.workers)
@@ -553,6 +566,8 @@ def _h_scan_product_formula(a):
     count, bound = _int(a.count), _int(a.bound)
     if count < 1 or bound < 1:
         raise ValueError("count and bound must be positive")
+    if count > SCAN_PAIRS_BOUND:
+        raise ValueError(f"count = {count} exceeds the scan workload bound {SCAN_PAIRS_BOUND}")
     import random
 
     rng = random.Random(a.seed)
@@ -573,7 +588,12 @@ def _h_scan_product_formula(a):
 
 
 def _h_scan_vonstaudt(a):
-    ks = list(range(2, _int(a.max_k) + 1, 2))
+    max_k = _int(a.max_k)
+    if max_k >= 2:
+        from qrlab import analytic
+        # refuses a k past BERNOULLI_BOUND before the list is built
+        analytic.bernoulli(max_k - max_k % 2)
+    ks = list(range(2, max_k + 1, 2))
     failures = _run_sharded(_vonstaudt_shard, ks, a.workers)
     lines = [f"FAIL: k={k}" for k in failures]
     lines.append(f"{len(ks)} values, {len(failures)} failures")

@@ -18,7 +18,6 @@ from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
     DEFAULT_FACTOR_BOUND,
     FactorizationError,
-    Place,
     Rat,
     Record,
     _set,
@@ -27,7 +26,6 @@ from qrlab.rational import (
     factorize,
     is_rational_square,
     rational_factor_exponents,
-    squarefree_from_exponents,
 )
 
 Triple = tuple[Rat, Rat, Rat]
@@ -190,12 +188,12 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
         cert = ConicCertificate(a, b, "obstruction", places=vector.support)
         assert cert.verify()
         return cert
-    # scale to squarefree integers: a x^2 = a0 (sa x)^2
-    a0, sa, primes_a = squarefree_from_exponents(sign_a, exps_a)
-    b0, sb, primes_b = squarefree_from_exponents(sign_b, exps_b)
+    # scale to squarefree integers: a x^2 = a0 (sa x)^2, sa = num_a / den_a
+    a0, num_a, den_a, primes_a = _squarefree_core(sign_a, exps_a)
+    b0, num_b, den_b, primes_b = _squarefree_core(sign_b, exps_b)
     X, Y, Z, depth = _descent(a0, b0, primes_a, primes_b)
-    # among the four sign flips, the least with x >= 0
-    x, y = abs(Fraction(X, Z) / sa), -abs(Fraction(Y, Z) / sb)
+    # x = X / (Z sa) and y = Y / (Z sb), of the four sign flips the one with x >= 0 >= y
+    x, y = abs(Fraction(X * den_a, Z * num_a)), -abs(Fraction(Y * den_b, Z * num_b))
     cert = ConicCertificate(a, b, "solution", x=x, y=y, descent_depth=depth)
     assert cert.verify(), (a, b, x, y)
     return cert

@@ -99,15 +99,9 @@ class SymbolVector(Record):
         if len(self.minus_places) % 2:
             raise ValueError("the -1 support of a symbol vector must be even")
 
-    def sign_at(self, v: PlaceLike) -> int:
-        return -1 if _coerce_place(v) in self.minus_places else 1
-
     @property
     def support(self) -> tuple:
         return tuple(sorted(self.minus_places))
-
-    def product(self) -> int:
-        return (-1) ** len(self.minus_places)
 
     def to_json(self) -> dict:
         return {
@@ -115,16 +109,6 @@ class SymbolVector(Record):
                 {"place": v.json_value(), "sign": -1} for v in self.support
             ]
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SymbolVector":
-        minus = set()
-        for entry in data.get("support", ()):
-            if entry["sign"] == -1:
-                minus.add(Place.parse(str(entry["place"])))
-            elif entry["sign"] != 1:
-                raise ValueError(f"bad sign {entry['sign']}")
-        return cls(frozenset(minus))
 
 
 def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVector:

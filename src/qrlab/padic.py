@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
 from fractions import Fraction
 
 from qrlab.rational import (
@@ -34,6 +33,10 @@ from qrlab.symbols import smallest_nonresidue
 #: k the --prec digits or the exponent of a textual O(p^k): p^k <= 2^1024.
 #: Every p-adic command takes well under 1 s there.
 PADIC_BITS_BOUND = 1024
+
+#: Most products mod p that vp_factorial spends on digit factorials, about
+#: 0.5 s; a digit needs at most (p-1)/2, so no p below 10^7 is refused.
+VP_FACTORIAL_BOUND = 5 * 10**6
 
 
 class PAdicElement(Record):
@@ -93,14 +96,6 @@ class PAdicElement(Record):
             return INFINITY
         return self.valuation + self.precision
 
-    def unit_digit(self, i: int = 0) -> int:
-        """The i-th base-p digit of the unit part."""
-        if self.is_zero:
-            raise ValueError("exact zero has no unit digits")
-        if not 0 <= i < self.precision:
-            raise ValueError(f"digit {i} beyond precision {self.precision}")
-        return self.unit // self.prime ** i % self.prime
-
     def integer_rep(self) -> int:
         """The canonical representative p^v * unit (valuation >= 0 only)."""
         if self.is_zero:
@@ -108,21 +103,6 @@ class PAdicElement(Record):
         if self.valuation < 0:
             raise ValueError("element is not p-integral")
         return self.prime ** self.valuation * self.unit
-
-    def rational_rep(self) -> Fraction:
-        """p^v * unit as an exact rational (any valuation)."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.prime) ** self.valuation * self.unit
-
-    def truncate(self, precision: int) -> "PAdicElement":
-        """Forget digits: reduce the relative precision to at most k."""
-        if self.is_zero:
-            return self
-        k = min(self.precision, precision)
-        if k < 1:
-            raise ValueError("cannot truncate below one digit")
-        return PAdicElement(self.prime, self.valuation, self.unit % self.prime ** k, k)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -261,21 +241,6 @@ class IntPolynomial(Record):
         return IntPolynomial(
             tuple(i * c for i, c in enumerate(self.coefficients))[1:]
         )
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*T")
-            else:
-                terms.append(f"{c}*T^{i}")
-        return " + ".join(terms).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +430,9 @@ def unit_decompose(x: PAdicElement) -> tuple[PAdicElement, PAdicElement]:
 def vp_factorial(n: int, p: int) -> tuple[int, int]:
     """(v_p(n!), t_n) where v_p(n!) = (n - s_n)/(p-1) for the base-p digit
     sum s_n, and t_n = product of the factorials of the digits mod p, so
-    that n! = (-p)^{v_p(n!)} t_n (mod p^{v_p(n!)+1})."""
+    that n! = (-p)^{v_p(n!)} t_n (mod p^{v_p(n!)+1}).  A digit d > (p-1)/2
+    is read by Wilson's theorem, d! = (-1)^(d+1) / (p-1-d)! (mod p), so
+    one pass of at most VP_FACTORIAL_BOUND products mod p serves them all."""
     if n < 0:
         raise ValueError("n must be >= 0")
     p = Prime(p)
@@ -475,10 +442,22 @@ def vp_factorial(n: int, p: int) -> tuple[int, int]:
         digits.append(m % p)
         m //= p
     val = (n - sum(digits)) // (p - 1)
+    needed = sorted({min(d, p - 1 - d) for d in digits})
+    if needed and needed[-1] > VP_FACTORIAL_BOUND:
+        raise ValueError(f"a base-{p} digit of n needs {needed[-1]} products mod p, past "
+                         f"the factorial workload bound {VP_FACTORIAL_BOUND}")
+    fact, f, done = {}, 1, 0
+    for m in needed:
+        for j in range(done + 1, m + 1):
+            f = f * j % p
+        fact[m], done = f, m
     t = 1
     for d in digits:
-        t = t * math.factorial(d) % p
-    return val, t % p
+        if 2 * d < p:
+            t = t * fact[d] % p
+        else:
+            t = (-1) ** (d + 1) * t * pow(fact[p - 1 - d], -1, p) % p
+    return val, t
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +465,22 @@ def vp_factorial(n: int, p: int) -> tuple[int, int]:
 
 def sqrt_series_1p8x(x: int, precision: int = DEFAULT_PRECISION) -> PAdicElement:
     """y = sum_{n>=1} c_n (4x)^n / n! with c_n = prod_{0<=i<n} (1-2i): the
-    binomial series for sqrt(1+8x) - 1, summed 2-adically.  The n-th term
-    has 2-valuation n + s_2(n), so digits below 2^k are settled by n < k."""
+    binomial series for sqrt(1+8x) - 1, summed 2-adically.  As v_2(n!) =
+    n - s_2(n), the n-th term is c_n x^n 2^(n + s_2(n)) over the odd part
+    of n!, so digits below 2^k are settled by n < k, the sum runs on ints
+    mod 2^k, and x is read only mod 2^k."""
     if precision < 3:
         raise ValueError("precision must be >= 3")
     k = precision
-    total = Fraction(0)
-    c = 1  # c_n, starting at c_1 = 1
-    for n in range(1, k):
-        total += Fraction(c * (4 * x) ** n, math.factorial(n))
-        c *= 1 - 2 * n
     mod = 2 ** k
-    assert total.denominator % 2 == 1
-    y = total.numerator * pow(total.denominator, -1, mod) % mod
+    x %= mod
+    # c_n, x^n and the inverse of the odd part of n!, mod 2^k
+    y, c, power, inv = 0, 1, 1, 1
+    for n in range(1, k):
+        power = power * x % mod
+        inv = inv * pow(n >> (n & -n).bit_length() - 1, -1, mod) % mod
+        y = (y + (c * power << n + bin(n).count("1")) * inv) % mod
+        c = c * (1 - 2 * n) % mod
     assert (1 + y) ** 2 % mod == (1 + 8 * x) % mod
     assert y % 4 == 0
     if y == 0:
@@ -536,20 +518,6 @@ def digits(x: PAdicElement, scheme: str = "standard") -> list[int]:
         out.append(d)
         rem = (rem - d) // p
     return out
-
-
-def from_digits(ds: Sequence[int], p: int, scheme: str = "standard") -> PAdicElement:
-    """Rebuild the element x = sum d_i p^i known mod p^len(ds)."""
-    if scheme not in ("standard", "teichmuller"):
-        raise ValueError(f"unknown digit scheme {scheme!r}")
-    p = Prime(p)
-    if not ds:
-        return PAdicElement(p, INFINITY, 0, 0)
-    K = len(ds)
-    val = sum(d * p ** i for i, d in enumerate(ds)) % p ** K
-    if val == 0:
-        return PAdicElement(p, INFINITY, 0, 0)
-    return _element_from_int(val, p, K)
 
 
 # ---------------------------------------------------------------------------

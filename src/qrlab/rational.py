@@ -335,38 +335,11 @@ class Factorization(Record):
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be >= 1")
 
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
     def vp(self, p: int) -> int:
         for q, e in self.factors:
             if q == p:
                 return e
         return 0
-
-    def radical(self) -> int:
-        n = 1
-        for p, _ in self.factors:
-            n *= p
-        return n
-
-    def squarefree_part(self) -> int:
-        """The squarefree integer n / (largest square divisor), keeping sign."""
-        n = self.sign
-        for p, e in self.factors:
-            if e % 2:
-                n *= p
-        return n
-
-    def square_divisor_root(self) -> int:
-        """s with value = squarefree_part * s^2."""
-        s = 1
-        for p, e in self.factors:
-            s *= p ** (e // 2)
-        return s
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
@@ -415,15 +388,13 @@ def _factor_dict(n: int) -> dict[Prime, int]:
 
 
 def factorize(n: int) -> Factorization:
-    """Full prime factorization: trial division by the primes up to
+    """Full prime factorization of a nonzero integer, read from
+    rational_factor_exponents: trial division by the primes up to
     TRIAL_DIVISION_LIMIT, then Pollard rho on whatever survives, every prime
     certified once and returned as a Prime."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    if abs(n) > DEFAULT_FACTOR_BOUND:
-        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
-    found = _factor_dict(abs(n))
-    return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
+    return Factorization(*rational_factor_exponents(n))
 
 
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -731,19 +702,3 @@ def _squarefree_core(sign: int, exps) -> tuple[int, int, int, list[int]]:
         elif h < 0:
             den *= p**-h
     return n, num, den, primes
-
-
-def squarefree_from_exponents(sign: int, exps) -> tuple[int, Fraction, list[int]]:
-    """(n, s, primes) with sign * prod p^e = n * s^2, n a squarefree integer,
-    s > 0 rational and primes those of n, from the signed exponents of
-    rational_factor_exponents."""
-    n, num, den, primes = _squarefree_core(sign, exps)
-    return n, Fraction(num, den), primes
-
-
-def squarefree_split(x: Rat) -> tuple[int, Fraction]:
-    """x = n * s^2 with n a squarefree integer and s > 0 rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    return squarefree_from_exponents(*rational_factor_exponents(x))[:2]

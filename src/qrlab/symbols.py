@@ -3,10 +3,10 @@ character, the mod-4 and mod-8 sign characters, Gauss's lemma, the
 reciprocity law with its lattice-count proof, and the composite characters
 psi_a and chi_a.
 
-Sign values are plain ints in {+1,-1}; every sign operation has an epsilon
-twin returning an element of {0,1} (the exponent in sign = (-1)^eps), and all
-exponent bookkeeping is done mod 2 in those twins to keep signs and exponents
-from being mixed up.
+Sign values are plain ints in {+1,-1}.  The mod-4, mod-8 and archimedean
+signs each have an epsilon twin returning an element of {0,1} (the exponent
+in sign = (-1)^eps), and exponent bookkeeping is done mod 2 in those twins to
+keep signs and exponents from being mixed up.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def legendre(a: Rat, p: int) -> int:
     if r != 0:
         raise ValueError(f"v_{p}({a}) = {r} != 0: not a unit at {p}")
     return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-
-
-def eps_p(a: Rat, p: int) -> int:
-    return 0 if legendre(a, p) == 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +233,6 @@ class QuadraticCharacter(Record):
 
 
 TRIVIAL_CHARACTER = QuadraticCharacter(frozenset())
-
-
-def psi_support(a: int) -> int:
-    """k(a): the product of the primes appearing to an odd power in odd a."""
-    if a % 2 == 0:
-        raise ValueError("a must be odd")
-    return abs(factorize(a).squarefree_part())
 
 
 def psi(a: int, n: Rat) -> int:

@@ -174,3 +174,55 @@ def conductor_by_search(chi) -> int:
         if all(chi.value(x) == 1 for x in group):
             return n
     raise AssertionError("quadratic characters have conductor exponent <= 3")
+
+
+def factorization_value(f) -> int:
+    """sign * prod p^e: the integer a Factorization stands for."""
+    n = f.sign
+    for p, e in f.factors:
+        n *= p ** e
+    return n
+
+
+def squarefree_split(sign: int, exps) -> tuple[int, Fraction]:
+    """(n, s) with sign * prod p^e = n s^2 over the pairs (p, e), e signed:
+    n the squarefree integer of the primes with odd e, s > 0 rational."""
+    n, s = sign, Fraction(1)
+    for p, e in exps:
+        if e % 2:
+            n *= p
+        s *= Fraction(p) ** (e // 2)
+    return n, s
+
+
+def eps_p(a, p: int) -> int:
+    """e in {0, 1} with (a/p) = (-1)^e for a rational a that is a unit at
+    the odd prime p, by Euler's criterion; ValueError when it is not."""
+    a = Fraction(a)
+    if a.numerator % p == 0 or a.denominator % p == 0:
+        raise ValueError(f"{a} is not a unit at {p}")
+    r = a.numerator * pow(a.denominator, -1, p) % p
+    return 0 if pow(r, (p - 1) // 2, p) == 1 else 1
+
+
+def sign_at(vector, place) -> int:
+    """The Hilbert symbol a symbol vector records at a place, given as a
+    Place, an int prime or "inf", compared through its printed form."""
+    return -1 if str(place) in {str(v) for v in vector.minus_places} else 1
+
+
+def padic_value(x) -> Fraction:
+    """p^v * unit of a p-adic element as an exact rational, 0 for zero."""
+    if x.unit == 0:
+        return Fraction(0)
+    return Fraction(x.prime) ** x.valuation * x.unit
+
+
+def unit_digit(x, i: int) -> int:
+    """The i-th base-p digit of the unit of a p-adic element."""
+    return x.unit // x.prime ** i % x.prime
+
+
+def digits_value(ds, p: int) -> int:
+    """sum d_i p^i mod p^len(ds): the integer a digit list stands for."""
+    return sum(d * p ** i for i, d in enumerate(ds)) % p ** len(ds)

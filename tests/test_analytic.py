@@ -20,7 +20,6 @@ from oracles import (
 )
 from qrlab.analytic import (
     BERNOULLI_BOUND,
-    I_UNIT,
     ONE,
     ROOT_NUMBER_BOUND,
     ComplexValue,
@@ -172,7 +171,7 @@ def test_frac_part_padic_input():
 
 
 def test_frac_part_needs_tail_digits():
-    deep = PAdicElement.from_rational(Fraction(1, 3 ** 40), 3).truncate(8)
+    deep = PAdicElement(3, -40, 1, 8)  # 3^-40 known mod 3^-32
     with pytest.raises(PrecisionLossError):
         p_frac_part(deep)
 
@@ -234,7 +233,7 @@ def test_conductor_table():
         assert conductor_exponent(_chi(p, nu=True)) == 0
         assert conductor_exponent(_chi(p, factors=(p,))) == 1
         assert conductor_exponent(_chi(p, factors=(p,), nu=True)) == 1
-        assert conductor_exponent(LocalCharacter.trivial(p)) == 0
+        assert conductor_exponent(LocalCharacter(Place.finite(p))) == 0
 
 
 def test_conductor_closed_form_matches_search():
@@ -270,7 +269,7 @@ def test_character_determined_by_conductor():
 # root numbers
 
 def approx(w: ComplexValue, z: complex, tol: float = 1e-9) -> bool:
-    return w.distance(z) < tol
+    return abs(w.as_complex() - z) < tol
 
 
 def test_root_number_archimedean():
@@ -281,7 +280,7 @@ def test_root_number_archimedean():
 def test_root_number_unramified_is_one():
     for p in (2, 3, 5, 13):
         assert approx(local_root_number(_chi(p, nu=True)), 1)
-        assert approx(local_root_number(LocalCharacter.trivial(p)), 1)
+        assert approx(local_root_number(LocalCharacter(Place.finite(p))), 1)
 
 
 def test_root_number_values_at_2():
@@ -301,7 +300,7 @@ def test_root_number_gauss_sums_odd():
 def test_root_number_modulus_one():
     for p in [q for q in primes_below(100) if q > 2]:
         w = local_root_number(_chi(p, factors=(p,)))
-        assert abs(w.modulus() - 1) < 1e-9
+        assert abs(abs(w.as_complex()) - 1) < 1e-9
 
 
 def test_root_number_gamma_independence():
@@ -313,7 +312,7 @@ def test_root_number_gamma_independence():
             if vp_split(Fraction(unit), p)[0] != 0:
                 continue
             w = local_root_number(chi, gamma=Fraction(p) ** a * unit)
-            assert base.distance(w) < 1e-9, (chi, unit)
+            assert abs(base.as_complex() - w.as_complex()) < 1e-9, (chi, unit)
 
 
 def test_root_number_workload_bound():
@@ -370,6 +369,5 @@ def test_product_formula_rejects():
 
 def test_complex_value_formatting():
     assert str(ONE) == "1+0·i"
-    assert str(I_UNIT) == "0+1·i"
+    assert str(ComplexValue(0.0, 1.0)) == "0+1·i"
     assert str(ComplexValue(0.0, -1.0)) == "0-1·i"
-    assert I_UNIT.times(I_UNIT).distance(-1) < 1e-15

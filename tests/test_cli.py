@@ -24,7 +24,7 @@ from qrlab import analytic, cli
 from qrlab.analytic import BERNOULLI_BOUND, ROOT_NUMBER_BOUND
 from qrlab.cli import run
 from qrlab.hilbert import hilbert_symbol
-from qrlab.padic import PADIC_BITS_BOUND
+from qrlab.padic import PADIC_BITS_BOUND, VP_FACTORIAL_BOUND
 from qrlab.rational import is_probable_prime
 from qrlab.symbols import BINOMIAL_PRIMALITY_BOUND, GAUSS_LEMMA_BOUND, LATTICE_BOUND
 
@@ -121,6 +121,69 @@ def test_scan_workers_agree(capsys):
     _, solo, _ = invoke(capsys, "scan-product-formula", "40", "500", "--json")
     _, sharded, _ = invoke(capsys, "scan-product-formula", "40", "500", "--workers", "3", "--json")
     assert json.loads(solo) == json.loads(sharded)
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_scan_workers_are_capped_at_the_available_cpus(capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    solo = invoke(capsys, "scan-product-formula", "40", "500", "--json")
+    for workers, asked in (("2", [2]), ("3", [3]), ("1000", [3]), (str(10**30), [3])):
+        _RecordingPool.asked.clear()
+        argv = ["scan-product-formula", "40", "500", "--workers", workers, "--json"]
+        assert invoke(capsys, *argv) == solo, workers
+        assert _RecordingPool.asked == asked, workers
+    # one CPU: the scan runs in this process, and no pool is built
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _RecordingPool.asked.clear()
+    assert invoke(capsys, "scan-reciprocity", "60", "--workers", "8")[1] == (
+        "16 primes, 120 pairs, 0 failures")
+    assert _RecordingPool.asked == []
+
+
+def test_scan_bounds_exit_2_before_any_list_is_built(capsys):
+    for argv in (
+        ["scan-reciprocity", str(cli.SCAN_PRIME_BOUND + 1)],
+        ["scan-reciprocity", str(10**30)],
+        ["scan-product-formula", str(cli.SCAN_PAIRS_BOUND + 1), "10"],
+        ["scan-product-formula", str(10**30), "10"],
+        ["scan-vonstaudt", str(10**30)],
+    ):
+        code, out, err = _timed(capsys, argv, 0.5)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "workload bound" in err, argv
+    # criteria 1 and 3 stay within the bounds
+    assert invoke(capsys, "scan-reciprocity", "1000")[:2] == (0, "167 primes, 13861 pairs, 0 failures")
+    assert cli.SCAN_PAIRS_BOUND >= 10**4
+
+
+def test_vp_factorial_and_sqrt_series_in_bounded_time(capsys):
+    assert _timed(capsys, ["vp-factorial", "3000016", "3000017"], 1.0)[:2] == (
+        0, "valuation: 0\nunit: 3000016")
+    big = str(7 + 10**700 * 2**1024)
+    small = invoke(capsys, "sqrt-series", "7", "--prec", str(PADIC_BITS_BOUND))
+    assert _timed(capsys, ["sqrt-series", big, "--prec", str(PADIC_BITS_BOUND)], 1.0) == small
 
 
 # ---------------------------------------------------------------------------
@@ -867,3 +930,44 @@ _ARITHMETIC_COMMANDS = {
 def test_arithmetic_commands_exit_0_or_2(command, data):
     json_flag = ["--json"] if data.draw(st.booleans()) else []
     _assert_exits_0_or_2(data.draw(_ARITHMETIC_COMMANDS[command]) + json_flag)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the commands behind a workload bound: every call answers or exits
+# 2, never 1.  Each bound is drawn on both sides: p = 10000019, the least
+# prime past 10^7, takes n = VP_FACTORIAL_BOUND and refuses the next n; the
+# scans take their bounds and refuse one more.  Heights stay small where the
+# count of pairs can reach its bound, and no draw starts a worker process.
+
+_BIG_INTS = st.sampled_from([10**40, -(10**40), 7 + 10**700 * 2**1024])
+_FACTORIAL_PRIMES = st.one_of(_FUZZ_MODULI, st.sampled_from(["9999991", "10000019"]))
+_WORKERS = st.one_of(st.just([]), st.sampled_from(["-1", "0", "1"]).map(
+    lambda w: ["--workers", w]))
+_BOUNDED_COMMANDS = {
+    "vp-factorial": st.builds(
+        lambda n, p: ["vp-factorial", str(n), p],
+        st.one_of(st.integers(-5, 3000), _BIG_INTS,
+                  st.sampled_from([VP_FACTORIAL_BOUND, VP_FACTORIAL_BOUND + 1, 4999995])),
+        _FACTORIAL_PRIMES),
+    "sqrt-series": st.builds(
+        lambda x, k: ["sqrt-series", str(x), "--prec", str(k)],
+        st.one_of(st.integers(-100, 100), st.integers(-2**1100, 2**1100), _BIG_INTS),
+        st.sampled_from([-1, 0, 2, 3, 32, PADIC_BITS_BOUND, PADIC_BITS_BOUND + 1])),
+    "scan-reciprocity": st.builds(
+        lambda n, w: ["scan-reciprocity", str(n)] + w,
+        st.one_of(st.integers(-5, 200), st.sampled_from(
+            [cli.SCAN_PRIME_BOUND, cli.SCAN_PRIME_BOUND + 1, 10**30])), _WORKERS),
+    "scan-product-formula": st.builds(
+        lambda count, height, w: ["scan-product-formula", str(count), str(height)] + w,
+        st.one_of(st.integers(-2, 50), st.sampled_from(
+            [cli.SCAN_PAIRS_BOUND, cli.SCAN_PAIRS_BOUND + 1, 10**30])),
+        st.sampled_from([-1, 0, 1, 10, 1000, 10**40]), _WORKERS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BOUNDED_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_bounded_commands_exit_0_or_2(command, data):
+    json_flag = ["--json"] if data.draw(st.booleans()) else []
+    _assert_exits_0_or_2(data.draw(_BOUNDED_COMMANDS[command]) + json_flag)

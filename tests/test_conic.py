@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
+from oracles import squarefree_split
 from qrlab.conic import (
     ConicCertificate,
     DescentFrame,
@@ -27,8 +28,8 @@ from qrlab.rational import (
     Place,
     _sqrt_mod_squarefree_general,
     factorize,
+    rational_factor_exponents,
     sqrt_mod_squarefree,
-    squarefree_split,
 )
 
 small_rationals = st.fractions(
@@ -215,7 +216,7 @@ def _fraction_descent(a, b, depth=0):
         return Fraction(1, d), Fraction(0), depth
     c = (d * d - a) // b
     fc = factorize(c)
-    e, f = fc.squarefree_part(), fc.square_divisor_root()
+    e, f = squarefree_split(fc.sign, fc.factors)
     X, Y, reached = _fraction_descent(a, e, depth + 1)
     x, y, s = descent_step(DescentFrame(a, b, c, d), (X, Y / f, Fraction(1)), "backward")
     if s != 0:
@@ -230,7 +231,7 @@ def _fraction_solve(a, b):
     vector = hilbert_vector(a, b)
     if vector.minus_places:
         return "obstruction", None, None, vector.support, 0
-    (a0, sa), (b0, sb) = squarefree_split(a), squarefree_split(b)
+    (a0, sa), (b0, sb) = (squarefree_split(*rational_factor_exponents(t)) for t in (a, b))
     X, Y, depth = _fraction_descent(a0, b0)
     return "solution", abs(X / sa), -abs(Y / sb), (), depth
 
@@ -275,7 +276,7 @@ def test_descent_returns_primitive_triples():
         for b in range(-40, 41):
             if not (a and b) or hilbert_vector(a, b).minus_places:
                 continue
-            a0, b0 = squarefree_split(a)[0], squarefree_split(b)[0]
+            a0, b0 = (squarefree_split(*rational_factor_exponents(t))[0] for t in (a, b))
             primes_a = [p for p, _ in factorize(a0)]
             primes_b = [p for p, _ in factorize(b0)]
             x, y, z, _ = _descent(a0, b0, primes_a, primes_b)

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_prime_trial, primes_below, slow_hilbert
+from oracles import eps_p, factorization_value, is_prime_trial, primes_below, slow_hilbert
 from qrlab import conic, padic, rational
 from qrlab.conic import solve_conic
 from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
@@ -44,7 +44,6 @@ from qrlab.padic import (
     PrecisionLossError,
     _class_rep,
     digits,
-    from_digits,
     hensel_lift,
     padic_sqrt,
     square_class,
@@ -71,7 +70,6 @@ from qrlab.symbols import (
     eps4,
     eps8,
     eps_inf,
-    eps_p,
     gauss_lemma_sign,
     lattice_counts,
     legendre,
@@ -141,7 +139,7 @@ def test_factorize_exhaustive_small():
     prime = {}
     for n in range(2, 10**5 + 1):
         f = factorize(n)
-        assert f.value() == n
+        assert factorization_value(f) == n
         for p, _ in f.factors:
             if p not in prime:
                 prime[p] = is_prime_trial(p)
@@ -304,7 +302,6 @@ def test_public_padic_constructors_still_validate():
             lambda: PAdicElement.zero(p),
             lambda: PAdicElement.from_rational(Fraction(1, 2), p, 3),
             lambda: hensel_lift(f, 1, 5, p=p),
-            lambda: from_digits([1, 1], p),
             lambda: teichmuller(1, p, 3),
             lambda: square_class(Fraction(1, 2), p),
         ):
@@ -371,7 +368,7 @@ def test_padic_arithmetic_tests_no_prime(primality_calls):
     x = PAdicElement(1009, 1, 5, 20)
     y = PAdicElement.from_rational(Fraction(7, 3), 1009, 20)
     primality_calls.clear()
-    for z in (x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x, x.truncate(5)):
+    for z in (x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x):
         assert z.prime == 1009
     assert padic_sqrt(y * y) is not None
     assert len(digits(y, "teichmuller")) == 20
@@ -386,9 +383,9 @@ def test_root_numbers_test_no_prime_once_the_character_is_built(primality_calls)
               for p in (3, 101) for nu in (None, p)]
     primality_calls.clear()
     for chi in chars:
-        assert abs(local_root_number(chi).modulus() - 1) < 1e-9
+        assert abs(abs(local_root_number(chi).as_complex()) - 1) < 1e-9
     for d in (-1, 2, -15, 6 * 101, -(2 * 3 * 5 * 7 * 11 * 13)):
-        assert root_number_product(d).distance(1) < 1e-9
+        assert abs(root_number_product(d).as_complex() - 1) < 1e-9
     assert primality_calls == []
 
 
@@ -863,8 +860,7 @@ def _old_descent(a, b, primes_a, primes_b, depth=0):
     if d * d == a:
         return 1, 0, d, depth
     c = (d * d - a) // b
-    e, f, primes_e = rational.squarefree_from_exponents(*rational_factor_exponents(c))
-    f = f.numerator
+    e, f, _, primes_e = rational._squarefree_core(*rational_factor_exponents(c))
     X, Y, Z, reached = _old_descent(a, e, primes_a, primes_e, depth + 1)
     x, y, z = conic.descent_step(conic.DescentFrame(a, b, c, d), (X * f, Y, Z * f), "backward")
     if z == 0:

@@ -2,22 +2,24 @@
 square roots, Teichmuller lifts, digit schemes and square classes."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hensel_one_digit
+from oracles import digits_value, hensel_one_digit, padic_value, unit_digit
 from qrlab.padic import (
     DEFAULT_PRECISION,
     IntPolynomial,
     PAdicElement,
+    VP_FACTORIAL_BOUND,
     PrecisionLossError,
     arith,
     digits,
     format_padic,
-    from_digits,
     hensel_lift,
     padic_sqrt,
     parse_padic,
@@ -51,7 +53,7 @@ def test_element_invariants():
     x = PAdicElement(5, 1, 2, 8)
     assert x.abs_precision == 9
     assert x.integer_rep() == 10
-    assert x.unit_digit(0) == 2 and x.unit_digit(1) == 0
+    assert unit_digit(x, 0) == 2 and unit_digit(x, 1) == 0
     with pytest.raises(ValueError):
         PAdicElement(5, 0, 10, 2)  # unit divisible by p
     with pytest.raises(ValueError):
@@ -67,7 +69,7 @@ def test_zero_element():
     assert z.is_zero and z.valuation is INFINITY
     assert z.abs_precision is INFINITY
     assert P(0, 7) == z
-    assert z.rational_rep() == 0
+    assert padic_value(z) == 0
 
 
 def test_from_rational():
@@ -167,7 +169,7 @@ def _check_ring_laws(x, y, z):
         return
     # distributivity to the common guaranteed precision
     k = min(left.abs_precision, right.abs_precision)
-    diff = left.rational_rep() - right.rational_rep()
+    diff = padic_value(left) - padic_value(right)
     if diff != 0:
         from qrlab.rational import vp
 
@@ -220,7 +222,7 @@ def test_hensel_2_at_7():
 
 def test_hensel_linear():
     f = IntPolynomial((-5, 1))
-    assert hensel_lift(f, 5, 6, p=3).rational_rep() == 5
+    assert padic_value(hensel_lift(f, 5, 6, p=3)) == 5
 
 
 def test_hensel_full_precision():
@@ -300,7 +302,7 @@ def test_sqrt_odd_valuation_empty():
 
 def test_sqrt_negative_valuation():
     r = padic_sqrt(P(Fraction(9, 49), 7, 6))
-    assert r.rational_rep() == Fraction(3, 7)
+    assert padic_value(r) == Fraction(3, 7)
 
 
 def test_sqrt_verifies_and_normalizes():
@@ -326,7 +328,7 @@ def test_sqrt_verifies_and_normalizes():
 
 def test_teichmuller_examples():
     assert teichmuller(0, 5, 6).is_zero
-    assert teichmuller(1, 5, 6).rational_rep() == 1
+    assert padic_value(teichmuller(1, 5, 6)) == 1
     assert teichmuller(2, 5, 2).unit == 7
 
 
@@ -352,7 +354,7 @@ def test_teichmuller_multiplicative():
 
 def test_unit_decompose():
     tau, u1 = unit_decompose(P(7, 5, 2))
-    assert tau.unit == 7 and u1.rational_rep() == 1
+    assert tau.unit == 7 and padic_value(u1) == 1
     with pytest.raises(ValueError):
         unit_decompose(P(10, 5, 4))
 
@@ -413,6 +415,39 @@ def test_vp_factorial_unit_identity():
             assert math.factorial(n) % p ** (val + 1) == (-p) ** val * t % p ** (val + 1)
 
 
+def _vp_factorial_by_factorials(n, p):
+    """vp_factorial with t_n read from math.factorial of each digit."""
+    digits = []
+    m = n
+    while m:
+        digits.append(m % p)
+        m //= p
+    t = 1
+    for d in digits:
+        t = t * math.factorial(d) % p
+    return (n - sum(digits)) // (p - 1), t % p
+
+
+def test_vp_factorial_matches_full_digit_factorials():
+    rng = random.Random(480)
+    for p in (2, 3, 5, 7, 11, 13, 31, 101, 1009, 10007):
+        ns = list(range(4 * p)) if p < 1000 else [p - 2, p - 1, p // 2, p // 2 + 1]
+        ns += [rng.randrange(p ** 3) for _ in range(40)]
+        for n in ns:
+            assert vp_factorial(n, p) == _vp_factorial_by_factorials(n, p), (n, p)
+
+
+def test_vp_factorial_refuses_past_its_bound_before_any_product():
+    p = 10000019  # the least prime above 10^7
+    assert vp_factorial(p - 1, p) == (0, p - 1)  # Wilson: no product needed
+    assert vp_factorial(p - 2, p) == (0, 1)
+    start = time.perf_counter()
+    for n in (VP_FACTORIAL_BOUND + 1, p // 2, p * p + p // 2):
+        with pytest.raises(ValueError, match="workload bound"):
+            vp_factorial(n, p)
+    assert time.perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------------
 # 2-adic series
 
@@ -441,6 +476,33 @@ def test_sqrt_series_term_valuations():
             assert (prev - y) % 2 ** k == 0
 
 
+def _sqrt_series_by_fractions(x, k):
+    """y mod 2^k from the series summed on exact Fractions."""
+    total, c = Fraction(0), 1
+    for n in range(1, k):
+        total += Fraction(c * (4 * x) ** n, math.factorial(n))
+        c *= 1 - 2 * n
+    return total.numerator * pow(total.denominator, -1, 2 ** k) % 2 ** k
+
+
+def test_sqrt_series_matches_the_fraction_sum():
+    for k in (3, 5, 16, 40):
+        for x in range(-20, 21):
+            y = sqrt_series_1p8x(x, k)
+            assert (0 if y.is_zero else y.integer_rep()) == _sqrt_series_by_fractions(x, k), (x, k)
+
+
+def test_sqrt_series_reads_x_mod_2_to_the_k():
+    rng = random.Random(1024)
+    for k in (3, 4, 5, 8, 20, 64):
+        for _ in range(20):
+            x = rng.randrange(-2 ** 70, 2 ** 70)
+            assert sqrt_series_1p8x(x, k) == sqrt_series_1p8x(x % 2 ** k, k), (x, k)
+    start = time.perf_counter()
+    assert sqrt_series_1p8x(7 + 10 ** 700 * 2 ** 1024, 1024) == sqrt_series_1p8x(7, 1024)
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # digits
 
@@ -459,7 +521,6 @@ def test_digits_reject_negative_valuation():
 
 def test_digits_zero():
     assert digits(PAdicElement.zero(5)) == []
-    assert from_digits([], 5).is_zero
 
 
 @settings(max_examples=120)
@@ -478,7 +539,7 @@ def test_digits_roundtrip(p, v, u, scheme):
     x = PAdicElement(p, v, u, 6)
     ds = digits(x, scheme)
     assert len(ds) == v + 6
-    assert from_digits(ds, p, scheme) == x
+    assert digits_value(ds, p) == x.integer_rep() % p ** len(ds)
     if scheme == "standard":
         assert all(0 <= d < p for d in ds)
     else:
@@ -539,7 +600,7 @@ def test_format_reads_the_unit_digits():
     x = PAdicElement.from_rational(Fraction(-5, 3), 7, 300)
     terms = [
         str(d) if i == 0 else f"{d}*7" if i == 1 else f"{d}*7^{i}"
-        for i, d in ((i, x.unit_digit(i)) for i in range(300))
+        for i, d in ((i, unit_digit(x, i)) for i in range(300))
         if d
     ]
     assert format_padic(x) == f"7^0 * ({' + '.join(terms)}) + O(7^300)"

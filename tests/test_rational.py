@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_prime_trial, primes_below, sqrt_mod_by_search
+from oracles import factorization_value, is_prime_trial, primes_below, sqrt_mod_by_search
 from qrlab.rational import (
     INFINITY,
     Factorization,
     FactorizationError,
     INF_PLACE,
     Place,
+    _squarefree_core,
     abs_place,
     factorize,
     is_probable_prime,
     is_rational_square,
     norm_product_check,
+    rational_factor_exponents,
     sqrt_mod_prime,
     sqrt_mod_squarefree,
-    squarefree_split,
     vp,
     vp_split,
 )
@@ -60,14 +61,14 @@ def test_factorize_2012():
     f = factorize(2012)
     assert f.sign == 1
     assert f.factors == ((2, 2), (503, 1))
-    assert f.value() == 2012
+    assert factorization_value(f) == 2012
 
 
 def test_factorize_negative():
     f = factorize(-91)
     assert f.sign == -1
     assert f.factors == ((7, 1), (13, 1))
-    assert f.value() == -91
+    assert factorization_value(f) == -91
 
 
 def test_factorize_units():
@@ -89,9 +90,6 @@ def test_factorize_semiprime_beyond_trial_range():
 def test_factorization_accessors():
     f = factorize(-360)  # -2^3 3^2 5
     assert f.vp(2) == 3 and f.vp(3) == 2 and f.vp(7) == 0
-    assert f.radical() == 30
-    assert f.squarefree_part() == -10
-    assert f.square_divisor_root() == 6
     assert not f.is_squarefree()
     assert factorize(-30).is_squarefree()
 
@@ -100,7 +98,7 @@ def test_factorization_accessors():
 @given(st.integers(min_value=2, max_value=10 ** 12))
 def test_factorize_roundtrip(n):
     f = factorize(n)
-    assert f.value() == n
+    assert factorization_value(f) == n
     assert all(is_probable_prime(p) for p, _ in f.factors)
     assert all(e >= 1 for _, e in f.factors)
     primes = [p for p, _ in f.factors]
@@ -251,6 +249,14 @@ def test_is_rational_square():
     assert is_rational_square(Fraction(8)) is None
     assert is_rational_square(-4) is None
     assert is_rational_square(0) == 0
+
+
+def squarefree_split(x):
+    """(n, s) with x = n s^2 by the one squarefree split; its primes are
+    checked to be those of n."""
+    n, num, den, primes = _squarefree_core(*rational_factor_exponents(x))
+    assert primes == [p for p, _ in factorize(n)]
+    return n, Fraction(num, den)
 
 
 def test_squarefree_split():

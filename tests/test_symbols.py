@@ -18,7 +18,6 @@ from qrlab.symbols import (
     eps4,
     eps8,
     eps_inf,
-    eps_p,
     gauss_lemma_sign,
     group_product_sign,
     kronecker_chi,
@@ -27,7 +26,6 @@ from qrlab.symbols import (
     lattice_counts,
     legendre,
     psi,
-    psi_support,
     quadratic_char_basis,
     reciprocity_check,
     sign_inf,
@@ -178,8 +176,7 @@ def test_psi_example():
 
 def test_psi_squares_dont_count():
     assert psi(45, 2) == legendre(2, 5)  # 45 = 3^2 * 5
-    assert psi_support(45) == 5
-    assert psi(9, 2) == 1 and psi_support(9) == 1
+    assert psi(9, 2) == 1
 
 
 def test_psi_domain():
@@ -365,10 +362,6 @@ def test_smallest_nonresidue():
         u = smallest_nonresidue(p)
         assert legendre(u, p) == -1
         assert all(legendre(a, p) == 1 for a in range(1, u))
-
-
-def test_eps_p_matches_legendre():
-    assert eps_p(5, 7) == 1 and eps_p(2, 7) == 0
 
 
 # ---------------------------------------------------------------------------
