@@ -16,14 +16,13 @@ from fractions import Fraction
 
 from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
-    DEFAULT_FACTOR_BOUND,
     FactorizationError,
     Rat,
     Record,
     _set,
     _sqrt_mod_squarefree_general,
     _squarefree_core,
-    factorize,
+    check_factor_bound,
     is_rational_square,
     rational_factor_exponents,
 )
@@ -180,9 +179,24 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
-    # one factorization of a and b serves the symbol vector and the split
-    sign_a, exps_a = rational_factor_exponents(a)
-    sign_b, exps_b = rational_factor_exponents(b)
+    return _solve(a, b, rational_factor_exponents(a), rational_factor_exponents(b))
+
+
+def _quotient(sign: int, fx, fy):
+    """The (sign, exponents) pair of sign * x / y from those of x and y, as
+    rational_factor_exponents returns them."""
+    exps = dict(fx[1])
+    for p, e in fy[1]:
+        exps[p] = exps.get(p, 0) - e
+    return sign * fx[0] * fy[0], tuple(sorted((p, e) for p, e in exps.items() if e))
+
+
+def _solve(a: Fraction, b: Fraction, fa, fb) -> ConicCertificate:
+    """solve_conic on nonzero Fractions a and b whose (sign, exponents)
+    pairs are fa and fb: one factorization of each serves the symbol vector
+    and the squarefree split."""
+    sign_a, exps_a = fa
+    sign_b, exps_b = fb
     vector = _vector_from_exponents(a, b, exps_a, exps_b)
     if vector.minus_places:
         cert = ConicCertificate(a, b, "obstruction", places=vector.support)
@@ -209,16 +223,17 @@ def legendre_ternary(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     conditions fails (mixed signs, and -bc, -ca, -ab squares modulo |a|,
     |b|, |c| respectively).
 
-    a b c is squarefree exactly when a, b and c are and are pairwise
-    prime, so each is factored apart and the product never is."""
+    a, b and c are each factored once, and the product never is: a b c is
+    squarefree exactly when no prime occurs twice among their factors, and
+    the exponents of -a/c and -b/c are read from the same factors."""
     if a * b * c == 0:
         raise ValueError("coefficients must be nonzero")
-    if abs(a * b * c) > DEFAULT_FACTOR_BOUND:
-        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
-    if (math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1
-            or not all(factorize(t).is_squarefree() for t in (a, b, c))):
+    check_factor_bound(a * b * c)
+    fa, fb, fc = (rational_factor_exponents(t) for t in (a, b, c))
+    factors = fa[1] + fb[1] + fc[1]
+    if sum(e for _, e in factors) != len({p for p, _ in factors}):
         raise ValueError("a b c must be squarefree")
-    cert = solve_conic(Fraction(-a, c), Fraction(-b, c))
+    cert = _solve(Fraction(-a, c), Fraction(-b, c), _quotient(-1, fa, fc), _quotient(-1, fb, fc))
     if cert.outcome == "obstruction":
         return None
     # z is the least common denominator, so the triple is primitive
@@ -270,7 +285,17 @@ def global_is_norm(a: Rat, b: Rat) -> NormCertificate:
         cert = NormCertificate(a, b, True, y=y, z=z)
         assert cert.verify()
         return cert
-    conic = solve_conic(1 / a, -b / a)
+    # a and b are each factored once, and -b/a is held to the workload
+    # bound as a whole; a b past the bound with -b/a within it is read from
+    # -b/a itself
+    q = -b / a
+    check_factor_bound(q)
+    fa = rational_factor_exponents(a)
+    try:
+        fq = _quotient(-1, rational_factor_exponents(b), fa)
+    except FactorizationError:
+        fq = rational_factor_exponents(q)
+    conic = _solve(1 / a, q, _quotient(1, (1, ()), fa), fq)
     if conic.outcome == "obstruction":
         return NormCertificate(a, b, False, places=conic.places)
     cert = NormCertificate(a, b, True, y=conic.y, z=conic.x)

@@ -173,16 +173,6 @@ class PAdicElement(Record):
             k,
         )
 
-    def __pow__(self, n: int) -> "PAdicElement":
-        if n < 0:
-            base = PAdicElement(self.prime, 0, 1, self.precision) / self
-            return base ** (-n)
-        if self.is_zero:
-            return PAdicElement(self.prime, 0, 1, 1) if n == 0 else self
-        k = self.precision
-        # pow is square-and-multiply on the unit; the valuation just scales
-        return PAdicElement(self.prime, n * self.valuation, pow(self.unit, n, self.prime ** k), k)
-
     def __str__(self) -> str:
         return format_padic(self)
 

@@ -29,6 +29,12 @@ DEFAULT_FACTOR_BOUND = 2**96
 #: Trial-division ceiling; Pollard rho splits whatever survives it.
 TRIAL_DIVISION_LIMIT = 10**3
 
+#: Most primes with two square roots in one root search mod a squarefree b,
+#: which forms 2^(k-1) sums over k such primes.  No |b| <= 2^96 has more
+#: than 20 odd primes, so only a b built from a numerator and a denominator
+#: can reach it.
+ROOT_SEARCH_BOUND = 20
+
 #: Unit digits of a p-adic element read from a rational when none are given.
 DEFAULT_PRECISION = 32
 
@@ -397,6 +403,15 @@ def factorize(n: int) -> Factorization:
     return Factorization(*rational_factor_exponents(n))
 
 
+def check_factor_bound(x: Rat) -> None:
+    """Refuse, with FactorizationError, an int or Fraction x whose numerator
+    or denominator exceeds DEFAULT_FACTOR_BOUND: the workload bound of
+    rational_factor_exponents, which callers that factor the parts of x
+    apart check on x itself."""
+    if abs(x.numerator) > DEFAULT_FACTOR_BOUND or x.denominator > DEFAULT_FACTOR_BOUND:
+        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
+
+
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(sign, ((p, v_p(x)), ...)) for nonzero rational x; exponents signed.
 
@@ -407,8 +422,7 @@ def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("x must be nonzero")
-    if abs(num) > DEFAULT_FACTOR_BOUND or den > DEFAULT_FACTOR_BOUND:
-        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
+    check_factor_bound(x)
     exps = _factor_dict(abs(num))
     for p, e in _factor_dict(den).items():
         exps[p] = -e
@@ -623,7 +637,9 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None
     Each prime p contributes t_p = r_p (b/p) ((b/p)^-1 mod p), the CRT
     basis element that is r_p mod p and 0 mod the other primes, so the
     roots mod b are the sums of +-t_p.  d and -d fold to the same value, so
-    the first t_p with two signs keeps its sign."""
+    the first t_p with two signs keeps its sign.  More than
+    ROOT_SEARCH_BOUND primes with two roots raise ValueError before any sum
+    is formed."""
     b = abs(b)
     fixed, signed = 0, []
     for p in primes:
@@ -643,6 +659,9 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None
             fixed += t
         else:
             signed.append(t)
+    if len(signed) > ROOT_SEARCH_BOUND:
+        raise ValueError(f"{len(signed)} primes with two square roots exceed the "
+                         f"root-search workload bound {ROOT_SEARCH_BOUND}")
     sums = [fixed + sum(signed[:1])]
     for t in signed[1:]:
         sums = [s + t for s in sums] + [s - t for s in sums]

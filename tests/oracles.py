@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used to pin down
 expected values.  Everything here is deliberately naive: no modular
 exponentiation tricks, no library calls into qrlab internals beyond plain
-integer arithmetic, so that agreement with the package is meaningful."""
+integer arithmetic, so that agreement with the package is meaningful.
+The routes at the end are the exception: each is an earlier, slower route
+to a public function, kept to pin the route that replaced it."""
 
 import math
 from fractions import Fraction
@@ -226,3 +228,43 @@ def unit_digit(x, i: int) -> int:
 def digits_value(ds, p: int) -> int:
     """sum d_i p^i mod p^len(ds): the integer a digit list stands for."""
     return sum(d * p ** i for i, d in enumerate(ds)) % p ** len(ds)
+
+
+def ternary_by_solve_conic(a: int, b: int, c: int):
+    """legendre_ternary by its older route, kept to pin the one that factors
+    each coefficient once: a b c checked squarefree by gcds and factorize
+    on each of a, b and c, then solve_conic(-a/c, -b/c), which factors c
+    again for each argument."""
+    from qrlab.conic import solve_conic
+    from qrlab.rational import DEFAULT_FACTOR_BOUND, FactorizationError, factorize
+
+    if a * b * c == 0:
+        raise ValueError("coefficients must be nonzero")
+    if abs(a * b * c) > DEFAULT_FACTOR_BOUND:
+        raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
+    if (math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1
+            or not all(factorize(t).is_squarefree() for t in (a, b, c))):
+        raise ValueError("a b c must be squarefree")
+    cert = solve_conic(Fraction(-a, c), Fraction(-b, c))
+    if cert.outcome == "obstruction":
+        return None
+    z = math.lcm(cert.x.denominator, cert.y.denominator)
+    return int(abs(cert.x * z)), int(abs(cert.y * z)), z
+
+
+def global_norm_by_solve_conic(a, b):
+    """global_is_norm by its older route, kept to pin the one that factors
+    a and b once each: solve_conic(1/a, -b/a), which factors a twice."""
+    from qrlab.conic import NormCertificate, solve_conic
+    from qrlab.rational import is_rational_square
+
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("a and b must be nonzero")
+    rb = is_rational_square(b)
+    if rb is not None:
+        return NormCertificate(a, b, True, y=(a - 1) / (2 * rb), z=(a + 1) / 2)
+    conic = solve_conic(1 / a, -b / a)
+    if conic.outcome == "obstruction":
+        return NormCertificate(a, b, False, places=conic.places)
+    return NormCertificate(a, b, True, y=conic.y, z=conic.x)

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -798,10 +799,29 @@ def test_padic_commands_exit_0_or_2(command, data):
     _assert_exits_0_or_2(data.draw(_fuzz_argv(_FUZZ_COMMANDS[command])))
 
 
+class _Hang(BaseException):
+    """A fuzzed call that outlived _HANG_SECONDS.  Not an Exception, so that
+    run cannot report it as an internal error (exit 1)."""
+
+
+#: Wall-clock limit on one fuzzed call; Hypothesis checks its deadline only
+#: after a call returns, so without this a hang stalls the suite.
+_HANG_SECONDS = 5
+
+
 def _assert_exits_0_or_2(argv):
+    def hang(signum, frame):
+        raise _Hang(f"{argv} ran past {_HANG_SECONDS} s")
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, _HANG_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2), (argv, code, err.getvalue())
 
 
@@ -879,6 +899,17 @@ def test_descent_past_the_factor_bound_exits_2(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "workload bound" in err
+
+
+def test_root_search_past_its_bound_exits_2(capsys):
+    # b has 28 primes = 1 (mod 4), so -1 has two roots mod each and the
+    # root search would form 2^27 sums
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "solve", "-1",
+                            "2515181402329213060851342805/12933849520509643031428769797")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "root-search workload bound" in err
 
 
 # ---------------------------------------------------------------------------
@@ -971,3 +1002,28 @@ _BOUNDED_COMMANDS = {
 def test_bounded_commands_exit_0_or_2(command, data):
     json_flag = ["--json"] if data.draw(st.booleans()) else []
     _assert_exits_0_or_2(data.draw(_BOUNDED_COMMANDS[command]) + json_flag)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the character commands, each of which factors its integer: every
+# call answers or exits 2, never 1.  root-product also draws d on both sides
+# of ROOT_NUMBER_BOUND, which caps the sum of the primes of d: 49999 is the
+# largest prime within it and 50021 the least past it.
+
+_ROOT_PRODUCT_DS = st.one_of(_FUZZ_INTS, st.sampled_from(
+    [49999, -49999, 2 * 49991, 50021, -2 * 49999, 3 * 5 * 49991]))
+_CHARACTER_COMMANDS = {
+    "psi": st.builds(lambda a, n: ["psi", str(a), n], _FUZZ_INTS, _FUZZ_ANY_RATIONALS),
+    "chi": st.builds(lambda a, x: ["chi", str(a), str(x)], _FUZZ_INTS, _FUZZ_INTS),
+    "char-basis": _FUZZ_INTS.map(lambda m: ["char-basis", str(m)]),
+    "group-product": _FUZZ_INTS.map(lambda m: ["group-product", str(m)]),
+    "root-product": _ROOT_PRODUCT_DS.map(lambda d: ["root-product", str(d)]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHARACTER_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_character_commands_exit_0_or_2(command, data):
+    json_flag = ["--json"] if data.draw(st.booleans()) else []
+    _assert_exits_0_or_2(data.draw(_CHARACTER_COMMANDS[command]) + json_flag)

@@ -3,13 +3,14 @@ invariants, the full local-global solver with certificates, the ternary
 form, and the global norm test."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
-from oracles import squarefree_split
+from oracles import global_norm_by_solve_conic, squarefree_split, ternary_by_solve_conic
 from qrlab.conic import (
     ConicCertificate,
     DescentFrame,
@@ -373,6 +374,41 @@ def test_ternary_keeps_the_workload_bound():
     with pytest.raises(FactorizationError, match="workload bound"):
         legendre_ternary(2**40 + 15, 2**40 + 99, 2**17 - 1)
 
+
+def _outcome(f, *args):
+    """What a call returns, or the type and text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+def test_ternary_matches_the_solve_conic_route():
+    # every triple, refused ones included: each coefficient factored once
+    # against the route that checked gcds and factored c three times
+    values = [n for n in range(-30, 31) if n]
+    for a in values:
+        for b in values:
+            for c in values:
+                assert (_outcome(legendre_ternary, a, b, c)
+                        == _outcome(ternary_by_solve_conic, a, b, c)), (a, b, c)
+
+
+def test_ternary_and_norm_factor_each_coefficient_once(monkeypatch):
+    # two 40-bit primes: one factorize of their product runs rho once, ~0.8 s
+    p, q = 1099511640127, 1099512615433
+    calls = []
+    rho = rational._pollard_rho
+    monkeypatch.setattr(rational, "_pollard_rho", lambda n: calls.append(n) or rho(n))
+    assert legendre_ternary(1, -1, p * q) == (
+        604463459567532621139995, 604463459567532621139996, 1)
+    assert calls == [p * q]
+    calls.clear()
+    cert = global_is_norm(p * q, -1)
+    assert not cert.is_norm and [str(v) for v in cert.places] == ["2", str(p)]
+    assert calls == [p * q]
+
+
 def _ternary_brute(a, b, c, bound=12):
     for x in range(bound):
         for y in range(bound):
@@ -455,6 +491,29 @@ def test_norm_rejects_zero():
         global_is_norm(0, 3)
     with pytest.raises(ValueError):
         global_is_norm(3, 0)
+
+
+def _norm_height_part(rng):
+    primes = (-1, 2, 3, 5, 7, 11, 13, 1009, 1013)
+    return math.prod(rng.choices(primes, k=rng.randint(0, 5))) * rng.randint(-9, 9)
+
+
+def test_norm_matches_the_solve_conic_route():
+    # a and b share primes, so -b/a cancels; zeros and square b included
+    rng = random.Random(20261019)
+    pairs = [tuple(Fraction(_norm_height_part(rng), abs(_norm_height_part(rng)) or 1)
+                   for _ in range(2)) for _ in range(1500)]
+    pairs += [
+        (2, 2**97),                          # b past the bound, -b/a within it
+        (3 * 2**50, -5 * 2**97),
+        (Fraction(2**60, 3), Fraction(2**100, 9)),
+        (Fraction(1, 2**90), 3**59),         # a and b within it, -b/a past it
+        (2**97, 3),
+    ]
+    for a, b in pairs:
+        assert _outcome(global_is_norm, a, b) == _outcome(global_norm_by_solve_conic, a, b), (a, b)
+    with pytest.raises(FactorizationError, match="workload bound"):
+        global_is_norm(Fraction(1, 2**90), 3**59)
 
 
 @given(small_rationals, small_rationals)

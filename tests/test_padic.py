@@ -176,27 +176,6 @@ def _check_ring_laws(x, y, z):
         assert vp(diff, x.prime) >= k, (x, y, z, left, right)
 
 
-def test_pow_matches_repeated_multiplication():
-    elements = [
-        P(3, 2, 6), P(Fraction(-5, 12), 2, 4), P(Fraction(7, 9), 3, 1),
-        P(1008, 1009, 3), PAdicElement.zero(5), PAdicElement(7, -2, 3, 1),
-    ]
-    for x in elements:
-        acc = PAdicElement(x.prime, 0, 1, x.precision or 1)
-        for n in range(65):
-            assert x ** n == acc, (x, n)
-            acc = acc * x
-        if not x.is_zero:
-            inv = PAdicElement(x.prime, 0, 1, x.precision) / x
-            assert x ** -3 == inv * inv * inv
-
-
-def test_pow_large_exponents():
-    x = P(Fraction(3, 7), 5, 20)
-    assert x ** 10**5 == PAdicElement(5, 0, pow(x.unit, 10**5, 5**20), 20)
-    assert (P(10, 5, 8) ** 10**6).valuation == 10**6
-
-
 @settings(max_examples=100)
 @given(padic_units(5), padic_units(5))
 def test_mul_div_roundtrip(x, y):
