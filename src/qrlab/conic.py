@@ -197,7 +197,7 @@ def _solve(a: Fraction, b: Fraction, fa, fb) -> ConicCertificate:
     and the squarefree split."""
     sign_a, exps_a = fa
     sign_b, exps_b = fb
-    vector = _vector_from_exponents(a, b, exps_a, exps_b)
+    vector = _vector_from_exponents(a, b, dict(exps_a), dict(exps_b))
     if vector.minus_places:
         cert = ConicCertificate(a, b, "obstruction", places=vector.support)
         assert cert.verify()

@@ -19,12 +19,12 @@ from qrlab.rational import (
     Prime,
     Rat,
     Record,
+    _exponent_dict,
     _set,
+    _unit_part,
     int_valuation,
     is_rational_square,
-    local_residue,
     local_unit,
-    rational_factor_exponents,
 )
 from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
 
@@ -101,7 +101,7 @@ class SymbolVector(Record):
 
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self.minus_places))
+        return tuple(sorted(self.minus_places, key=Place._sort_key))
 
     def to_json(self) -> dict:
         return {
@@ -111,17 +111,19 @@ class SymbolVector(Record):
         }
 
 
-def _vector_from_exponents(a: Fraction, b: Fraction, exps_a, exps_b) -> SymbolVector:
-    """hilbert_vector from the signed exponents of a and b, as returned by
-    rational_factor_exponents, whose primes are Primes already."""
-    va, vb = dict(exps_a), dict(exps_b)
-    minus = [INF_PLACE] if a < 0 and b < 0 else []
+def _vector_from_exponents(a: Rat, b: Rat, va: dict, vb: dict) -> SymbolVector:
+    """hilbert_vector from the exponent dicts of a and b (_exponent_dict's,
+    keyed by Primes).  A unit u = n/d is read as n d = u d^2: at odd p it has
+    the Legendre symbol of u, and at 2 the residue of u mod 8 (odd squares
+    are 1 mod 8), so no inverse is taken."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    minus = [INF_PLACE] if an < 0 and bn < 0 else []
     for p in {2, *va, *vb}:
         alpha, beta = va.get(p, 0), vb.get(p, 0)
         m = 8 if p == 2 else p
         # at odd p the symbol reads u_a only if beta is odd, u_b only if alpha is
-        ua = local_residue(a, p, alpha, m) if p == 2 or beta % 2 else 1
-        ub = local_residue(b, p, beta, m) if p == 2 or alpha % 2 else 1
+        ua = math.prod(_unit_part(an, ad, p, alpha)) % m if p == 2 or beta % 2 else 1
+        ub = math.prod(_unit_part(bn, bd, p, beta)) % m if p == 2 or alpha % 2 else 1
         if _symbol_exponent(p, alpha, ua, beta, ub):
             minus.append(TWO_PLACE if p == 2 else Place.finite(p))
     return SymbolVector(frozenset(minus))
@@ -131,16 +133,14 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
     """All local symbols of (a, b); support is within {inf, 2} and the primes
     of a and b, and the -1 count is even (the product formula).
 
-    The numerator and denominator of a and b are each factored once.  The
-    valuations come from those factorizations, a unit residue is taken only
-    where the symbol reads it, and a Place is built only where the symbol
-    is -1."""
-    a, b = Fraction(a), Fraction(b)
+    The numerator and denominator of a and b are each factored once, into
+    the exponent dicts the symbols read their valuations from; a unit's
+    square class is taken only where the symbol reads it, and a Place is
+    built only where the symbol is -1."""
+    a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
-    _, exps_a = rational_factor_exponents(a)
-    _, exps_b = rational_factor_exponents(b)
-    return _vector_from_exponents(a, b, exps_a, exps_b)
+    return _vector_from_exponents(a, b, _exponent_dict(a), _exponent_dict(b))
 
 
 # ---------------------------------------------------------------------------

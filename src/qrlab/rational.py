@@ -3,9 +3,9 @@ values at every place, and modular square roots.
 
 All functions are pure; rationals are `fractions.Fraction` (always in lowest
 terms with positive denominator, which is exactly the representation contract
-the rest of the library relies on).  The valuation of a rational at a
-prime p is read in one place, `vp`, and the residue of its unit part in
-one other, `local_residue`.
+the rest of the library relies on).  The valuation of a rational x at a
+prime p is read in one place, `vp`, and x / p^v is divided out in one
+other, `_unit_part`, which `local_residue` and the symbol vector share.
 
 A prime is certified once, by `Prime`: an int that has passed
 is_probable_prime (or comes out of factorize, which certifies what it
@@ -342,10 +342,7 @@ class Factorization(Record):
             raise ValueError("exponents must be >= 1")
 
     def vp(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
+        return dict(self.factors).get(p, 0)
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
@@ -412,21 +409,25 @@ def check_factor_bound(x: Rat) -> None:
         raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
 
 
-def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(sign, ((p, v_p(x)), ...)) for nonzero rational x; exponents signed.
-
-    x is in lowest terms, so the primes of its numerator and denominator
-    are disjoint; each is factored once, on plain ints."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+def _exponent_dict(x: Rat) -> dict[Prime, int]:
+    """{p: v_p(x)} for a nonzero int or Fraction x, exponents signed: the
+    factor core.  x is in lowest terms, so its numerator and denominator
+    share no prime; each is factored once, a denominator of 1 not at all."""
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("x must be nonzero")
     check_factor_bound(x)
     exps = _factor_dict(abs(num))
-    for p, e in _factor_dict(den).items():
-        exps[p] = -e
-    return (1 if num > 0 else -1), tuple(sorted(exps.items()))
+    if den != 1:
+        exps.update((p, -e) for p, e in _factor_dict(den).items())
+    return exps
+
+
+def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(sign, ((p, v_p(x)), ...)) for nonzero rational x, exponents signed
+    and primes increasing: _exponent_dict's, sorted."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return (1 if x.numerator > 0 else -1), tuple(sorted(_exponent_dict(x).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +476,7 @@ class Place(Record):
         return self.kind == "archimedean"
 
     def _sort_key(self) -> int:
-        return -1 if self.is_infinite else self.prime  # infinity sorts first
+        return -1 if self.prime is None else self.prime  # infinity sorts first
 
     def __lt__(self, other: "Place") -> bool:
         return self._sort_key() < other._sort_key()
@@ -515,8 +516,7 @@ def int_valuation(n: int, p: int) -> tuple[int, int]:
 def vp(x: Rat, p: int):
     """The p-adic valuation; INFINITY for x = 0.  x is in lowest terms, so
     p divides its numerator or its denominator, never both."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     if x.numerator == 0:
         return INFINITY
     v = int_valuation(x.numerator, p)[0]
@@ -529,23 +529,24 @@ def vp_split(x: Rat, p: int):
     return INFINITY if r is INFINITY else (r, Fraction(x) / Fraction(p) ** r)
 
 
+def _unit_part(num: int, den: int, p: int, v: int) -> tuple[int, int]:
+    """(n, d) with n / d = x / p^v, for x = num / den in lowest terms and
+    v = v_p(x), which the caller already holds: the one division by p^v."""
+    return (num // p**v, den) if v > 0 else (num, den // p**-v if v else den)
+
+
 def local_residue(x: Rat, p: int, v: int, m: int) -> int:
     """u mod m for the unit u = x / p^v of a nonzero int or Fraction x whose
     valuation v = v_p(x) the caller already holds.  m is a power of p, or 8
     or 8p, where an even denominator raises ValueError."""
-    num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p**v
-    elif v < 0:
-        den //= p**-v
+    num, den = _unit_part(x.numerator, x.denominator, p, v)
     return num * pow(den, -1, m) % m
 
 
 def local_unit(x: Rat, p: int, m: int) -> tuple[int, int]:
     """(v, u mod m) for a nonzero rational x = p^v u, u a p-adic unit: the
     pair every local symbol, square class and p-adic element is read from."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     v = vp(x, p)
     if v is INFINITY:
         raise ValueError("x must be nonzero")
@@ -686,8 +687,7 @@ def unit_residue(x: Rat, m: int) -> int:
     """The residue mod m of the rational x, whose numerator and denominator
     must be prime to m: the plain "x mod m" of eps4, eps8 and the 2-adic
     witness cases.  The residue of the p-adic unit part of x is local_unit's."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     num, den = x.numerator, x.denominator
     if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
         raise ValueError(f"{x} is not a unit modulo {m}")

@@ -1027,3 +1027,52 @@ _CHARACTER_COMMANDS = {
 def test_character_commands_exit_0_or_2(command, data):
     json_flag = ["--json"] if data.draw(st.booleans()) else []
     _assert_exits_0_or_2(data.draw(_CHARACTER_COMMANDS[command]) + json_flag)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the oracle and reciprocity commands: every call answers or exits 2,
+# never 1.  The oracles take O(p), O(p q) and O(n^2) steps, so accepted
+# inputs stay small (the accepted extremes are timed above); each workload
+# bound is drawn on its refused side, by the least prime past it and by
+# composites, and malformed text stands in for every argument.
+
+_MALFORMED = st.sampled_from(["x", "3/4", "1e3", "", "--"])
+_ORACLE_PRIMES = st.one_of(
+    st.sampled_from([3, 5, 7, 13, 101, 103]).map(str), _FUZZ_MODULI, _MALFORMED)
+_LATTICE_PAST = _next_prime(math.isqrt(LATTICE_BOUND))
+_REFUSED = {
+    "gauss-lemma": [GAUSS_LEMMA_BOUND + 1, _next_prime(GAUSS_LEMMA_BOUND), 10**40],
+    "lattice": [_LATTICE_PAST, _next_prime(_LATTICE_PAST), LATTICE_BOUND, 10**40],
+    "binomial-prime": [BINOMIAL_PRIMALITY_BOUND + 1, _next_prime(BINOMIAL_PRIMALITY_BOUND),
+                       10**40],
+}
+
+
+def _oracle_args(command):
+    """One argument of an oracle command: small, malformed, or past its bound."""
+    return st.one_of(_ORACLE_PRIMES, st.sampled_from(_REFUSED[command]).map(str))
+
+
+_ORACLE_COMMANDS = {
+    "gauss-lemma": st.builds(lambda a, p: ["gauss-lemma", a, p],
+                             st.one_of(_FUZZ_INTS.map(str), _MALFORMED),
+                             _oracle_args("gauss-lemma")),
+    "lattice": st.builds(lambda p, q: ["lattice", p, q],
+                         _oracle_args("lattice"), _oracle_args("lattice")),
+    "reciprocity": st.builds(lambda p, q: ["reciprocity", p, q],
+                             st.one_of(_ORACLE_PRIMES, st.just(str(2**61 - 1))),
+                             st.one_of(_ORACLE_PRIMES, st.just(str(2**89 - 1)))),
+    "binomial-prime": st.one_of(st.integers(-5, 2000).map(str), _MALFORMED,
+                                st.sampled_from(_REFUSED["binomial-prime"]).map(str)).map(
+        lambda n: ["binomial-prime", n]),
+    "correspondence": st.one_of(_ORACLE_PRIMES, st.just(str(2**61 - 1))).map(
+        lambda p: ["correspondence", p]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ORACLE_COMMANDS))
+@settings(max_examples=120, deadline=2000)
+@given(data=st.data())
+def test_oracle_commands_exit_0_or_2(command, data):
+    json_flag = ["--json"] if data.draw(st.booleans()) else []
+    _assert_exits_0_or_2(data.draw(_ORACLE_COMMANDS[command]) + json_flag)

@@ -1,6 +1,7 @@
 """Differential tests that pin the fast paths to slower, older routes:
 hilbert_vector against brute-force local solvability and against the
-per-place evaluation through legendre/eps4/eps8, factorize against trial
+per-place evaluation through legendre/eps4/eps8, its unit square classes
+n d against the residues n d^-1 they replace, factorize against trial
 division and sympy (with the cofactors that trial division to 10^3 leaves
 to Miller-Rabin and rho), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
@@ -129,6 +130,50 @@ def test_vector_matches_per_place_evaluation():
             for _ in range(2)
         )
         assert hilbert_vector(a, b).support == _per_place_support(a, b), (a, b)
+
+
+def test_vector_matches_per_place_evaluation_on_small_primes():
+    # products of 2, 3, 5, 7, 11 and 13 with exponents in [-3, 3]: every
+    # parity pattern of (alpha, beta), primes in denominators, and primes
+    # dividing both a and b, which heights up to 10^9 seldom reach
+    rng = random.Random(1805)
+
+    def draw():
+        x = Fraction(rng.choice((-1, 1)))
+        for p in (2, 3, 5, 7, 11, 13):
+            x *= Fraction(p) ** rng.randint(-3, 3)
+        return x
+
+    for _ in range(2000):
+        a, b = draw(), draw()
+        assert hilbert_vector(a, b).support == _per_place_support(a, b), (a, b)
+
+
+def test_exponent_dict_is_the_core_of_rational_factor_exponents():
+    rng = random.Random(1806)
+    xs = [1, -1, 2, -12, 10**6, Fraction(-60, 7), Fraction(1, 2**96), -(2**89 - 1)]
+    xs += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**9), rng.randint(1, 10**9))
+           for _ in range(500)]
+    for x in xs:
+        sign = 1 if x > 0 else -1
+        assert rational_factor_exponents(x) == (
+            sign, tuple(sorted(rational._exponent_dict(x).items()))), x
+
+
+def test_unit_square_class_matches_the_inverse():
+    # n d = u d^2 for the unit u = n/d: the same Legendre symbol at odd p as
+    # n d^-1, and the same residue mod 8, odd squares being 1 mod 8
+    rng = random.Random(1807)
+    for _ in range(2000):
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        for p in (2, 3, 5, 7, 13, 1009):
+            v = vp(x, p)
+            n, d = rational._unit_part(x.numerator, x.denominator, p, v)
+            assert Fraction(n, d) == x / Fraction(p) ** v
+            if p == 2:
+                assert n * d % 8 == rational.local_residue(x, 2, v, 8), x
+            else:
+                assert legendre(n * d, p) == legendre(rational.local_residue(x, p, v, p), p), x
 
 
 # ---------------------------------------------------------------------------
