@@ -5,7 +5,8 @@ Conventions: rationals parse as "n" or "n/d"; places as "inf" or a prime;
 p-adic elements as a rational (read at --prec digits) or in the textual
 form "p^v * (d0 + d1*p + ...) + O(p^k)".  Signs print as "+1"/"-1",
 booleans as "true"/"false"; every command takes --json.  Exit codes:
-0 success, 2 bad input, 1 internal failure or a failed scan.
+0 success, 2 bad input, 1 internal failure or a failed scan, 141 when the
+reader of stdout has closed it.
 """
 
 from __future__ import annotations
@@ -761,7 +762,16 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull so that the exit
+        # flush cannot raise again, and exit 141 = 128 + SIGPIPE, as a shell
+        # reports a process that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -48,15 +48,14 @@ class PAdicElement(Record):
     __slots__ = ("prime", "valuation", "unit", "precision")
 
     def __init__(self, prime: int, valuation, unit: int, precision: int):
-        _set(self, "prime", prime)
+        _set(self, "prime", Prime(prime))
         _set(self, "valuation", valuation)  # int, or INFINITY for exact zero
         _set(self, "unit", unit)
         _set(self, "precision", precision)
         self.__post_init__()
 
     def __post_init__(self):
-        p = Prime(self.prime)
-        _set(self, "prime", p)
+        p = self.prime
         if self.valuation is INFINITY:
             if self.unit != 0 or self.precision != 0:
                 raise ValueError("exact zero must have unit 0, precision 0")
@@ -283,20 +282,28 @@ def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
     f and fprime = f' callables on ints; exact says that f(x) = 0 already,
     so xi = x.  The one Newton loop of hensel_lift and unit_sqrt.
 
-    Schedule: Newton iteration with precision doubling (von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 9).  v_p(f(x)) is measured once,
-    at x0; after that m is a lower bound on it, and each step sets
-    m <- min(2(m - delta), N + delta) and works modulo p^m, until
-    m = N + delta fixes the root mod p^(m-delta) = p^N.
+    Schedule: Newton iteration with the precisions fixed from the top down
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9; Brent &
+    Zimmermann, Modern Computer Arithmetic, 4.2).  A step from a lower
+    bound m on v_p(f(x)) reaches 2(m - delta), so the least m that reaches
+    a target t is ceil(t/2) + delta.  The targets are t = N + delta, then
+    t <- ceil(t/2) + delta while t exceeds v_p(f(x0)), which is measured
+    once; the lift runs them upward from the last t <= v_p(f(x0)), and
+    N + delta fixes the root mod p^N.  Each precision is the least that
+    the next one allows, so only the last step works at full size, and
+    the steps are as few as doubling from v_p(f(x0)) takes.
 
-    A step is x <- x - (f(x)/p^delta) * s with w = f'(x)/p^delta a unit and
-    s = 1/w (mod p^(m-2*delta)).  The error in s leaves
-    f(x)(1 - w*s) in f(x), of valuation >= m + (m - 2*delta) = 2(m - delta):
-    no worse than the Taylor remainder h^2, v_p(h) = m - delta.  So s
-    needs only m - 2*delta digits.  w is inverted once, at x0; as x moves by
-    multiples of p^(m-delta), w moves by multiples of p^(m-2*delta), so the
-    old s is still good to m - 2*delta digits, and one Newton step
-    s <- s(2 - w*s) doubles that to the next step's m - 2*delta."""
+    The step from m toward t is x <- x - (f(x)/p^delta) * s mod p^t, with
+    w = f'(x)/p^delta a unit and s = 1/w (mod p^(m-2*delta)).  The error
+    in s leaves f(x)(1 - w*s) in f(x), of valuation >= m + (m - 2*delta)
+    = 2(m - delta) >= t: no worse than the Taylor remainder h^2,
+    v_p(h) >= m - delta.  w is inverted once, at x0; as x moves by
+    multiples of p^(m-delta), w moves by multiples of p^(m-2*delta), so
+    the old s is still good to m - 2*delta digits, and one Newton step
+    s <- s(2 - w*s) mod p^(t-2*delta) doubles that to 2(m - 2*delta) >=
+    t - 2*delta: the digits that the step from t needs.  A step's moduli
+    are that one power p^(t-2*delta) and it times p^(2*delta); the last
+    step only reduces its x mod p^N."""
     fx = f(x)
     if fx == 0:
         return x % p ** N, True
@@ -309,17 +316,20 @@ def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
         raise ValueError(
             f"Hensel hypothesis fails: v_p(f(x0)) = {m} <= 2*{delta} = 2*v_p(f'(x0))"
         )
-    if m < N + delta:
-        pd = p ** delta
-        s = pow(dx // pd, -1, p ** (m - 2 * delta))
-        while True:
-            m = min(2 * (m - delta), N + delta)
-            x = (x - fx // pd * s) % p ** m
-            if m == N + delta:
-                break
-            mod = p ** (m - 2 * delta)
+    targets = []
+    t = N + delta
+    while t > m:
+        targets.append(t)
+        t = (t + 1) // 2 + delta
+    if targets:
+        pd, pd2 = p ** delta, p ** (2 * delta)
+        s = pow(dx // pd, -1, p ** (t - 2 * delta))
+        for t in reversed(targets[1:]):
+            mod = p ** (t - 2 * delta)
+            x = (x - fx // pd * s) % (mod * pd2)
             s = s * (2 - fprime(x) // pd * s) % mod
             fx = f(x)
+        x = x - fx // pd * s
     return x % p ** N, False
 
 

@@ -441,16 +441,14 @@ class Place(Record):
 
     def __init__(self, kind: str, prime: int | None = None):
         _set(self, "kind", kind)  # "archimedean" | "finite"
-        _set(self, "prime", prime)
+        _set(self, "prime", Prime(prime) if kind == "finite" else prime)
         self.__post_init__()
 
     def __post_init__(self):
         if self.kind == "archimedean":
             if self.prime is not None:
                 raise ValueError("archimedean place carries no prime")
-        elif self.kind == "finite":
-            _set(self, "prime", Prime(self.prime))
-        else:
+        elif self.kind != "finite":
             raise ValueError(f"unknown place kind {self.kind!r}")
 
     @classmethod

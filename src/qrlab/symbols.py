@@ -149,15 +149,14 @@ class QuadraticCharacter(Record):
     __slots__ = ("factors", "unramified_sign_prime")
 
     def __init__(self, factors: frozenset[int], unramified_sign_prime: int | None = None):
-        _set(self, "factors", factors)
-        _set(self, "unramified_sign_prime", unramified_sign_prime)
+        _set(self, "factors", frozenset(f if f in _TWO_ADIC else odd_prime(f) for f in factors))
+        _set(self, "unramified_sign_prime",
+             None if unramified_sign_prime is None else Prime(unramified_sign_prime))
         self.__post_init__()
 
     def __post_init__(self):
-        factors = frozenset(f if f in (4, 8) else odd_prime(f) for f in self.factors)
-        _set(self, "factors", factors)
-        if self.unramified_sign_prime is not None:
-            _set(self, "unramified_sign_prime", Prime(self.unramified_sign_prime))
+        """The check hook: both fields are certified as they are set, so
+        nothing is left to check."""
 
     @property
     def modulus(self) -> int:

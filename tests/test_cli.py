@@ -414,6 +414,27 @@ def test_a_command_loads_only_the_modules_it_runs():
     assert loaded == {"qrlab.cli", "qrlab.rational", "qrlab.symbols"}
 
 
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the reader has gone before the child writes, as when `qrlab ... |
+    # head -c 10` has read its fill: exit as a SIGPIPE death, silently
+    for json_flag in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-S", "-m", "qrlab.cli",
+                 "witness", "5/7", "3", "1013", "--prec", "102", *json_flag],
+                env={**os.environ, "PYTHONPATH": SRC},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        # nothing on stderr: no traceback, no "Exception ignored" line
+        assert (child.returncode, child.stderr) == (141, ""), json_flag
+
+
 def test_precision_names_are_one_object_across_modules():
     from qrlab import padic, rational
 
@@ -969,7 +990,16 @@ def test_arithmetic_commands_exit_0_or_2(command, data):
 # prime past 10^7, takes n = VP_FACTORIAL_BOUND and refuses the next n; the
 # scans take their bounds and refuse one more.  Heights stay small where the
 # count of pairs can reach its bound, and no draw starts a worker process.
+# The analytic commands take k = BERNOULLI_BOUND and refuse the next k;
+# power-sum prints 0^k + ... + (n-1)^k up to POWER_SUM_DIGITS_BOUND digits,
+# which n = 10^1433 (k = 2) and n = 10^2149 (k = 1) reach and the next
+# powers of ten pass; an O-term at 2^1024 or 7^364 is within
+# PADIC_BITS_BOUND and one digit more is not; lambda_49999 is the largest
+# Gauss sum within ROOT_NUMBER_BOUND and lambda_50021 the least past it.
+# The accepted extremes cost the most (about 1 s for the first B_2000,
+# 0.1 s for lambda_49999), so they are a few entries among many.
 
+_MALFORMED = st.sampled_from(["x", "3/4", "1e3", "", "--"])
 _BIG_INTS = st.sampled_from([10**40, -(10**40), 7 + 10**700 * 2**1024])
 _FACTORIAL_PRIMES = st.one_of(_FUZZ_MODULI, st.sampled_from(["9999991", "10000019"]))
 _WORKERS = st.one_of(st.just([]), st.sampled_from(["-1", "0", "1"]).map(
@@ -994,6 +1024,44 @@ _BOUNDED_COMMANDS = {
             [cli.SCAN_PAIRS_BOUND, cli.SCAN_PAIRS_BOUND + 1, 10**30])),
         st.sampled_from([-1, 0, 1, 10, 1000, 10**40]), _WORKERS),
 }
+_BERNOULLI_KS = st.one_of(
+    st.integers(-5, 60).map(str), _MALFORMED,
+    st.sampled_from([BERNOULLI_BOUND, BERNOULLI_BOUND + 1, BERNOULLI_BOUND + 2, 10**40]).map(str))
+_POWER_SUM_NS = st.one_of(
+    st.integers(-3, 200).map(str), _MALFORMED,
+    st.sampled_from([10**1433, 10**1434, 10**2149, 10**2150, 10**4299, 10**40]).map(str))
+_CHARACTERS = st.one_of(
+    st.sampled_from(["sign", "1", "lambda_4", "lambda_8", "nu_2*lambda_4", "lambda_4*lambda_8",
+                     "nu_3*lambda_3", "lambda_3*lambda_3", "nu_5", "lambda_1013",
+                     "nu_1009*lambda_1009", "lambda_2", "lambda_15", "nu_0", "lambda_4*lambda_3",
+                     "lambda_", "nu_-3", "1*1", "lambda_49999", "lambda_50021",
+                     "nu_10000019", f"lambda_{2**61 - 1}"]),
+    st.lists(st.sampled_from(["1", "nu_2", "nu_3", "nu_7", "lambda_3", "lambda_4", "lambda_8",
+                              "lambda_7"]), max_size=4).map("*".join),
+    _MALFORMED,
+)
+_FRAC_PART_ELEMENTS = st.builds(
+    _textual_element, st.sampled_from([2, 3, 7, 15]),
+    st.one_of(st.integers(-3, 3), st.just(-(10**9))),
+    st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    st.one_of(st.integers(0, 6), st.sampled_from([PADIC_BITS_BOUND, 364])))
+_OPTIONAL_P = st.one_of(st.just([]), _FUZZ_MODULI.map(lambda p: ["-p", p]))
+_BOUNDED_COMMANDS.update({
+    "bernoulli": _BERNOULLI_KS.map(lambda k: ["bernoulli", k]),
+    "von-staudt": _BERNOULLI_KS.map(lambda k: ["von-staudt", k]),
+    "power-sum": st.builds(lambda k, n: ["power-sum", k, n],
+                           st.one_of(_BERNOULLI_KS, st.sampled_from(["0", "1", "2"])),
+                           _POWER_SUM_NS),
+    "frac-part": st.builds(lambda x, p: ["frac-part", x] + p,
+                           st.one_of(_FUZZ_ANY_RATIONALS, _FRAC_PART_ELEMENTS), _OPTIONAL_P),
+    "conductor": st.builds(lambda chi, p: ["conductor", chi] + p, _CHARACTERS, _OPTIONAL_P),
+    "root-number": st.builds(
+        lambda chi, v, gamma: ["root-number", chi] + v + gamma, _CHARACTERS,
+        st.one_of(st.just([]), _FUZZ_PLACES.map(lambda v: ["-v", v])),
+        st.one_of(st.just([]), st.one_of(
+            st.sampled_from(["1", "2", "3", "8", "24", "7/5", "1/3", "-49999"]),
+            _FUZZ_ANY_RATIONALS).map(lambda g: ["--gamma", g]))),
+})
 
 
 @pytest.mark.parametrize("command", sorted(_BOUNDED_COMMANDS))
@@ -1036,7 +1104,6 @@ def test_character_commands_exit_0_or_2(command, data):
 # bound is drawn on its refused side, by the least prime past it and by
 # composites, and malformed text stands in for every argument.
 
-_MALFORMED = st.sampled_from(["x", "3/4", "1e3", "", "--"])
 _ORACLE_PRIMES = st.one_of(
     st.sampled_from([3, 5, 7, 13, 101, 103]).map(str), _FUZZ_MODULI, _MALFORMED)
 _LATTICE_PAST = _next_prime(math.isqrt(LATTICE_BOUND))

@@ -40,6 +40,7 @@ from qrlab.hilbert import (
     local_solve_witness,
 )
 from qrlab.padic import (
+    PADIC_BITS_BOUND,
     IntPolynomial,
     PAdicElement,
     PrecisionLossError,
@@ -600,16 +601,24 @@ def _random_liftable(rng: random.Random, p: int):
     return IntPolynomial(tuple(g)), x0
 
 
+def _precision_near_a_power_of_two(rng: random.Random) -> int:
+    """N = 2^j - 1, 2^j, 2^j + 1 or 2^j + 8: around the targets that
+    precision doubling lands on exactly, and just past them, where the
+    lift's last steps are the largest."""
+    return 2 ** rng.randint(1, 7) + rng.choice((-1, 0, 1, 8))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
 def test_hensel_matches_per_step_loop_random(p):
-    rng = random.Random(40000 + p)
+    rng, edges = random.Random(40000 + p), random.Random(41000 + p)
     for _ in range(400):
         f, x0 = _random_liftable(rng, p)
         _assert_lift_matches(f, x0, rng.randint(1, 60), p)
+        _assert_lift_matches(f, x0, _precision_near_a_power_of_two(edges), p)
 
 
 def test_hensel_matches_per_step_loop_delta_2_to_4():
-    rng = random.Random(4918)
+    rng, edges = random.Random(4918), random.Random(4919)
     # f = T^d - a with f'(x0) = d x0^(d-1): delta = v_p(d) for a unit x0,
     # and a = x0^d (mod p^(2 delta + 1 + j)) makes the lift start at m > 2 delta
     families = [(2, 4, 2), (3, 9, 2), (2, 8, 3), (3, 27, 3), (2, 16, 4), (5, 25, 2)]
@@ -622,6 +631,7 @@ def test_hensel_matches_per_step_loop_delta_2_to_4():
             f = IntPolynomial((-a,) + (0,) * (d - 1) + (1,))
             assert _naive_vp(f.derivative()(x0), p) == delta
             _assert_lift_matches(f, x0, rng.randint(1, 80), p)
+            _assert_lift_matches(f, x0, _precision_near_a_power_of_two(edges), p)
     # delta from the seed instead: T^2 - a near a root divisible by p
     for p in (3, 5, 7):
         for _ in range(40):
@@ -629,6 +639,50 @@ def test_hensel_matches_per_step_loop_delta_2_to_4():
             delta = _naive_vp(2 * x0, p)
             a = x0 * x0 + p ** (2 * delta + 1 + rng.randint(0, 4)) * rng.randrange(1, 10**4)
             _assert_lift_matches(IntPolynomial((-a, 0, 1)), x0, rng.randint(1, 50), p)
+            _assert_lift_matches(IntPolynomial((-a, 0, 1)), x0,
+                                 _precision_near_a_power_of_two(edges), p)
+
+
+def test_lift_works_at_full_precision_only_in_its_last_step():
+    # the targets are fixed from N + delta down, so every f and f' that the
+    # lift evaluates sees an x below the second-to-last target,
+    # p^(ceil((N + delta)/2) + delta); the last step evaluates neither
+    rng = random.Random(1904)
+
+    def recording(g):
+        def wrapper(x):
+            seen.append(x)
+            return g(x)
+        return wrapper
+
+    def lifts(p):
+        for j in range(1, 11):
+            for N in (2**j + 1, 2**j + 8):
+                if N * math.log2(p) > PADIC_BITS_BOUND:
+                    continue
+                if p == 2:
+                    # T^2 - u from the seed 1 (delta = 1), and T^4 - a
+                    # near an odd x0 (delta = 2)
+                    u = 8 * rng.randrange(1, 2**N) + 1
+                    yield IntPolynomial((-u, 0, 1)), 1, N, 1
+                    x0 = rng.randrange(1, 16, 2)
+                    a = x0**4 + 2 ** (5 + rng.randint(0, 3)) * rng.randrange(1, 10**6, 2)
+                    yield IntPolynomial((-a, 0, 0, 0, 1)), x0, N, 2
+                else:
+                    # T^2 - u from a root mod p (delta = 0)
+                    u = pow(rng.randrange(1, p ** N), 2, p ** (N + 4))
+                    if u % p:
+                        yield IntPolynomial((-u, 0, 1)), sqrt_mod_prime(u, p), N, 0
+
+    for p in (2, 3, 1013):
+        for f, x0, N, delta in lifts(p):
+            seen = []
+            fprime = f.derivative()
+            root, exact = padic._lift(recording(f), recording(fprime), x0, p, N)
+            assert not exact and f(root) % p**N == 0, (p, N, f)
+            assert _naive_vp(fprime(x0), p) == delta
+            bound = p ** (-(-(N + delta) // 2) + delta)
+            assert all(0 <= x < bound for x in seen), (p, N, f, max(seen), bound)
 
 
 def test_hensel_matches_per_step_loop_from_padic_seeds():
