@@ -169,26 +169,23 @@ class LocalCharacter(Record):
     __slots__ = ("place", "quad", "r")
 
     def __init__(self, place: Place, quad: QuadraticCharacter = TRIVIAL_CHARACTER, r: int = 0):
+        if place.is_infinite:
+            if not quad.is_trivial:
+                raise ValueError("the real place has only the sign character")
+            if r not in (0, 1):
+                raise ValueError("r must be 0 or 1")
+        else:
+            if r:
+                raise ValueError("r is archimedean-only")
+            p = place.prime
+            if quad.unramified_sign_prime not in (None, p):
+                raise ValueError(f"nu factor is not local at {p}")
+            allowed = {4, 8} if p == 2 else {p}
+            if not quad.factors <= allowed:
+                raise ValueError(f"factors {set(quad.factors)} are not local at {p}")
         _set(self, "place", place)
         _set(self, "quad", quad)
         _set(self, "r", r)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.place.is_infinite:
-            if not self.quad.is_trivial:
-                raise ValueError("the real place has only the sign character")
-            if self.r not in (0, 1):
-                raise ValueError("r must be 0 or 1")
-        else:
-            if self.r:
-                raise ValueError("r is archimedean-only")
-            p = self.place.prime
-            if self.quad.unramified_sign_prime not in (None, p):
-                raise ValueError(f"nu factor is not local at {p}")
-            allowed = {4, 8} if p == 2 else {p}
-            if not self.quad.factors <= allowed:
-                raise ValueError(f"factors {set(self.quad.factors)} are not local at {p}")
 
     @classmethod
     def at_infinity(cls, r: int) -> "LocalCharacter":
@@ -250,9 +247,7 @@ def _e(t: float) -> complex:
     return cmath.exp(complex(0.0, 2.0 * math.pi * t))
 
 
-def local_root_number(
-    chi: LocalCharacter, v: PlaceLike | None = None, gamma: Rat | None = None
-) -> ComplexValue:
+def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> ComplexValue:
     """W_v(chi): i^(-r) at the real place; at p the normalized Gauss sum
     chi(gamma)/sqrt(p^a) * sum over units x mod p^a of chi(x) e(<x/gamma>_p)
     with v_p(gamma) = a(chi).  The value does not depend on gamma.
@@ -260,8 +255,6 @@ def local_root_number(
     With gamma = p^a u, <x/gamma>_p = (x u^-1 mod p^a) / p^a, so the sum
     runs on ints: u is inverted mod p^a once, and chi(x) of the unit x is
     read from x itself."""
-    if v is not None and _coerce_place(v) != chi.place:
-        raise ValueError("place does not match the character")
     if chi.place.is_infinite:
         return ONE if chi.r == 0 else ComplexValue(0.0, -1.0)
     p = chi.place.prime

@@ -19,12 +19,12 @@ from qrlab.rational import (
     FactorizationError,
     Rat,
     Record,
+    _exponent_dict,
     _set,
     _sqrt_mod_squarefree_general,
     _squarefree_core,
     check_factor_bound,
     is_rational_square,
-    rational_factor_exponents,
 )
 
 Triple = tuple[Rat, Rat, Rat]
@@ -36,19 +36,16 @@ class DescentFrame(Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if 0 in (a, b, c):
+            raise ValueError("frame coefficients must be nonzero")
+        if d * d - a != b * c:
+            raise ValueError("frame identity d^2 - a = b c fails")
+        if not 0 <= 2 * d <= abs(b):
+            raise ValueError("d must lie in [0, |b|/2]")
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if 0 in (self.a, self.b, self.c):
-            raise ValueError("frame coefficients must be nonzero")
-        if self.d * self.d - self.a != self.b * self.c:
-            raise ValueError("frame identity d^2 - a = b c fails")
-        if not 0 <= 2 * self.d <= abs(self.b):
-            raise ValueError("d must lie in [0, |b|/2]")
 
 
 def descent_step(frame: DescentFrame, sol, direction: str) -> Triple:
@@ -160,7 +157,7 @@ def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0,
         return 1, 0, d, depth
     c = (d * d - a) // b
     # c is an integer, so the split's denominator is 1
-    e, f, _, primes_e = _squarefree_core(*rational_factor_exponents(c))
+    e, f, _, primes_e = _squarefree_core(1 if c > 0 else -1, _exponent_dict(c).items())
     # solve the lighter form <a, e>, lift to <a, c> = <a, e f^2>, and step
     # back to <a, b>
     X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1, d)
@@ -179,32 +176,29 @@ def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
-    return _solve(a, b, rational_factor_exponents(a), rational_factor_exponents(b))
+    return _solve(a, b, _exponent_dict(a), _exponent_dict(b))
 
 
-def _quotient(sign: int, fx, fy):
-    """The (sign, exponents) pair of sign * x / y from those of x and y, as
-    rational_factor_exponents returns them."""
-    exps = dict(fx[1])
-    for p, e in fy[1]:
+def _quotient(vx: dict, vy: dict) -> dict:
+    """The exponent dict of x / y from those of x and y."""
+    exps = dict(vx)
+    for p, e in vy.items():
         exps[p] = exps.get(p, 0) - e
-    return sign * fx[0] * fy[0], tuple(sorted((p, e) for p, e in exps.items() if e))
+    return {p: e for p, e in exps.items() if e}
 
 
-def _solve(a: Fraction, b: Fraction, fa, fb) -> ConicCertificate:
-    """solve_conic on nonzero Fractions a and b whose (sign, exponents)
-    pairs are fa and fb: one factorization of each serves the symbol vector
-    and the squarefree split."""
-    sign_a, exps_a = fa
-    sign_b, exps_b = fb
-    vector = _vector_from_exponents(a, b, dict(exps_a), dict(exps_b))
+def _solve(a: Fraction, b: Fraction, va: dict, vb: dict) -> ConicCertificate:
+    """solve_conic on nonzero Fractions a and b whose exponent dicts
+    (_exponent_dict's) are va and vb: one factorization of each serves the
+    symbol vector and the squarefree split."""
+    vector = _vector_from_exponents(a, b, va, vb)
     if vector.minus_places:
         cert = ConicCertificate(a, b, "obstruction", places=vector.support)
         assert cert.verify()
         return cert
     # scale to squarefree integers: a x^2 = a0 (sa x)^2, sa = num_a / den_a
-    a0, num_a, den_a, primes_a = _squarefree_core(sign_a, exps_a)
-    b0, num_b, den_b, primes_b = _squarefree_core(sign_b, exps_b)
+    a0, num_a, den_a, primes_a = _squarefree_core(1 if a > 0 else -1, va.items())
+    b0, num_b, den_b, primes_b = _squarefree_core(1 if b > 0 else -1, vb.items())
     X, Y, Z, depth = _descent(a0, b0, primes_a, primes_b)
     # x = X / (Z sa) and y = Y / (Z sb), of the four sign flips the one with x >= 0 >= y
     x, y = abs(Fraction(X * den_a, Z * num_a)), -abs(Fraction(Y * den_b, Z * num_b))
@@ -229,11 +223,10 @@ def legendre_ternary(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     if a * b * c == 0:
         raise ValueError("coefficients must be nonzero")
     check_factor_bound(a * b * c)
-    fa, fb, fc = (rational_factor_exponents(t) for t in (a, b, c))
-    factors = fa[1] + fb[1] + fc[1]
-    if sum(e for _, e in factors) != len({p for p, _ in factors}):
+    va, vb, vc = (_exponent_dict(t) for t in (a, b, c))
+    if sum(e for v in (va, vb, vc) for e in v.values()) != len({*va, *vb, *vc}):
         raise ValueError("a b c must be squarefree")
-    cert = _solve(Fraction(-a, c), Fraction(-b, c), _quotient(-1, fa, fc), _quotient(-1, fb, fc))
+    cert = _solve(Fraction(-a, c), Fraction(-b, c), _quotient(va, vc), _quotient(vb, vc))
     if cert.outcome == "obstruction":
         return None
     # z is the least common denominator, so the triple is primitive
@@ -290,12 +283,12 @@ def global_is_norm(a: Rat, b: Rat) -> NormCertificate:
     # -b/a itself
     q = -b / a
     check_factor_bound(q)
-    fa = rational_factor_exponents(a)
+    va = _exponent_dict(a)
     try:
-        fq = _quotient(-1, rational_factor_exponents(b), fa)
+        vq = _quotient(_exponent_dict(b), va)
     except FactorizationError:
-        fq = rational_factor_exponents(q)
-    conic = _solve(1 / a, q, _quotient(1, (1, ()), fa), fq)
+        vq = _exponent_dict(q)
+    conic = _solve(1 / a, q, _quotient({}, va), vq)
     if conic.outcome == "obstruction":
         return NormCertificate(a, b, False, places=conic.places)
     cert = NormCertificate(a, b, True, y=conic.y, z=conic.x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qrlab.padic import PAdicElement, unit_sqrt
+from qrlab.padic import unit_sqrt
 from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
@@ -56,9 +56,10 @@ def _symbol_exponent(p: int, alpha: int, ua: int, beta: int, ub: int) -> int:
     return e % 2
 
 
-def hilbert_symbol(a, b, v: PlaceLike) -> int:
-    """(a,b)_v: +1 iff a x^2 + b y^2 = z^2 has a nontrivial solution in Q_v,
-    from the closed forms on valuations and unit residues."""
+def hilbert_symbol(a: Rat, b: Rat, v: PlaceLike) -> int:
+    """(a,b)_v for nonzero rationals a and b: +1 iff a x^2 + b y^2 = z^2
+    has a nontrivial solution in Q_v, from the closed forms on valuations
+    and unit residues."""
     place = _coerce_place(v)
     if place.is_infinite:
         a, b = Fraction(a), Fraction(b)
@@ -67,19 +68,7 @@ def hilbert_symbol(a, b, v: PlaceLike) -> int:
         return (-1) ** (eps_inf(a) * eps_inf(b))
     p = place.prime
     m = 8 if p == 2 else p
-    split = []
-    for x in (a, b):
-        if not isinstance(x, PAdicElement):
-            split.append(local_unit(x, p, m))
-            continue
-        if x.is_zero:
-            raise ValueError("inputs must be nonzero")
-        if x.prime != p:
-            raise ValueError(f"element lives at {x.prime}, not {p}")
-        if p == 2 and x.precision < 3:
-            raise ValueError("need 3 unit digits at 2")
-        split.append((x.valuation, x.unit % m))
-    (alpha, ua), (beta, ub) = split
+    (alpha, ua), (beta, ub) = local_unit(a, p, m), local_unit(b, p, m)
     return (-1) ** _symbol_exponent(p, alpha, ua, beta, ub)
 
 
@@ -92,12 +81,9 @@ class SymbolVector(Record):
     __slots__ = ("minus_places",)
 
     def __init__(self, minus_places: frozenset):
-        _set(self, "minus_places", minus_places)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.minus_places) % 2:
+        if len(minus_places) % 2:
             raise ValueError("the -1 support of a symbol vector must be even")
+        _set(self, "minus_places", minus_places)
 
     @property
     def support(self) -> tuple:

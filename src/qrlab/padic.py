@@ -48,22 +48,18 @@ class PAdicElement(Record):
     __slots__ = ("prime", "valuation", "unit", "precision")
 
     def __init__(self, prime: int, valuation, unit: int, precision: int):
-        _set(self, "prime", Prime(prime))
+        p = Prime(prime)
+        if valuation is INFINITY:
+            if unit != 0 or precision != 0:
+                raise ValueError("exact zero must have unit 0, precision 0")
+        elif precision < 1:
+            raise ValueError("precision must be >= 1")
+        elif not 1 <= unit < p ** precision or unit % p == 0:
+            raise ValueError(f"unit {unit} invalid mod {p}^{precision}")
+        _set(self, "prime", p)
         _set(self, "valuation", valuation)  # int, or INFINITY for exact zero
         _set(self, "unit", unit)
         _set(self, "precision", precision)
-        self.__post_init__()
-
-    def __post_init__(self):
-        p = self.prime
-        if self.valuation is INFINITY:
-            if self.unit != 0 or self.precision != 0:
-                raise ValueError("exact zero must have unit 0, precision 0")
-            return
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        if not 1 <= self.unit < p ** self.precision or self.unit % p == 0:
-            raise ValueError(f"unit {self.unit} invalid mod {p}^{self.precision}")
 
     # -- constructors ------------------------------------------------------
 
@@ -207,11 +203,7 @@ class IntPolynomial(Record):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple):
-        _set(self, "coefficients", coefficients)
-        self.__post_init__()
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(int(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         _set(self, "coefficients", coeffs)
@@ -235,30 +227,17 @@ class IntPolynomial(Record):
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
-def hensel_lift(
-    f: IntPolynomial,
-    x0: PAdicElement | int,
-    target_precision: int,
-    p: int | None = None,
-) -> PAdicElement:
-    """Newton-refine an approximate root: from v_p(f(x0)) = m > 2*delta with
-    delta = v_p(f'(x0)), produce xi with f(xi) = 0 (mod p^N) and
-    xi = x0 (mod p^(m-delta)).  That root is unique mod p^N, so f = 0,
-    of which every x is a root, is refused, as is a nonzero constant f,
-    which has none.
+def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAdicElement:
+    """Newton-refine an approximate root: from the integer seed x0 with
+    v_p(f(x0)) = m > 2*delta, delta = v_p(f'(x0)), produce xi with
+    f(xi) = 0 (mod p^N) and xi = x0 (mod p^(m-delta)).  That root is
+    unique mod p^N, so f = 0, of which every x is a root, is refused, as
+    is a nonzero constant f, which has none.
 
     The lift runs on integers in _lift, the one Newton core that unit_sqrt
-    shares; this wrapper checks the seed and builds the element."""
-    if isinstance(x0, PAdicElement):
-        p = x0.prime
-        if not x0.is_zero and x0.valuation < 0:
-            raise ValueError("x0 must lie in Z_p")
-        x = 0 if x0.is_zero else x0.integer_rep()
-    else:
-        if p is None:
-            raise ValueError("p required when x0 is a plain integer")
-        p = Prime(p)
-        x = int(x0)
+    shares; this wrapper checks its arguments and builds the element."""
+    p = Prime(p)
+    x = int(x0)
     N = target_precision
     if N < 1:
         raise ValueError("target precision must be >= 1")

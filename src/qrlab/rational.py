@@ -6,6 +6,12 @@ terms with positive denominator, which is exactly the representation contract
 the rest of the library relies on).  The valuation of a rational x at a
 prime p is read in one place, `vp`, and x / p^v is divided out in one
 other, `_unit_part`, which `local_residue` and the symbol vector share.
+The factor core, `_exponent_dict`, gives {p: v_p(x)} for a rational x;
+the symbol vector and the conic layer read its dicts as they are, and
+`rational_factor_exponents` sorts them for `factorize` and the CLI.
+
+The library's value types are `Record`s: each checks its arguments in
+__init__ and sets every field exactly once, so a built record is valid.
 
 A prime is certified once, by `Prime`: an int that has passed
 is_probable_prime (or comes out of factorize, which certifies what it
@@ -133,8 +139,8 @@ _set = object.__setattr__
 
 class Record:
     """Base of the library's immutable value classes.  A subclass names its
-    fields in __slots__ and sets each once in __init__ through `_set`
-    (object.__setattr__), then runs its __post_init__ check if it has one.
+    fields in __slots__, and its __init__ checks its arguments and then
+    sets each field exactly once through `_set` (object.__setattr__).
     Assignment raises AttributeError.  Equality and hashing go by the
     fields, between instances of one class; repr reads "Name(field=value,
     ...)"; pickle and copy rebuild an instance through __init__."""
@@ -328,18 +334,15 @@ class Factorization(Record):
     __slots__ = ("sign", "factors")
 
     def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
-        _set(self, "sign", sign)
-        _set(self, "factors", factors)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        primes = [p for p, _ in self.factors]
+        primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):
             raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.factors):
+        if any(e < 1 for _, e in factors):
             raise ValueError("exponents must be >= 1")
+        _set(self, "sign", sign)
+        _set(self, "factors", factors)
 
     def vp(self, p: int) -> int:
         return dict(self.factors).get(p, 0)
@@ -402,8 +405,8 @@ def factorize(n: int) -> Factorization:
 
 def check_factor_bound(x: Rat) -> None:
     """Refuse, with FactorizationError, an int or Fraction x whose numerator
-    or denominator exceeds DEFAULT_FACTOR_BOUND: the workload bound of
-    rational_factor_exponents, which callers that factor the parts of x
+    or denominator exceeds DEFAULT_FACTOR_BOUND: the workload bound of the
+    factor core, _exponent_dict, which callers that factor the parts of x
     apart check on x itself."""
     if abs(x.numerator) > DEFAULT_FACTOR_BOUND or x.denominator > DEFAULT_FACTOR_BOUND:
         raise FactorizationError(f"|n| exceeds workload bound {DEFAULT_FACTOR_BOUND}")
@@ -440,16 +443,14 @@ class Place(Record):
     __slots__ = ("kind", "prime")
 
     def __init__(self, kind: str, prime: int | None = None):
+        if kind == "finite":
+            prime = Prime(prime)
+        elif kind != "archimedean":
+            raise ValueError(f"unknown place kind {kind!r}")
+        elif prime is not None:
+            raise ValueError("archimedean place carries no prime")
         _set(self, "kind", kind)  # "archimedean" | "finite"
-        _set(self, "prime", Prime(prime) if kind == "finite" else prime)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind == "archimedean":
-            if self.prime is not None:
-                raise ValueError("archimedean place carries no prime")
-        elif self.kind != "finite":
-            raise ValueError(f"unknown place kind {self.kind!r}")
+        _set(self, "prime", prime)
 
     @classmethod
     def infinity(cls) -> "Place":

@@ -152,11 +152,6 @@ class QuadraticCharacter(Record):
         _set(self, "factors", frozenset(f if f in _TWO_ADIC else odd_prime(f) for f in factors))
         _set(self, "unramified_sign_prime",
              None if unramified_sign_prime is None else Prime(unramified_sign_prime))
-        self.__post_init__()
-
-    def __post_init__(self):
-        """The check hook: both fields are certified as they are set, so
-        nothing is left to check."""
 
     @property
     def modulus(self) -> int:

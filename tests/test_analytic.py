@@ -331,8 +331,6 @@ def test_root_number_workload_bound():
 def test_root_number_rejects_bad_gamma():
     with pytest.raises(ValueError):
         local_root_number(_chi(2, factors=(8,)), gamma=2)
-    with pytest.raises(ValueError):
-        local_root_number(_chi(3, factors=(3,)), v=5)
 
 
 def test_attached_characters_match_symbols():

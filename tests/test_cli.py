@@ -990,7 +990,8 @@ def test_arithmetic_commands_exit_0_or_2(command, data):
 # prime past 10^7, takes n = VP_FACTORIAL_BOUND and refuses the next n; the
 # scans take their bounds and refuse one more.  Heights stay small where the
 # count of pairs can reach its bound, and no draw starts a worker process.
-# The analytic commands take k = BERNOULLI_BOUND and refuse the next k;
+# The analytic commands take k = BERNOULLI_BOUND and refuse the next k,
+# scan-vonstaudt the next even k;
 # power-sum prints 0^k + ... + (n-1)^k up to POWER_SUM_DIGITS_BOUND digits,
 # which n = 10^1433 (k = 2) and n = 10^2149 (k = 1) reach and the next
 # powers of ten pass; an O-term at 2^1024 or 7^364 is within
@@ -1023,6 +1024,10 @@ _BOUNDED_COMMANDS = {
         st.one_of(st.integers(-2, 50), st.sampled_from(
             [cli.SCAN_PAIRS_BOUND, cli.SCAN_PAIRS_BOUND + 1, 10**30])),
         st.sampled_from([-1, 0, 1, 10, 1000, 10**40]), _WORKERS),
+    "scan-vonstaudt": st.builds(
+        lambda k, w: ["scan-vonstaudt", str(k)] + w,
+        st.one_of(st.integers(-5, 200), st.sampled_from(
+            [BERNOULLI_BOUND, BERNOULLI_BOUND + 1, BERNOULLI_BOUND + 2, 10**40])), _WORKERS),
 }
 _BERNOULLI_KS = st.one_of(
     st.integers(-5, 60).map(str), _MALFORMED,

@@ -18,7 +18,6 @@ from qrlab.hilbert import (
     is_local_norm,
     local_solve_witness,
 )
-from qrlab.padic import PAdicElement
 from qrlab.rational import INF_PLACE, Place
 from qrlab.symbols import lambda4, lambda8, legendre
 
@@ -71,14 +70,6 @@ def test_symbol_rejects_zero():
         hilbert_symbol(0, 3, 5)
     with pytest.raises(ValueError):
         hilbert_symbol(3, 0, "inf")
-
-
-def test_symbol_padic_inputs():
-    x = PAdicElement.from_rational(5, 2, 8)
-    y = PAdicElement.from_rational(2, 2, 8)
-    assert hilbert_symbol(x, y, 2) == -1
-    with pytest.raises(ValueError):
-        hilbert_symbol(x, y, 3)
 
 
 def test_symbol_matches_brute_force_solvability():

@@ -1,11 +1,13 @@
 """The contract of the library's immutable value classes, all built on
 rational.Record: construction by position and by keyword with the same
 defaults, equality and hashing by fields within one class, the
-dataclass-format repr, immutability, pickle and copy round trips, and the
-validation each class runs on construction."""
+dataclass-format repr, immutability, pickle and copy round trips, each
+field set once, and the validation each class runs on construction."""
 
 import copy
+import importlib
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -122,6 +124,23 @@ def test_pickle_and_copy_round_trip(cls, fields, text):
     copies += [copy.copy(x), copy.deepcopy(x)]
     for y in copies:
         assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
+
+
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_each_field_is_set_once(cls, fields, text, monkeypatch):
+    # counted through every module's binding of rational._set, the one
+    # setter a record's __init__ may use
+    counts = Counter()
+
+    def counting(obj, name, value):
+        if type(obj) is cls:
+            counts[name] += 1
+        object.__setattr__(obj, name, value)
+
+    for module in ("rational", "padic", "symbols", "hilbert", "conic", "analytic"):
+        monkeypatch.setattr(importlib.import_module(f"qrlab.{module}"), "_set", counting)
+    cls(*fields)
+    assert counts == Counter(cls._fields)
 
 
 def test_an_unpickled_place_keeps_its_prime():
