@@ -53,7 +53,9 @@ def descent_step(frame: DescentFrame, sol, direction: str) -> Triple:
     a w^2 + c z^2 = t^2 (the T side); the two directions are mutually
     inverse up to scaling by the nonzero constant d^2 - a.  Integer
     triples stay integers; other entries are read as Fractions."""
-    x, y, s = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in sol)
+    x, y, s = sol
+    if type(x) is not int or type(y) is not int or type(s) is not int:
+        x, y, s = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in (x, y, s))
     if x == y == s == 0:
         raise ValueError("the zero triple is not a projective solution")
     a, b, c, d = frame.a, frame.b, frame.c, frame.d
@@ -97,7 +99,12 @@ class ConicCertificate(Record):
 
     def verify(self) -> bool:
         if self.outcome == "solution":
-            return self.a * self.x ** 2 + self.b * self.y ** 2 == 1
+            # a x^2 + b y^2 = 1 times the denominators of a, b, x^2 and y^2
+            a, b, x, y = self.a, self.b, self.x, self.y
+            dx, dy = x.denominator ** 2, y.denominator ** 2
+            return (a.numerator * b.denominator * x.numerator ** 2 * dy
+                    + b.numerator * a.denominator * y.numerator ** 2 * dx
+                    == a.denominator * b.denominator * dx * dy)
         return (
             len(self.places) > 0
             and len(self.places) % 2 == 0

@@ -91,6 +91,21 @@ _MR_PSI = (
     3317044064679887385961981,
 )
 
+# From psi_3 to 2^64, the least base sets proven over their whole ranges, as
+# sympy.ntheory.primetest.isprime lists them (and Wikipedia's "Miller-Rabin
+# primality test"): an n below a bound with no factor among _MR_BASES is prime
+# iff it passes each base whose residue mod n is >= 2.  The sets with base 2
+# were checked against Feitsma-Galway's base-2 strong pseudoprimes below 2^64.
+_MR_MINIMAL_BOUNDS = (350269456337, 55245642489451, 7999252175582851, 585226005592931977, 2**64)
+_MR_MINIMAL_BASES = (
+    (4230279247111683200, 14694767155120705706, 16641139526367750375),
+    (2, 141889084524735, 1199124725622454117, 11096072698276303650),
+    (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
+    (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+     1263739024124850375),
+    (2, 325, 9375, 28178, 450775, 9780504, 1795265022),
+)
+
 
 class FactorizationError(ValueError):
     """Raised when an input exceeds the configured factorization workload;
@@ -179,11 +194,14 @@ class Record:
 # primality and factorization
 
 def is_probable_prime(n: int) -> bool:
-    """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved:
-    Miller-Rabin on the first t prime bases, t the least with n < psi_t
-    (two bases below 1373653, nine below 3.8e18).  Above psi_13 it is
-    Baillie-PSW (the 13 bases, then a strong Lucas test with Selfridge's
-    parameters): no composite is known to pass, but none is ruled out."""
+    """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved by
+    Miller-Rabin: below psi_3 = 25326001 and from 2^64 on, on the first t
+    prime bases, t the least with n < psi_t (two bases below 1373653,
+    twelve below 3.2e23); from psi_3 to 2^64, on the least proven base
+    set of n's band (3 bases below 350269456337, then 4, 5, 6 and 7).
+    Above psi_13 it is Baillie-PSW (the 13 bases, then a strong Lucas test
+    with Selfridge's parameters): no composite is known to pass, but none
+    is ruled out."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -194,7 +212,14 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
+    if _MR_PSI[2] <= n < _MR_MINIMAL_BOUNDS[-1]:
+        bases = _MR_MINIMAL_BASES[bisect.bisect_right(_MR_MINIMAL_BOUNDS, n)]
+    else:
+        bases = _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]
+    for a in bases:
+        a %= n
+        if a < 2:
+            continue  # 0 and 1 are no witnesses: the base passes
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -314,7 +339,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # the sign of a factor leaves gcd(q, n) as it is
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -322,7 +347,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise FactorizationError(f"rho failed to split {n}")  # pragma: no cover
@@ -665,7 +690,14 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None
     sums = [fixed + sum(signed[:1])]
     for t in signed[1:]:
         sums = [s + t for s in sums] + [s - t for s in sums]
-    return min(min(d, b - d) for d in (s % b for s in sums))
+    half = least = b // 2
+    for s in sums:
+        d = s % b
+        if d > half:
+            d = b - d
+        if d < least:
+            least = d
+    return least
 
 
 def sqrt_mod_squarefree(a: int, b: int) -> int | None:

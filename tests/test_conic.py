@@ -180,6 +180,52 @@ def test_certificate_json():
     )
 
 
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+
+def _points_on_conics(rng: random.Random):
+    """(a, b, x, y) with a x^2 + b y^2 = 1: random b and nonzero x and y
+    fix a; x = 0 fixes b = 1/y^2 and y = 0 fixes a = 1/x^2."""
+    for i in range(600):
+        x, y = _random_rational(rng), _random_rational(rng)
+        if i % 3 == 1:
+            yield _random_rational(rng), 1 / y**2, Fraction(0), y
+        elif i % 3 == 2:
+            yield 1 / x**2, _random_rational(rng), x, Fraction(0)
+        else:
+            b = _random_rational(rng)
+            yield (1 - b * y**2) / x**2, b, x, y
+
+
+def test_certificate_verify_agrees_with_fraction_evaluation():
+    rng = random.Random(1993)
+    for a, b, x, y in _points_on_conics(rng):
+        assert a * x**2 + b * y**2 == 1
+        assert ConicCertificate(a, b, "solution", x=x, y=y).verify(), (a, b, x, y)
+        # the same x and y on an unrelated conic
+        a2, b2 = _random_rational(rng), _random_rational(rng)
+        expected = a2 * x**2 + b2 * y**2 == 1
+        assert ConicCertificate(a2, b2, "solution", x=x, y=y).verify() == expected
+
+
+def test_certificate_verify_rejects_a_moved_numerator():
+    rng = random.Random(2017)
+    points = list(_points_on_conics(rng))
+    points += [(Fraction(a), Fraction(b), c.x, c.y)
+               for a, b in ((2, 7), (3764609993, 1698764789), (-7, 11), (1, 5))
+               for c in [solve_conic(a, b)]]
+    for a, b, x, y in points:
+        for step in (1, -1):
+            moved = Fraction(x.numerator + step, x.denominator)
+            assert not ConicCertificate(a, b, "solution", x=moved, y=y).verify(), (a, b, x, y)
+            moved = Fraction(y.numerator + step, y.denominator)
+            assert not ConicCertificate(a, b, "solution", x=x, y=moved).verify(), (a, b, x, y)
+            if x:  # with x = 0, a plays no part in the equation
+                moved = Fraction(a.numerator + step, a.denominator)
+                assert not ConicCertificate(moved, b, "solution", x=x, y=y).verify(), (a, b, x, y)
+
+
 def test_depth_is_logged():
     assert solve_conic(2, 7).descent_depth >= 1
     assert solve_conic(1, 5).descent_depth == 0

@@ -1,7 +1,12 @@
-"""is_probable_prime: Miller-Rabin with as many prime bases as the size of n
-needs (a proof below psi_13), and Baillie-PSW above psi_13.  The tiered
-test is pinned to the fixed 13-base test it replaced and to sympy, and the
-strong Lucas half of BPSW to its known pseudoprimes."""
+"""is_probable_prime: Miller-Rabin with as many bases as the size of n
+needs, and Baillie-PSW above psi_13.  Below psi_3 = 25326001 and from 2^64
+to psi_13 the bases are the first t primes, t the least with n < psi_t
+(Jaeschke's table); from psi_3 to 2^64 they are the least proven set of
+n's band, 3 to 7 bases (the sets sympy's isprime uses).  The tiered test
+is pinned to the fixed 13-base test it replaced, which proves primality
+below psi_13, and to sympy; the number of bases per band is pinned by
+counting exponentiations; the strong Lucas half of BPSW is pinned to its
+known pseudoprimes."""
 
 import math
 import random
@@ -9,9 +14,20 @@ import random
 import pytest
 
 from qrlab import rational
-from qrlab.rational import _MR_BASES, _MR_PSI, _is_strong_lucas_prp, factorize, is_probable_prime
+from qrlab.rational import (
+    _MR_BASES,
+    _MR_MINIMAL_BOUNDS,
+    _MR_PSI,
+    _is_strong_lucas_prp,
+    factorize,
+    is_probable_prime,
+)
 
 PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
+
+#: The bands of the minimal base sets, psi_3 to 2^64, and the psi_t inside them
+BANDS = tuple(zip((_MR_PSI[2],) + _MR_MINIMAL_BOUNDS[:-1], _MR_MINIMAL_BOUNDS))
+PSI_IN_BANDS = (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
 
 
 def _thirteen_base_test(n: int) -> bool:
@@ -140,11 +156,10 @@ def test_strong_lucas_against_sympy():
 def test_tiers_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1993)
-    # one range per tier, with psi_0 = 3, and two past psi_13
-    edges = (3,) + _MR_PSI + (2**96, 2**128)
+    # one range per psi-table tier and per band, from psi_0 = 3, and two
+    # past psi_13
+    edges = sorted({3, *_MR_PSI, *_MR_MINIMAL_BOUNDS, 2**96, 2**128})
     for lo, hi in zip(edges, edges[1:]):
-        if lo == hi:
-            continue
         for _ in range(60):
             n = rng.randrange(lo, hi)
             assert is_probable_prime(n) == sympy.isprime(n), n
@@ -155,3 +170,74 @@ def test_tiers_against_sympy():
             q = sympy.nextprime(math.isqrt(rng.randrange(lo, hi)))
             r = sympy.nextprime(q)
             assert not is_probable_prime(q * r), (q, r)
+
+
+def _next_prime(n: int) -> int:
+    """The least prime >= n, for n below psi_13 (by the 13-base test)."""
+    while not _thirteen_base_test(n):
+        n += 1
+    return n
+
+
+def test_band_edges_against_the_thirteen_base_test():
+    assert BANDS[0][0] == 25326001
+    assert [hi for _, hi in BANDS] == [350269456337, 55245642489451, 7999252175582851,
+                                       585226005592931977, 2**64]
+    for edge in (_MR_PSI[2],) + _MR_MINIMAL_BOUNDS:
+        for n in range(edge - 200, edge + 201):
+            assert is_probable_prime(n) == _thirteen_base_test(n), n
+
+
+def test_every_psi_in_the_bands_is_composite():
+    # psi_4 .. psi_9 pass the first t primes as bases; the minimal sets must
+    # still expose them
+    assert PSI_IN_BANDS == tuple(sorted({psi for psi in _MR_PSI if _MR_PSI[2] < psi < 2**64}))
+    for psi in PSI_IN_BANDS:
+        assert _strong_pseudoprime(psi, (2, 3, 5, 7))
+        assert not is_probable_prime(psi), psi
+
+
+def test_carmichael_numbers_and_semiprimes_in_each_band():
+    # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number,
+    # and p (2p-1) with both factors prime is a frequent strong pseudoprime
+    # to base 2: three of each per band, each composite
+    for lo, hi in BANDS:
+        carmichael = []
+        k = int((lo / 1296) ** (1 / 3))  # the product is about 1296 k^3
+        while len(carmichael) < 3:
+            factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            n = math.prod(factors)
+            if lo <= n and all(map(_thirteen_base_test, factors)):
+                carmichael.append(n)
+            k += 1
+        semiprimes = []
+        p = math.isqrt(lo // 2)
+        while len(semiprimes) < 3:
+            p = _next_prime(p + 1)
+            if lo <= p * (2 * p - 1) and _thirteen_base_test(2 * p - 1):
+                semiprimes.append(p * (2 * p - 1))
+        assert max(carmichael + semiprimes) < hi, (lo, hi)
+        for n in carmichael + semiprimes:
+            assert not is_probable_prime(n), n
+            assert not _thirteen_base_test(n), n
+
+
+def test_bases_per_band(monkeypatch):
+    # one exponentiation per base: rational.pow shadows the builtin
+    calls = []
+    monkeypatch.setattr(rational, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+
+    def cost(n: int) -> int:
+        calls.clear()
+        assert is_probable_prime(n), n
+        return len(calls)
+
+    # the psi-table keeps 1, 2 and 3 bases below psi_3 and 12 above 2^64
+    assert [cost(_next_prime(n)) for n in (1000, _MR_PSI[0], _MR_PSI[1], 2**64)] == [1, 2, 3, 12]
+    assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [3, 4, 5, 6, 7]
+    assert [cost(_next_prime(hi - 10**6)) for _, hi in BANDS] == [3, 4, 5, 6, 7]
+    # a base that is 0 mod n passes: this prime divides the second base of
+    # the first band, so only the other two are exponentiated
+    assert 14694767155120705706 % 3709689913 == 0
+    assert _thirteen_base_test(3709689913) and cost(3709689913) == 2
