@@ -51,11 +51,9 @@ class DescentFrame(Record):
 def descent_step(frame: DescentFrame, sol, direction: str) -> Triple:
     """Move a solution between a x^2 + b y^2 = s^2 (the S side) and
     a w^2 + c z^2 = t^2 (the T side); the two directions are mutually
-    inverse up to scaling by the nonzero constant d^2 - a.  Integer
-    triples stay integers; other entries are read as Fractions."""
+    inverse up to scaling by the nonzero constant d^2 - a.  Entries are
+    ints or Fractions; integer triples stay integers."""
     x, y, s = sol
-    if type(x) is not int or type(y) is not int or type(s) is not int:
-        x, y, s = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in (x, y, s))
     if x == y == s == 0:
         raise ValueError("the zero triple is not a projective solution")
     a, b, c, d = frame.a, frame.b, frame.c, frame.d

@@ -16,6 +16,7 @@ import pytest
 from qrlab import rational
 from qrlab.rational import (
     _MR_BASES,
+    _MR_MINIMAL_BASES,
     _MR_MINIMAL_BOUNDS,
     _MR_PSI,
     _is_strong_lucas_prp,
@@ -195,6 +196,28 @@ def test_every_psi_in_the_bands_is_composite():
     for psi in PSI_IN_BANDS:
         assert _strong_pseudoprime(psi, (2, 3, 5, 7))
         assert not is_probable_prime(psi), psi
+
+
+def _divisors(m: int) -> list[int]:
+    divisors = [1]
+    for p, e in factorize(m).factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return divisors
+
+
+def test_composites_that_skip_a_base_are_composite():
+    # a base that is 0 or 1 mod n is no witness and is skipped, so a
+    # composite n in a band that divides a or a - 1 meets one base fewer:
+    # every such n past the trial divisors must still be exposed
+    skipping = []
+    for (lo, hi), bases in zip(BANDS, _MR_MINIMAL_BASES):
+        for a in bases:
+            for m in (a, a - 1):
+                skipping += [n for n in _divisors(m) if lo <= n < hi
+                             and all(n % p for p in _MR_BASES) and not _thirteen_base_test(n)]
+    assert len(skipping) == 13
+    for n in skipping:
+        assert not is_probable_prime(n), n
 
 
 def test_carmichael_numbers_and_semiprimes_in_each_band():
