@@ -25,7 +25,7 @@ from qrlab.rational import (
     _set,
     factorize,
     is_probable_prime,
-    local_residue,
+    local_unit,
     vp,
 )
 from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, sign_inf
@@ -130,7 +130,7 @@ def p_frac_part(x: Rat | PAdicElement, p: int | None = None) -> Fraction:
     if v >= 0:  # INFINITY for x = 0
         return Fraction(0)
     q = p ** (-v)
-    return Fraction(local_residue(x, p, v, q), q)
+    return Fraction(local_unit(x, p, q)[1], q)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,10 @@ def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> ComplexV
             f"p^a(chi) = {p}^{a} exceeds the root-number workload bound {ROOT_NUMBER_BOUND}"
         )
     gamma = Fraction(q if gamma is None else gamma)
-    if gamma == 0 or vp(gamma, p) != a:
+    v, u = local_unit(gamma, p, q) if gamma else (None, None)
+    if v != a:
         raise ValueError(f"gamma must have valuation a(chi) = {a}")
-    u_inv = pow(local_residue(gamma, p, a, q), -1, q)
+    u_inv = pow(u, -1, q)
     exponent = chi.quad._exponent
     # ascending residue order keeps the floating sum deterministic
     total = sum(

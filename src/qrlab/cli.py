@@ -51,10 +51,6 @@ def _int(text: str) -> int:
         raise ValueError(f"malformed integer {text!r}")
 
 
-def _place(text: str) -> Place:
-    return Place.parse(text)
-
-
 def _element(text: str, p: int | None, prec: int):
     """A p-adic element from either the textual O(...) form or a rational."""
     from qrlab import padic
@@ -142,7 +138,7 @@ def _h_vp(a):
 
 
 def _h_absval(a):
-    v = rational.abs_place(_rat(a.x), _place(a.v))
+    v = rational.abs_place(_rat(a.x), Place.parse(a.v))
     return 0, [_ratstr(v)], {"absval": _ratstr(v)}
 
 
@@ -315,13 +311,13 @@ def _h_hilbert(a):
         return 0, ["{" + body + "}"], vec.to_json()
     if a.v is None:
         raise ValueError("pass a place or --all")
-    s = hilbert.hilbert_symbol(x, y, _place(a.v))
+    s = hilbert.hilbert_symbol(x, y, Place.parse(a.v))
     return 0, [_sign(s)], {"sign": s}
 
 
 def _h_witness(a):
     from qrlab import hilbert, padic
-    place = _place(a.v)
+    place = Place.parse(a.v)
     if not place.is_infinite:
         padic.check_padic_size(place.prime, a.prec)
     w = hilbert.local_solve_witness(_rat(a.a), _rat(a.b), place, precision=a.prec)
@@ -342,7 +338,7 @@ def _h_witness(a):
 
 def _h_is_norm(a):
     from qrlab import hilbert
-    ok = hilbert.is_local_norm(_rat(a.a), _rat(a.b), _place(a.v))
+    ok = hilbert.is_local_norm(_rat(a.a), _rat(a.b), Place.parse(a.v))
     return 0, [_bool(ok)], {"is_norm": ok}
 
 
@@ -445,7 +441,7 @@ def _h_conductor(a):
 
 def _h_root_number(a):
     from qrlab import analytic
-    place = None if a.v is None else _place(a.v)
+    place = None if a.v is None else Place.parse(a.v)
     chi = _character(a.chi, place)
     gamma = None if a.gamma is None else _rat(a.gamma)
     w = analytic.local_root_number(chi, gamma=gamma)

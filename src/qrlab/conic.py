@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qrlab.hilbert import _vector_from_exponents, hilbert_symbol
+from qrlab.hilbert import _conic_residual, _vector_from_exponents, hilbert_symbol
 from qrlab.rational import (
     FactorizationError,
     Rat,
@@ -97,12 +97,7 @@ class ConicCertificate(Record):
 
     def verify(self) -> bool:
         if self.outcome == "solution":
-            # a x^2 + b y^2 = 1 times the denominators of a, b, x^2 and y^2
-            a, b, x, y = self.a, self.b, self.x, self.y
-            dx, dy = x.denominator ** 2, y.denominator ** 2
-            return (a.numerator * b.denominator * x.numerator ** 2 * dy
-                    + b.numerator * a.denominator * y.numerator ** 2 * dx
-                    == a.denominator * b.denominator * dx * dy)
+            return _conic_residual(self.a, self.b, self.x, self.y)[0] == 0
         return (
             len(self.places) > 0
             and len(self.places) % 2 == 0

@@ -123,7 +123,6 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
     the exponent dicts the symbols read their valuations from; a unit's
     square class is taken only where the symbol reads it, and a Place is
     built only where the symbol is -1."""
-    a, b = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (a, b))
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
     return _vector_from_exponents(a, b, _exponent_dict(a), _exponent_dict(b))
@@ -134,6 +133,17 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 
 #: How far from 0 a x^2 + b y^2 - 1 may be for an approximate real witness.
 WITNESS_TOLERANCE = 1e-9
+
+
+def _conic_residual(a: Rat, b: Rat, x: Rat, y: Rat) -> tuple[int, int]:
+    """(N, D) with a x^2 + b y^2 - 1 = N / D over the common denominator
+    D = ad bd xd^2 yd^2 > 0, in integers: the one exact check of a point
+    on the conic, for witnesses and certificates alike."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    xd2, yd2 = xd * xd, yd * yd
+    D = ad * bd * xd2 * yd2
+    return an * bd * xn * xn * yd2 + bn * ad * yn * yn * xd2 - D, D
 
 
 class LocalWitness(Record):
@@ -155,20 +165,14 @@ class LocalWitness(Record):
         """Whether a x^2 + b y^2 - 1 is 0 at infinity (within
         WITNESS_TOLERANCE if approximate), or has p-adic valuation >=
         precision at p."""
+        N, D = _conic_residual(a, b, self.x, self.y)
         if self.place.is_infinite:
-            err = Fraction(a) * self.x ** 2 + Fraction(b) * self.y ** 2 - 1
             if self.approximate:
-                return abs(err) <= WITNESS_TOLERANCE
-            return err == 0
-        # err = N / D over the common denominator D = ad bd xd^2 yd^2, in
-        # integers: v_p(err) = v_p(N) - v_p(D) >= precision exactly when
+                tn, td = WITNESS_TOLERANCE.as_integer_ratio()
+                return abs(N) * td <= tn * D
+            return N == 0
+        # v_p(N / D) = v_p(N) - v_p(D) >= precision exactly when
         # p^(precision + v_p(D)) divides N (which N = 0 does)
-        a, b = (t if isinstance(t, (int, Fraction)) else Fraction(t) for t in (a, b))
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        xn, xd, yn, yd = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
-        xd2, yd2 = xd * xd, yd * yd
-        D = ad * bd * xd2 * yd2
-        N = an * bd * xn * xn * yd2 + bn * ad * yn * yn * xd2 - D
         k = self.precision + int_valuation(D, self.place.prime)[0]
         return k <= 0 or N % self.place.prime**k == 0
 

@@ -3,11 +3,12 @@ values at every place, and modular square roots.
 
 All functions are pure; rationals are `fractions.Fraction` (always in lowest
 terms with positive denominator, which is exactly the representation contract
-the rest of the library relies on).  The valuation of a rational x at a
-prime p is read in one place, `vp`, and x / p^v is divided out in one
-other, `_unit_part`, which `local_residue` and the symbol vector share.
-The factor core, `_exponent_dict`, gives {p: v_p(x)} for a rational x;
-the symbol vector and the conic layer read its dicts as they are, and
+the rest of the library relies on).  A rational x is reduced at a prime p
+in one place, `local_unit`, which reads v = v_p(x) and the unit x / p^v
+from one `int_valuation` and returns v and the unit's residue; `vp` is its
+valuation.  The factor core, `_exponent_dict`, gives {p: v_p(x)} for a
+rational x; the symbol vector and the conic layer read its dicts as they
+are (the symbol vector divides out p^v with `_unit_part`), and
 `rational_factor_exponents` sorts them for `factorize` and the CLI.
 
 The library's value types are `Record`s: each checks its arguments in
@@ -25,7 +26,7 @@ import bisect
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 Rat = int | Fraction
 
@@ -67,43 +68,32 @@ def _primes_upto(n: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _primes_upto(TRIAL_DIVISION_LIMIT)
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
-# Miller-Rabin bases, and psi_t, the least strong pseudoprime to the first t
-# of them (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster,
-# Math. Comp. 86, 2017).  An odd n < psi_t with no factor among the bases is
-# prime iff it passes the first t bases, so the test proves primality below
-# psi_13 = 3317044064679887385961981.  Above it, all 13 bases followed by a
-# strong Lucas test make a Baillie-PSW test: no composite is known to pass,
-# but it is no proof.
+# Miller-Rabin tiers (bound, bases): n runs on the bases of the first row
+# whose bound is > n, and an n below it with no factor among _MR_BASES is
+# prime iff it passes each base whose residue mod n is >= 2.  Below psi_3 and
+# from 2^64, the bound is psi_t, the least strong pseudoprime to the first t
+# prime bases (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson &
+# Webster, Math. Comp. 86, 2017).  From psi_3 to 2^64 the bases are the least
+# sets proven over their whole ranges, as sympy.ntheory.primetest.isprime
+# lists them (and Wikipedia's "Miller-Rabin primality test"); those with base
+# 2 were checked against Feitsma-Galway's base-2 strong pseudoprimes below
+# 2^64.  So the test proves primality below psi_13.  Above it, all 13 bases
+# and a strong Lucas test make a Baillie-PSW test: no composite is known to
+# pass, but it is no proof.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
-)
-
-# From psi_3 to 2^64, the least base sets proven over their whole ranges, as
-# sympy.ntheory.primetest.isprime lists them (and Wikipedia's "Miller-Rabin
-# primality test"): an n below a bound with no factor among _MR_BASES is prime
-# iff it passes each base whose residue mod n is >= 2.  The sets with base 2
-# were checked against Feitsma-Galway's base-2 strong pseudoprimes below 2^64.
-_MR_MINIMAL_BOUNDS = (350269456337, 55245642489451, 7999252175582851, 585226005592931977, 2**64)
-_MR_MINIMAL_BASES = (
-    (4230279247111683200, 14694767155120705706, 16641139526367750375),
-    (2, 141889084524735, 1199124725622454117, 11096072698276303650),
-    (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805),
-    (2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
-     1263739024124850375),
-    (2, 325, 9375, 28178, 450775, 9780504, 1795265022),
+_MR_TIERS = (
+    (2047, _MR_BASES[:1]),
+    (1373653, _MR_BASES[:2]),
+    (25326001, _MR_BASES[:3]),
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851,
+     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977, (2, 123635709730000, 9233062284813009, 43835965440333360,
+                          761179012939631437, 1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167461, _MR_BASES[:12]),
+    (3317044064679887385961981, _MR_BASES),
 )
 
 
@@ -195,13 +185,13 @@ class Record:
 
 def is_probable_prime(n: int) -> bool:
     """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved by
-    Miller-Rabin: below psi_3 = 25326001 and from 2^64 on, on the first t
-    prime bases, t the least with n < psi_t (two bases below 1373653,
-    twelve below 3.2e23); from psi_3 to 2^64, on the least proven base
-    set of n's band (3 bases below 350269456337, then 4, 5, 6 and 7).
-    Above psi_13 it is Baillie-PSW (the 13 bases, then a strong Lucas test
-    with Selfridge's parameters): no composite is known to pass, but none
-    is ruled out."""
+    Miller-Rabin on the bases of n's row of _MR_TIERS: the first t prime
+    bases below psi_3 = 25326001 and from 2^64 on, t the least with n <
+    psi_t (two bases below 1373653, twelve below 3.2e23); from psi_3 to
+    2^64, the least proven base set of n's band (3 bases below
+    350269456337, then 4, 5, 6 and 7).  Above psi_13 it is Baillie-PSW
+    (the 13 bases, then a strong Lucas test with Selfridge's parameters):
+    no composite is known to pass, but none is ruled out."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -212,11 +202,8 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if _MR_PSI[2] <= n < _MR_MINIMAL_BOUNDS[-1]:
-        bases = _MR_MINIMAL_BASES[bisect.bisect_right(_MR_MINIMAL_BOUNDS, n)]
-    else:
-        bases = _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]
-    for a in bases:
+    tier = bisect.bisect_right(_MR_TIERS, n, key=itemgetter(0))
+    for a in _MR_TIERS[min(tier, len(_MR_TIERS) - 1)][1]:
         a %= n
         if a < 2:
             continue  # 0 and 1 are no witnesses: the base passes
@@ -229,7 +216,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_PSI[-1] or _is_strong_lucas_prp(n)
+    return tier < len(_MR_TIERS) or _is_strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -325,8 +312,6 @@ _SMALL_PRIME_TABLE = {p: int.__new__(Prime, p) for p in _SMALL_PRIMES}
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -454,7 +439,6 @@ def _exponent_dict(x: Rat) -> dict[Prime, int]:
 def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(sign, ((p, v_p(x)), ...)) for nonzero rational x, exponents signed
     and primes increasing: _exponent_dict's, sorted."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     return (1 if x.numerator > 0 else -1), tuple(sorted(_exponent_dict(x).items()))
 
 
@@ -538,13 +522,8 @@ def int_valuation(n: int, p: int) -> tuple[int, int]:
 
 
 def vp(x: Rat, p: int):
-    """The p-adic valuation; INFINITY for x = 0.  x is in lowest terms, so
-    p divides its numerator or its denominator, never both."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    if x.numerator == 0:
-        return INFINITY
-    v = int_valuation(x.numerator, p)[0]
-    return v if v else -int_valuation(x.denominator, p)[0]
+    """The p-adic valuation, local_unit's; INFINITY for x = 0."""
+    return INFINITY if x.numerator == 0 else local_unit(x, p, 1)[0]
 
 
 def vp_split(x: Rat, p: int):
@@ -555,26 +534,25 @@ def vp_split(x: Rat, p: int):
 
 def _unit_part(num: int, den: int, p: int, v: int) -> tuple[int, int]:
     """(n, d) with n / d = x / p^v, for x = num / den in lowest terms and
-    v = v_p(x), which the caller already holds: the one division by p^v."""
+    v = v_p(x), which the symbol vector holds from the factor core."""
     return (num // p**v, den) if v > 0 else (num, den // p**-v if v else den)
 
 
-def local_residue(x: Rat, p: int, v: int, m: int) -> int:
-    """u mod m for the unit u = x / p^v of a nonzero int or Fraction x whose
-    valuation v = v_p(x) the caller already holds.  m is a power of p, or 8
-    or 8p, where an even denominator raises ValueError."""
-    num, den = _unit_part(x.numerator, x.denominator, p, v)
-    return num * pow(den, -1, m) % m
-
-
 def local_unit(x: Rat, p: int, m: int) -> tuple[int, int]:
-    """(v, u mod m) for a nonzero rational x = p^v u, u a p-adic unit: the
-    pair every local symbol, square class and p-adic element is read from."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    v = vp(x, p)
-    if v is INFINITY:
+    """(v, u mod m) for a nonzero int or Fraction x = p^v u, u a p-adic
+    unit: the one reduction at p, read by every local symbol, square class,
+    p-adic element and fractional part.  p divides x's numerator or its
+    denominator, never both, and int_valuation returns v and the rest of
+    it.  m is a power of p, or 8 or 8p, where an even denominator raises
+    ValueError."""
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("x must be nonzero")
-    return v, local_residue(x, p, v, m)
+    v, num = int_valuation(num, p)
+    if not v:
+        v, den = int_valuation(den, p)
+        v = -v
+    return v, num * pow(den, -1, m) % m
 
 
 def abs_place(x: Rat, v: Place) -> Fraction:
@@ -718,7 +696,6 @@ def unit_residue(x: Rat, m: int) -> int:
     """The residue mod m of the rational x, whose numerator and denominator
     must be prime to m: the plain "x mod m" of eps4, eps8 and the 2-adic
     witness cases.  The residue of the p-adic unit part of x is local_unit's."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     num, den = x.numerator, x.denominator
     if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
         raise ValueError(f"{x} is not a unit modulo {m}")

@@ -33,6 +33,7 @@ from qrlab import conic, padic, rational
 from qrlab.conic import solve_conic
 from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
 from qrlab.hilbert import (
+    WITNESS_TOLERANCE,
     LocalWitness,
     ext_char_correspondence,
     hilbert_symbol,
@@ -172,9 +173,9 @@ def test_unit_square_class_matches_the_inverse():
             n, d = rational._unit_part(x.numerator, x.denominator, p, v)
             assert Fraction(n, d) == x / Fraction(p) ** v
             if p == 2:
-                assert n * d % 8 == rational.local_residue(x, 2, v, 8), x
+                assert n * d % 8 == rational.local_unit(x, 2, 8)[1], x
             else:
-                assert legendre(n * d, p) == legendre(rational.local_residue(x, p, v, p), p), x
+                assert legendre(n * d, p) == legendre(rational.local_unit(x, p, p)[1], p), x
 
 
 # ---------------------------------------------------------------------------
@@ -1244,8 +1245,10 @@ def test_eval_local_reads_lambda4_lambda8_on_the_whole_unit():
 
 
 def _fraction_verify(w, a, b):
-    """LocalWitness.verify at a finite place, in Fraction arithmetic."""
+    """LocalWitness.verify in Fraction arithmetic."""
     err = Fraction(a) * w.x**2 + Fraction(b) * w.y**2 - 1
+    if w.place.is_infinite:
+        return abs(err) <= WITNESS_TOLERANCE if w.approximate else err == 0
     return err == 0 or vp(err, w.place.prime) >= w.precision
 
 
@@ -1275,6 +1278,46 @@ def test_witness_verify_in_integers_matches_fraction_evaluation(p, an, ad, bn, b
 def test_witness_verify_in_integers_on_arbitrary_points(p, a, b, x, y, prec):
     w = LocalWitness(Place.finite(p), x, y, prec)
     assert w.verify(a, b) == _fraction_verify(w, a, b)
+    for approximate in (False, True):
+        w = LocalWitness(INF_PLACE, x, y, 0, approximate)
+        assert w.verify(a, b) == _fraction_verify(w, a, b), (a, b, x, y, approximate)
+
+
+def test_real_witness_verify_in_integers_matches_fraction_evaluation():
+    # exact and approximate real witnesses, as found and with one coordinate
+    # moved by 1/d^2, d its denominator: an exact point no longer solves; an
+    # approximate one, whose nonzero coordinate has a denominator near 2^64,
+    # stays within WITNESS_TOLERANCE unless its zero coordinate moves by 1
+    rng = random.Random(1272)
+    seen = set()
+    for _ in range(300):
+        a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
+                for _ in range(2))
+        w = local_solve_witness(a, b, "inf")
+        if w is None:
+            continue
+        seen.add(w.approximate)
+        assert w.verify(a, b) and _fraction_verify(w, a, b), (a, b)
+        for i in (0, 1):
+            point = [w.x, w.y]
+            d = point[i].denominator
+            point[i] += Fraction(1, d * d)
+            moved = LocalWitness(INF_PLACE, *point, 0, w.approximate)
+            assert moved.verify(a, b) == _fraction_verify(moved, a, b), (a, b, i)
+            assert moved.verify(a, b) == (w.approximate and d > 1), (a, b, i)
+    assert seen == {False, True}
+    # errors at, just inside and just outside the tolerance, on both sides:
+    # a = (1 + err - b y^2) / x^2 puts a x^2 + b y^2 - 1 at err exactly
+    tol, eps = Fraction(WITNESS_TOLERANCE), Fraction(1, 10**30)
+    for x, y, b in ((Fraction(1), Fraction(0), 3), (Fraction(3, 7), Fraction(-5, 11), -2),
+                    (Fraction(2**70 + 1, 2**35), Fraction(1, 3**40), Fraction(7, 5))):
+        for err, inside in ((0, True), (tol, True), (tol - eps, True), (tol + eps, False),
+                            (-tol, True), (-tol + eps, True), (-tol - eps, False)):
+            a = (1 + err - b * y * y) / (x * x)
+            for approximate in (False, True):
+                w = LocalWitness(INF_PLACE, x, y, 0, approximate)
+                assert w.verify(a, b) == _fraction_verify(w, a, b), (x, y, b, err)
+                assert w.verify(a, b) == (inside if approximate else err == 0), (x, y, b, err)
 
 
 # ---------------------------------------------------------------------------

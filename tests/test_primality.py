@@ -1,12 +1,13 @@
 """is_probable_prime: Miller-Rabin with as many bases as the size of n
-needs, and Baillie-PSW above psi_13.  Below psi_3 = 25326001 and from 2^64
-to psi_13 the bases are the first t primes, t the least with n < psi_t
-(Jaeschke's table); from psi_3 to 2^64 they are the least proven set of
-n's band, 3 to 7 bases (the sets sympy's isprime uses).  The tiered test
-is pinned to the fixed 13-base test it replaced, which proves primality
-below psi_13, and to sympy; the number of bases per band is pinned by
-counting exponentiations; the strong Lucas half of BPSW is pinned to its
-known pseudoprimes."""
+needs, and Baillie-PSW above psi_13.  One table, rational._MR_TIERS, gives
+the bases of each n: below psi_3 = 25326001 and from 2^64 to psi_13 the
+first t primes, t the least with n < psi_t (Jaeschke's table, kept here as
+reference data); from psi_3 to 2^64 the least proven set of n's band, 3 to
+7 bases (the sets sympy's isprime uses).  The tiered test is pinned to the
+fixed 13-base test it replaced, which proves primality below psi_13, and
+to sympy; the number of bases per band is pinned by counting
+exponentiations; the strong Lucas half of BPSW is pinned to its known
+pseudoprimes."""
 
 import math
 import random
@@ -16,9 +17,7 @@ import pytest
 from qrlab import rational
 from qrlab.rational import (
     _MR_BASES,
-    _MR_MINIMAL_BASES,
-    _MR_MINIMAL_BOUNDS,
-    _MR_PSI,
+    _MR_TIERS,
     _is_strong_lucas_prp,
     factorize,
     is_probable_prime,
@@ -26,8 +25,38 @@ from qrlab.rational import (
 
 PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
 
-#: The bands of the minimal base sets, psi_3 to 2^64, and the psi_t inside them
-BANDS = tuple(zip((_MR_PSI[2],) + _MR_MINIMAL_BOUNDS[:-1], _MR_MINIMAL_BOUNDS))
+#: Jaeschke's table (OEIS A014233): psi_t, the least strong pseudoprime to
+#: the first t prime bases, t = 1..13
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, PSI_13,
+)
+
+#: The least base sets proven from psi_3 to 2^64, by the upper bound of
+#: their bands, as sympy.ntheory.primetest.isprime lists them
+MINIMAL_SETS = (
+    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7999252175582851,
+     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
+    (585226005592931977, (2, 123635709730000, 9233062284813009, 43835965440333360,
+                          761179012939631437, 1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
+
+
+def _is_psi_row(bases) -> bool:
+    """Whether a tier runs on the first t prime bases, as a psi_t row does."""
+    return bases == _MR_BASES[: len(bases)]
+
+
+#: The tier bounds; the bands of the minimal base sets, psi_3 to 2^64, with
+#: their bases; and the psi_t inside the bands
+BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
+MINIMAL_TIERS = tuple(((lo, hi), bases) for (lo, _), (hi, bases) in zip(_MR_TIERS, _MR_TIERS[1:])
+                      if not _is_psi_row(bases))
+BANDS = tuple(band for band, _ in MINIMAL_TIERS)
 PSI_IN_BANDS = (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
 
 
@@ -74,15 +103,27 @@ def _strong_pseudoprime(n: int, bases) -> bool:
 def test_psi_table_is_the_strong_pseudoprime_table():
     # psi_t passes the first t bases, so t bases cannot certify it; the
     # table is nondecreasing and psi_13 is the product quoted in the docs
-    assert len(_MR_PSI) == len(_MR_BASES) == 13
-    assert list(_MR_PSI) == sorted(_MR_PSI)
-    for t, psi in enumerate(_MR_PSI, 1):
+    assert len(PSI) == len(_MR_BASES) == 13
+    assert list(PSI) == sorted(PSI)
+    for t, psi in enumerate(PSI, 1):
         assert _strong_pseudoprime(psi, _MR_BASES[:t]), t
-    assert _MR_PSI[-1] == PSI_13 == 1287836182261 * 2575672364521
+    assert PSI[-1] == PSI_13 == 1287836182261 * 2575672364521
+    # the tiers: bounds strictly increasing, each psi row (psi_t, the first
+    # t bases) with psi_t a strong pseudoprime to them, and the minimal
+    # rows the proven sets, in the order of their bands
+    assert len(_MR_TIERS) == 10
+    assert all(lo < hi for lo, hi in zip(BOUNDS, BOUNDS[1:]))
+    psi_rows = [(bound, bases) for bound, bases in _MR_TIERS if _is_psi_row(bases)]
+    assert [len(bases) for _, bases in psi_rows] == [1, 2, 3, 12, 13]
+    for bound, bases in psi_rows:
+        assert bound == PSI[len(bases) - 1], bound
+        assert _strong_pseudoprime(bound, bases), bound
+    assert _MR_TIERS[3:8] == MINIMAL_SETS
+    assert tuple((hi, bases) for (_, hi), bases in MINIMAL_TIERS) == MINIMAL_SETS
 
 
 def test_each_psi_is_composite_and_the_primes_below_it_are_found():
-    for t, psi in enumerate(_MR_PSI, 1):
+    for t, psi in enumerate(PSI, 1):
         assert not is_probable_prime(psi), t
         # every n from psi - 1 (even) and psi - 2 down to the nearest prime
         # below psi, against the 13-base test, which is a proof below psi_13
@@ -159,7 +200,7 @@ def test_tiers_against_sympy():
     rng = random.Random(1993)
     # one range per psi-table tier and per band, from psi_0 = 3, and two
     # past psi_13
-    edges = sorted({3, *_MR_PSI, *_MR_MINIMAL_BOUNDS, 2**96, 2**128})
+    edges = sorted({3, *PSI, *BOUNDS, 2**96, 2**128})
     for lo, hi in zip(edges, edges[1:]):
         for _ in range(60):
             n = rng.randrange(lo, hi)
@@ -184,7 +225,7 @@ def test_band_edges_against_the_thirteen_base_test():
     assert BANDS[0][0] == 25326001
     assert [hi for _, hi in BANDS] == [350269456337, 55245642489451, 7999252175582851,
                                        585226005592931977, 2**64]
-    for edge in (_MR_PSI[2],) + _MR_MINIMAL_BOUNDS:
+    for edge in (BANDS[0][0], *(hi for _, hi in BANDS)):
         for n in range(edge - 200, edge + 201):
             assert is_probable_prime(n) == _thirteen_base_test(n), n
 
@@ -192,7 +233,7 @@ def test_band_edges_against_the_thirteen_base_test():
 def test_every_psi_in_the_bands_is_composite():
     # psi_4 .. psi_9 pass the first t primes as bases; the minimal sets must
     # still expose them
-    assert PSI_IN_BANDS == tuple(sorted({psi for psi in _MR_PSI if _MR_PSI[2] < psi < 2**64}))
+    assert PSI_IN_BANDS == tuple(sorted({psi for psi in PSI if BANDS[0][0] < psi < 2**64}))
     for psi in PSI_IN_BANDS:
         assert _strong_pseudoprime(psi, (2, 3, 5, 7))
         assert not is_probable_prime(psi), psi
@@ -210,7 +251,7 @@ def test_composites_that_skip_a_base_are_composite():
     # composite n in a band that divides a or a - 1 meets one base fewer:
     # every such n past the trial divisors must still be exposed
     skipping = []
-    for (lo, hi), bases in zip(BANDS, _MR_MINIMAL_BASES):
+    for (lo, hi), bases in MINIMAL_TIERS:
         for a in bases:
             for m in (a, a - 1):
                 skipping += [n for n in _divisors(m) if lo <= n < hi
@@ -257,7 +298,7 @@ def test_bases_per_band(monkeypatch):
         return len(calls)
 
     # the psi-table keeps 1, 2 and 3 bases below psi_3 and 12 above 2^64
-    assert [cost(_next_prime(n)) for n in (1000, _MR_PSI[0], _MR_PSI[1], 2**64)] == [1, 2, 3, 12]
+    assert [cost(_next_prime(n)) for n in (1000, PSI[0], PSI[1], 2**64)] == [1, 2, 3, 12]
     assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [3, 4, 5, 6, 7]
     assert [cost(_next_prime(hi - 10**6)) for _, hi in BANDS] == [3, 4, 5, 6, 7]
     # a base that is 0 mod n passes: this prime divides the second base of
