@@ -21,7 +21,6 @@ from qrlab.rational import (
     Record,
     _exponent_dict,
     _set,
-    _unit_part,
     int_valuation,
     is_rational_square,
     local_unit,
@@ -60,11 +59,10 @@ def hilbert_symbol(a: Rat, b: Rat, v: PlaceLike) -> int:
     """(a,b)_v for nonzero rationals a and b: +1 iff a x^2 + b y^2 = z^2
     has a nontrivial solution in Q_v, from the closed forms on valuations
     and unit residues."""
+    if not a or not b:
+        raise ValueError("inputs must be nonzero")
     place = _coerce_place(v)
     if place.is_infinite:
-        a, b = Fraction(a), Fraction(b)
-        if a == 0 or b == 0:
-            raise ValueError("inputs must be nonzero")
         return (-1) ** (eps_inf(a) * eps_inf(b))
     p = place.prime
     m = 8 if p == 2 else p
@@ -99,19 +97,33 @@ class SymbolVector(Record):
 
 def _vector_from_exponents(a: Rat, b: Rat, va: dict, vb: dict) -> SymbolVector:
     """hilbert_vector from the exponent dicts of a and b (_exponent_dict's,
-    keyed by Primes).  A unit u = n/d is read as n d = u d^2: at odd p it has
-    the Legendre symbol of u, and at 2 the residue of u mod 8 (odd squares
-    are 1 mod 8), so no inverse is taken."""
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    minus = [INF_PLACE] if an < 0 and bn < 0 else []
-    for p in {2, *va, *vb}:
-        alpha, beta = va.get(p, 0), vb.get(p, 0)
-        m = 8 if p == 2 else p
-        # at odd p the symbol reads u_a only if beta is odd, u_b only if alpha is
-        ua = math.prod(_unit_part(an, ad, p, alpha)) % m if p == 2 or beta % 2 else 1
-        ub = math.prod(_unit_part(bn, bd, p, beta)) % m if p == 2 or alpha % 2 else 1
-        if _symbol_exponent(p, alpha, ua, beta, ub):
-            minus.append(TWO_PLACE if p == 2 else Place.finite(p))
+    keyed by Primes), on A = a_n a_d and B = b_n b_d.  A unit u = n/d is
+    read as n d = u d^2: at odd p it has the Legendre symbol of u, and at 2
+    the residue of u mod 8 (odd squares are 1 mod 8), so no inverse is
+    taken.  p divides a_n or a_d, never both, so a's unit at p is read from
+    the exact quotient A / p^|v_p(a)|.  _symbol_exponent runs at 2 and at
+    odd primes of both a and b.  At an odd p of a alone, beta = 0 and B is
+    a unit, so the closed form reduces to e = [alpha odd] [(B/p) = -1]: one
+    Euler criterion, none for even alpha; so at odd primes of b alone on A."""
+    A, B = a.numerator * a.denominator, b.numerator * b.denominator
+    minus = [INF_PLACE] if A < 0 and B < 0 else []
+    alpha, beta = va.get(2, 0), vb.get(2, 0)
+    if _symbol_exponent(2, alpha, (A >> abs(alpha)) % 8, beta, (B >> abs(beta)) % 8):
+        minus.append(TWO_PLACE)
+    for p, alpha in va.items():
+        beta = vb.get(p, 0)
+        if p == 2 or not (beta or alpha % 2):
+            continue
+        if beta:
+            ua, ub = A // p ** abs(alpha) % p, B // p ** abs(beta) % p
+            e = _symbol_exponent(p, alpha, ua, beta, ub)
+        else:
+            e = pow(B % p, (p - 1) // 2, p) != 1
+        if e:
+            minus.append(Place.finite(p))
+    for p, beta in vb.items():
+        if beta % 2 and p != 2 and p not in va and pow(A % p, (p - 1) // 2, p) != 1:
+            minus.append(Place.finite(p))
     return SymbolVector(frozenset(minus))
 
 
@@ -121,9 +133,9 @@ def hilbert_vector(a: Rat, b: Rat) -> SymbolVector:
 
     The numerator and denominator of a and b are each factored once, into
     the exponent dicts the symbols read their valuations from; a unit's
-    square class is taken only where the symbol reads it, and a Place is
-    built only where the symbol is -1."""
-    if a == 0 or b == 0:
+    square class is taken at 2, at shared primes and at odd exponents only,
+    and a Place is built only where the symbol is -1."""
+    if not a or not b:
         raise ValueError("inputs must be nonzero")
     return _vector_from_exponents(a, b, _exponent_dict(a), _exponent_dict(b))
 

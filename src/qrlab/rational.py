@@ -8,7 +8,8 @@ in one place, `local_unit`, which reads v = v_p(x) and the unit x / p^v
 from one `int_valuation` and returns v and the unit's residue; `vp` is its
 valuation.  The factor core, `_exponent_dict`, gives {p: v_p(x)} for a
 rational x; the symbol vector and the conic layer read its dicts as they
-are (the symbol vector divides out p^v with `_unit_part`), and
+are (the symbol vector, which holds v = v_p(x), reads the unit's square
+class from one exact division of num * den by p^|v|), and
 `rational_factor_exponents` sorts them for `factorize` and the CLI.
 
 The library's value types are `Record`s: each checks its arguments in
@@ -371,8 +372,10 @@ def _factor_dict(n: int) -> dict[Prime, int]:
     names the small primes of n, and only those are divided out.  What is
     left, and every part rho splits off it, has no prime factor <=
     TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
-    construction; larger ones are certified once by is_probable_prime.  The
-    keys are Primes; the loops run on plain ints."""
+    construction (the least such composite is 1009^2 = 1018081 > 10^6): a
+    cofactor that small is recorded at once, with no rho stack.  Larger
+    ones are certified once by is_probable_prime.  The keys are Primes; the
+    loops run on plain ints."""
     found: dict[Prime, int] = {}
     g = math.gcd(n, _SMALL_PRIMORIAL)
     for p in _SMALL_PRIMES:
@@ -389,6 +392,10 @@ def _factor_dict(n: int) -> dict[Prime, int]:
             n //= p
             e += 1
         found[_SMALL_PRIME_TABLE[p]] = e
+    if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
+        if n > 1:
+            found[int.__new__(Prime, n)] = 1
+        return found
     stack = [n]
     while stack:
         m = stack.pop()
@@ -432,7 +439,8 @@ def _exponent_dict(x: Rat) -> dict[Prime, int]:
     check_factor_bound(x)
     exps = _factor_dict(abs(num))
     if den != 1:
-        exps.update((p, -e) for p, e in _factor_dict(den).items())
+        for p, e in _factor_dict(den).items():
+            exps[p] = -e
     return exps
 
 
@@ -530,12 +538,6 @@ def vp_split(x: Rat, p: int):
     """x = p^r * u with u prime to p: returns (r, u), or INFINITY for x = 0."""
     r = vp(x, p)
     return INFINITY if r is INFINITY else (r, Fraction(x) / Fraction(p) ** r)
-
-
-def _unit_part(num: int, den: int, p: int, v: int) -> tuple[int, int]:
-    """(n, d) with n / d = x / p^v, for x = num / den in lowest terms and
-    v = v_p(x), which the symbol vector holds from the factor core."""
-    return (num // p**v, den) if v > 0 else (num, den // p**-v if v else den)
 
 
 def local_unit(x: Rat, p: int, m: int) -> tuple[int, int]:

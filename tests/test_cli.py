@@ -86,6 +86,14 @@ def test_hilbert_all_golden(capsys):
     assert (code, out) == (0, "{inf: -1, 2: -1}")
 
 
+def test_hilbert_zero_input_has_one_message(capsys):
+    # a zero coefficient is refused before the place is read, so a finite
+    # place, the real place and --all say the same thing
+    for argv in (("3", "0", "5"), ("0", "3", "2"), ("3", "0", "inf"), ("0", "3", "--all")):
+        assert invoke(capsys, "hilbert", *argv) == (
+            2, "", "error: inputs must be nonzero\n"), argv
+
+
 def test_bost_golden(capsys):
     code, out, _ = invoke(capsys, "bost")
     assert code == 0

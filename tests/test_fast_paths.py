@@ -1,9 +1,10 @@
 """Differential tests that pin the fast paths to slower, older routes:
 hilbert_vector against brute-force local solvability and against the
-per-place evaluation through legendre/eps4/eps8, its unit square classes
-n d against the residues n d^-1 they replace, factorize against trial
-division and sympy (with the cofactors that trial division to 10^3 leaves
-to Miller-Rabin and rho), solve_conic against recorded certificate points,
+per-place evaluation through legendre/eps4/eps8 (with shared primes up to
+2^40), its unit square classes A // p^|v| against local_unit's residues,
+factorize and its core against trial division and sympy (with the
+cofactors that trial division to 10^3 leaves to Miller-Rabin and rho, and
+those below 10^6 that it records as prime), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, unit_sqrt on plain ints against the polynomial route it replaced,
 sqrt_mod_prime's one exponentiation per root against Euler's criterion and
@@ -163,19 +164,57 @@ def test_exponent_dict_is_the_core_of_rational_factor_exponents():
 
 
 def test_unit_square_class_matches_the_inverse():
-    # n d = u d^2 for the unit u = n/d: the same Legendre symbol at odd p as
-    # n d^-1, and the same residue mod 8, odd squares being 1 mod 8
+    # the symbol vector reads the unit of x = n/d at p as A // p^|v| with
+    # A = n d: p divides n or d, never both, and (n / p^v) d = u d^2 has
+    # the Legendre symbol of u = x / p^v at odd p and its residue mod 8,
+    # odd squares being 1 mod 8
     rng = random.Random(1807)
     for _ in range(2000):
         x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        A = x.numerator * x.denominator
         for p in (2, 3, 5, 7, 13, 1009):
             v = vp(x, p)
-            n, d = rational._unit_part(x.numerator, x.denominator, p, v)
-            assert Fraction(n, d) == x / Fraction(p) ** v
+            assert A % p ** abs(v) == 0, (x, p)
+            unit = A // p ** abs(v)
             if p == 2:
-                assert n * d % 8 == rational.local_unit(x, 2, 8)[1], x
+                assert unit % 8 == rational.local_unit(x, 2, 8)[1], x
             else:
-                assert legendre(n * d, p) == legendre(rational.local_unit(x, p, p)[1], p), x
+                assert legendre(unit, p) == legendre(rational.local_unit(x, p, p)[1], p), x
+
+
+def test_vector_matches_per_place_evaluation_on_large_shared_primes():
+    # a prime p in (10^3, 2^40) dividing both a and b, with exponents in
+    # [-3, 3] on each side (0 included, so p may divide only one of them)
+    # and different small cofactors: the shared-prime branch beyond 13, and
+    # the one-Euler-criterion branch at a large prime, for int and Fraction.
+    # Where an exponent is +-2 or +-3, p < 2^20: rho splits p^|e| in about
+    # p^(1/2) steps, and p^3 stays within the factor core's 2^96 bound
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2307)
+
+    def cofactor():
+        x = Fraction(rng.choice((-1, 1)))
+        for q in (2, 3, 5, 7):
+            x *= Fraction(q) ** rng.randint(-2, 2)
+        return x
+
+    for _ in range(600):
+        alpha, beta = rng.randint(-3, 3), rng.randint(-3, 3)
+        bits = 40 if max(abs(alpha), abs(beta)) <= 1 else 20
+        p = sympy.prevprime(rng.randrange(1010, 2**bits))
+        a, b = cofactor() * Fraction(p) ** alpha, cofactor() * Fraction(p) ** beta
+        for x, y in ((a, b), (b, a)):
+            expected = _per_place_support(x, y)
+            assert hilbert_vector(x, y).support == expected, (x, y)
+            if x.denominator == 1 and y.denominator == 1:
+                assert hilbert_vector(int(x), int(y)).support == expected, (x, y)
+    # int inputs on both sides, so the int route meets every exponent pattern
+    for alpha in range(4):
+        for beta in range(4):
+            p = sympy.prevprime(rng.randrange(1010, 2**20))
+            a, b = -3 * p**alpha, 10 * p**beta
+            assert hilbert_vector(a, b).support == _per_place_support(
+                Fraction(a), Fraction(b)), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +295,18 @@ def test_factorize_mixed_products_against_sympy():
         if n <= 2**96:
             assert dict(factorize(n).factors) == sympy.factorint(n), n
             checked += 1
+
+
+def test_factor_dict_at_the_prime_by_construction_boundary():
+    # a cofactor below TRIAL_DIVISION_LIMIT^2 = 10^6 is recorded as prime at
+    # once; 1009^2 = 1018081 and 1009 * 1013 are the least composites past
+    # it and must still be split
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1018081)
+    ns = [1, 999983, 2 * 3 * 999983, 1009**2, 1009 * 1013, 997 * 999983]
+    ns += [rng.randint(1, 10**7) for _ in range(10**4)]
+    for n in ns:
+        assert rational._factor_dict(n) == sympy.factorint(n), n
 
 
 def test_small_primes_are_the_primes_up_to_the_trial_limit():
