@@ -7,10 +7,12 @@ the rest of the library relies on).  A rational x is reduced at a prime p
 in one place, `local_unit`, which reads v = v_p(x) and the unit x / p^v
 from one `int_valuation` and returns v and the unit's residue; `vp` is its
 valuation.  The factor core, `_exponent_dict`, gives {p: v_p(x)} for a
-rational x; the symbol vector and the conic layer read its dicts as they
-are (the symbol vector, which holds v = v_p(x), reads the unit's square
-class from one exact division of num * den by p^|v|), and
-`rational_factor_exponents` sorts them for `factorize` and the CLI.
+rational x (trial division to 10^3, one gcd with the primes to 10^4, then
+rho; Miller-Rabin on one hashed base from 65077 to 2^32); the symbol
+vector and the conic layer read its dicts as they are (the symbol vector,
+which holds v = v_p(x), reads the unit's square class from one exact
+division of num * den by p^|v|), and `rational_factor_exponents` sorts
+them for `factorize` and the CLI.
 
 The library's value types are `Record`s: each checks its arguments in
 __init__ and sets every field exactly once, so a built record is valid.
@@ -24,6 +26,7 @@ costs a type check when the prime is already a `Prime`.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -34,8 +37,10 @@ Rat = int | Fraction
 #: Workload ceiling for factorize(); inputs with |n| above this are refused.
 DEFAULT_FACTOR_BOUND = 2**96
 
-#: Trial-division ceiling; Pollard rho splits whatever survives it.
+#: Trial-division ceiling; one gcd with the mid primes up to
+#: _MID_PRIME_LIMIT, then Pollard rho, split the composites that survive it.
 TRIAL_DIVISION_LIMIT = 10**3
+_MID_PRIME_LIMIT = 10**4
 
 #: Most primes with two square roots in one root search mod a squarefree b,
 #: which forms 2^(k-1) sums over k such primes.  No |b| <= 2^96 has more
@@ -61,13 +66,17 @@ def _primes_upto(n: int) -> tuple[int, ...]:
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(itertools.compress(range(n + 1), sieve))
 
 
-#: The 168 primes up to TRIAL_DIVISION_LIMIT as plain ints, which keep the
-#: trial-division loop on CPython's int fast paths, and their product.
-_SMALL_PRIMES = _primes_upto(TRIAL_DIVISION_LIMIT)
+#: From one sieve, as plain ints (CPython's int fast paths): the 168 primes
+#: up to TRIAL_DIVISION_LIMIT, the 1061 mid primes above it up to
+#: _MID_PRIME_LIMIT, and their products.
+_PRIMES_TO_MID = _primes_upto(_MID_PRIME_LIMIT)
+_SMALL_PRIMES = _PRIMES_TO_MID[: bisect.bisect(_PRIMES_TO_MID, TRIAL_DIVISION_LIMIT)]
+_MID_PRIMES = _PRIMES_TO_MID[len(_SMALL_PRIMES) :]
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_MID_PRIMORIAL = math.prod(_MID_PRIMES)
 
 # Miller-Rabin tiers (bound, bases): n runs on the bases of the first row
 # whose bound is > n, and an n below it with no factor among _MR_BASES is
@@ -95,6 +104,37 @@ _MR_TIERS = (
     (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (318665857834031151167461, _MR_BASES[:12]),
     (3317044064679887385961981, _MR_BASES),
+)
+
+# The hashed band [_MR_HASHED_FROM, 2^32) overrides those rows: an n prime to
+# 2..47 runs one strong test, to _MR_BASES_32[h] for h its hash, a base that
+# exposes every odd composite < 2^32 prime to 3, 5, 7 with that hash (Forisek
+# & Jancina, 2015).  Their C hash runs on 64-bit words; the low 24 bits it
+# reads match on Python ints.  Band and table: sympy 1.14 isprime's, verbatim.
+_MR_HASHED_FROM = 65077
+_MR_BASES_32 = (
+    15591, 2018, 166, 7429, 8064, 16045, 10503, 4399, 1949, 1295, 2776,
+    3620, 560, 3128, 5212, 2657, 2300, 2021, 4652, 1471, 9336, 4018, 2398,
+    20462, 10277, 8028, 2213, 6219, 620, 3763, 4852, 5012, 3185, 1333, 6227,
+    5298, 1074, 2391, 5113, 7061, 803, 1269, 3875, 422, 751, 580, 4729,
+    10239, 746, 2951, 556, 2206, 3778, 481, 1522, 3476, 481, 2487, 3266,
+    5633, 488, 3373, 6441, 3344, 17, 15105, 1490, 4154, 2036, 1882, 1813,
+    467, 3307, 14042, 6371, 658, 1005, 903, 737, 1887, 7447, 1888, 2848,
+    1784, 7559, 3400, 951, 13969, 4304, 177, 41, 19875, 3110, 13221, 8726,
+    571, 7043, 6943, 1199, 352, 6435, 165, 1169, 3315, 978, 233, 3003, 2562,
+    2994, 10587, 10030, 2377, 1902, 5354, 4447, 1555, 263, 27027, 2283, 305,
+    669, 1912, 601, 6186, 429, 1930, 14873, 1784, 1661, 524, 3577, 236,
+    2360, 6146, 2850, 55637, 1753, 4178, 8466, 222, 2579, 2743, 2031, 2226,
+    2276, 374, 2132, 813, 23788, 1610, 4422, 5159, 1725, 3597, 3366, 14336,
+    579, 165, 1375, 10018, 12616, 9816, 1371, 536, 1867, 10864, 857, 2206,
+    5788, 434, 8085, 17618, 727, 3639, 1595, 4944, 2129, 2029, 8195, 8344,
+    6232, 9183, 8126, 1870, 3296, 7455, 8947, 25017, 541, 19115, 368, 566,
+    5674, 411, 522, 1027, 8215, 2050, 6544, 10049, 614, 774, 2333, 3007,
+    35201, 4706, 1152, 1785, 1028, 1540, 3743, 493, 4474, 2521, 26845, 8354,
+    864, 18915, 5465, 2447, 42, 4511, 1660, 166, 1249, 6259, 2553, 304, 272,
+    7286, 73, 6554, 899, 2816, 5197, 13330, 7054, 2818, 3199, 811, 922, 350,
+    7514, 4452, 3449, 2663, 4708, 418, 1621, 1171, 3471, 88, 11345, 412,
+    1559, 194
 )
 
 
@@ -186,25 +226,33 @@ class Record:
 
 def is_probable_prime(n: int) -> bool:
     """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved by
-    Miller-Rabin on the bases of n's row of _MR_TIERS: the first t prime
-    bases below psi_3 = 25326001 and from 2^64 on, t the least with n <
-    psi_t (two bases below 1373653, twelve below 3.2e23); from psi_3 to
-    2^64, the least proven base set of n's band (3 bases below
-    350269456337, then 4, 5, 6 and 7).  Above psi_13 it is Baillie-PSW
-    (the 13 bases, then a strong Lucas test with Selfridge's parameters):
-    no composite is known to pass, but none is ruled out."""
+    Miller-Rabin: from 65077 to 2^32 one hashed base (_MR_BASES_32), and
+    elsewhere the bases of n's row of _MR_TIERS, the first t primes below
+    65077 and from 2^64 on, t the least with n < psi_t, and from 2^32 to
+    2^64 the least proven set of n's band (3 bases below 350269456337, then
+    4, 5, 6 and 7).  Above psi_13 it is Baillie-PSW (the 13 bases, then a
+    strong Lucas test with Selfridge's parameters): no composite is known to
+    pass, but none is ruled out."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if _MR_HASHED_FROM <= n < 2**32:
+        if n % 43 == 0 or n % 47 == 0:
+            return False
+        h = ((n >> 16) ^ n) * 0x45d9f3b
+        h = ((h >> 16) ^ h) * 0x45d9f3b
+        bases = (_MR_BASES_32[((h >> 16) ^ h) & 255],)
+    else:
+        tier = bisect.bisect_right(_MR_TIERS, n, key=itemgetter(0))
+        bases = _MR_TIERS[min(tier, len(_MR_TIERS) - 1)][1]
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    tier = bisect.bisect_right(_MR_TIERS, n, key=itemgetter(0))
-    for a in _MR_TIERS[min(tier, len(_MR_TIERS) - 1)][1]:
+    for a in bases:
         a %= n
         if a < 2:
             continue  # 0 and 1 are no witnesses: the base passes
@@ -217,7 +265,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return tier < len(_MR_TIERS) or _is_strong_lucas_prp(n)
+    return n < _MR_TIERS[-1][0] or _is_strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -370,12 +418,14 @@ def _factor_dict(n: int) -> dict[Prime, int]:
 
     The gcd of n with the product of the primes <= TRIAL_DIVISION_LIMIT
     names the small primes of n, and only those are divided out.  What is
-    left, and every part rho splits off it, has no prime factor <=
+    left, and every part split off it, has no prime factor <=
     TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
     construction (the least such composite is 1009^2 = 1018081 > 10^6): a
-    cofactor that small is recorded at once, with no rho stack.  Larger
-    ones are certified once by is_probable_prime.  The keys are Primes; the
-    loops run on plain ints."""
+    cofactor that small is recorded at once.  Larger ones are certified
+    once by is_probable_prime; one it calls composite splits off its least
+    mid prime (<= _MID_PRIME_LIMIT), named by one gcd, and only one with
+    none goes to Pollard rho (10007^2 is its least input).  The keys are
+    Primes; the loops run on plain ints."""
     found: dict[Prime, int] = {}
     g = math.gcd(n, _SMALL_PRIMORIAL)
     for p in _SMALL_PRIMES:
@@ -399,12 +449,16 @@ def _factor_dict(n: int) -> dict[Prime, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
             found[int.__new__(Prime, m)] = found.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        g = math.gcd(m, _MID_PRIMORIAL)
+        if g == 1:
+            d = _pollard_rho(m)
+        elif g < _MID_PRIME_LIMIT:
+            d = g  # one mid prime: two make at least 1009 * 1013
+        else:
+            d = next(p for p in _MID_PRIMES if g % p == 0)
         stack.append(d)
         stack.append(m // d)
     return found
@@ -413,8 +467,8 @@ def _factor_dict(n: int) -> dict[Prime, int]:
 def factorize(n: int) -> Factorization:
     """Full prime factorization of a nonzero integer, read from
     rational_factor_exponents: trial division by the primes up to
-    TRIAL_DIVISION_LIMIT, then Pollard rho on whatever survives, every prime
-    certified once and returned as a Prime."""
+    TRIAL_DIVISION_LIMIT, then the mid primes and Pollard rho on the
+    composites that survive, every prime certified once, as a Prime."""
     if n == 0:
         raise ValueError("cannot factor 0")
     return Factorization(*rational_factor_exponents(n))
@@ -639,13 +693,22 @@ def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None
     None if impossible.  A caller that already holds some root, root^2 = a
     (mod b), passes it, and no prime needs sqrt_mod_prime.
 
-    Each prime p contributes t_p = r_p (b/p) ((b/p)^-1 mod p), the CRT
-    basis element that is r_p mod p and 0 mod the other primes, so the
-    roots mod b are the sums of +-t_p.  d and -d fold to the same value, so
-    the first t_p with two signs keeps its sign.  More than
-    ROOT_SEARCH_BOUND primes with two roots raise ValueError before any sum
-    is formed."""
+    One prime, b = +-p, returns at once (a mod p when p = 2 or p | a, else
+    the folded root), with no CRT basis.  With more, each prime p
+    contributes t_p = r_p (b/p) ((b/p)^-1 mod p), the CRT basis element
+    that is r_p mod p and 0 mod the other primes, so the roots mod b are
+    the sums of +-t_p.  d and -d fold to the same value, so the first t_p
+    with two signs keeps its sign.  More than ROOT_SEARCH_BOUND primes with
+    two roots raise ValueError before any sum is formed."""
     b = abs(b)
+    if len(primes) == 1:
+        p = primes[0]
+        if p == 2 or a % p == 0:
+            return a % p
+        if root is not None:
+            r = root % p
+            return min(r, p - r)
+        return sqrt_mod_prime(a, p)
     fixed, signed = 0, []
     for p in primes:
         if p == 2:

@@ -3,12 +3,15 @@ hilbert_vector against brute-force local solvability and against the
 per-place evaluation through legendre/eps4/eps8 (with shared primes up to
 2^40), its unit square classes A // p^|v| against local_unit's residues,
 factorize and its core against trial division and sympy (with the
-cofactors that trial division to 10^3 leaves to Miller-Rabin and rho, and
-those below 10^6 that it records as prime), solve_conic against recorded certificate points,
+cofactors that trial division to 10^3 leaves to Miller-Rabin, those below
+10^6 that it records as prime, those that one gcd with the mid primes to
+10^4 splits without rho, and the least that still reach rho), solve_conic
+against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
 replaced, unit_sqrt on plain ints against the polynomial route it replaced,
 sqrt_mod_prime's one exponentiation per root against Euler's criterion and
-Tonelli-Shanks, square roots mod squarefree b from one CRT basis against the
+Tonelli-Shanks, square roots mod squarefree b from one CRT basis, and mod
+one prime with no basis, with and without a carried root, against the
 pairwise-CRT enumeration they replaced, the descent that carries each
 frame's d down against one that takes a fresh root at every level, the
 logarithmic valuation against the one-division-per-digit loop, local_unit
@@ -260,8 +263,12 @@ def test_factorize_semiprimes_against_sympy():
 def test_factorize_smallest_composites_past_trial_division(monkeypatch):
     # 1009^2 and 1009*1013 are the least composites with no prime factor
     # <= 10^3: only those below (10^3)^2 are prime by construction, so these
-    # two must fail Miller-Rabin and be split by rho
-    assert TRIAL_DIVISION_LIMIT == 10**3
+    # two must fail Miller-Rabin, and the gcd with the mid primes splits
+    # them without rho.  10007^2 and 10007*10009 are the least composites
+    # with no prime factor <= 10^4, so the least that still reach rho.
+    assert TRIAL_DIVISION_LIMIT == 10**3 and rational._MID_PRIME_LIMIT == 10**4
+    assert rational._MID_PRIMES[0] == 1009 and rational._MID_PRIMES[-1] == 9973
+    assert [n for n in range(9974, 10010) if is_prime_trial(n)] == [10007, 10009]
     calls = []
     for name in ("is_probable_prime", "_pollard_rho"):
         real = getattr(rational, name)
@@ -270,7 +277,38 @@ def test_factorize_smallest_composites_past_trial_division(monkeypatch):
     for n, factors in ((1009**2, ((1009, 2),)), (1009 * 1013, ((1009, 1), (1013, 1)))):
         calls.clear()
         assert factorize(n).factors == factors
-        assert calls == [("is_probable_prime", n), ("_pollard_rho", n)], n
+        assert calls == [("is_probable_prime", n)], n
+    for n, factors in ((10007**2, ((10007, 2),)), (10007 * 10009, ((10007, 1), (10009, 1)))):
+        calls.clear()
+        assert factorize(n).factors == factors
+        assert calls[:2] == [("is_probable_prime", n), ("_pollard_rho", n)], n
+        assert [name for name, _ in calls].count("_pollard_rho") == 1, n
+
+
+def test_factor_dict_splits_mid_primes_against_sympy(monkeypatch):
+    # the gcd with the mid primes (10^3, 10^4] holds two of them: g >= 10^4,
+    # and its least prime is found by a scan.  Then mid-prime powers and
+    # products of two up to 2^96.  None of these reaches rho.
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(rational, "_pollard_rho", lambda n: pytest.fail(f"rho on {n}"))
+    rng = random.Random(10007)
+    mids = rational._MID_PRIMES
+    ns = [1009 * 1013 * q for q in (10007, 10009, 999983, 2**31 - 1, 2**61 - 1)]
+    ns += [1009 * 1013, 9967 * 9973, 1009 * 9973 * (2**61 - 1)]
+    for _ in range(300):
+        p, r = sorted(rng.sample(mids, 2))
+        q = sympy.nextprime(rng.randrange(10**4, 2**32))
+        ns += [p * r * q, p * r**3 * q, p**2 * r * q, p * r * rng.randrange(1, 10**4) * q]
+    for p in [1009, 1013, 9973] + rng.sample(mids, 30):
+        k = 2
+        while p**k <= 2**96:
+            ns.append(p**k)
+            r = rng.choice(mids)
+            if p**k * r <= 2**96:
+                ns.append(p**k * r)
+            k += 1
+    for n in ns:
+        assert n <= 2**96 and rational._factor_dict(n) == sympy.factorint(n), n
 
 
 def test_factorize_prime_powers_past_trial_division():
@@ -315,6 +353,13 @@ def test_small_primes_are_the_primes_up_to_the_trial_limit():
     )
     assert len(rational._SMALL_PRIMES) == 168
     assert rational._SMALL_PRIMORIAL == math.prod(rational._SMALL_PRIMES)
+    # the mid primes: those above the trial limit up to 10^4
+    assert rational._MID_PRIMES == tuple(
+        n for n in range(TRIAL_DIVISION_LIMIT + 1, rational._MID_PRIME_LIMIT + 1)
+        if is_prime_trial(n)
+    )
+    assert len(rational._MID_PRIMES) == 1061
+    assert rational._MID_PRIMORIAL == math.prod(rational._MID_PRIMES)
 
 
 def _exponents_from_factorize(x: Fraction):
@@ -958,13 +1003,27 @@ def _old_sqrt_mod_squarefree_general(a, b, primes):
     return min(candidates)
 
 
+def _any_root(d, ps, b, rng):
+    """A root of the same a mod b as the root d, with a random sign mod each
+    prime of b and a random multiple of b added: what a caller may carry."""
+    b = abs(b)
+    root = rng.randint(-3, 3) * b
+    for p in ps:
+        q = b // p
+        root += rng.choice((1, -1)) * d * q * pow(q, -1, p)
+    return root
+
+
 def test_crt_basis_matches_the_pairwise_enumeration():
     # b of 1 to 8 primes, even in a third of the draws, of either sign; a is
     # 0, a multiple of one prime of b, a square plus a multiple of b (so a
-    # root exists), or arbitrary
-    rng = random.Random(20261019)
+    # root exists), or arbitrary.  In a third of the draws with a root, a
+    # root is carried in too, drawn from a stream of its own, and must give
+    # the same least root.
+    rng, carry = random.Random(20261019), random.Random(1019)
     primes = primes_below(200)
     kinds = [0, 0, 0, 0]
+    carried = 0
     for _ in range(4000):
         ps = rng.sample(primes, rng.randint(1, 8))
         if rng.random() < 0.3 and 2 not in ps:
@@ -986,7 +1045,51 @@ def test_crt_basis_matches_the_pairwise_enumeration():
         if got is not None:
             assert (got * got - a) % b == 0 and 0 <= 2 * got <= abs(b), (a, b, got)
             kinds[kind] += 1
+            if carry.random() < 1 / 3:
+                root = _any_root(got, ps, b, carry)
+                assert rational._sqrt_mod_squarefree_general(a, b, ps, root) == got, (a, b, root)
+                carried += 1
     assert min(kinds) > 100, kinds  # every kind of input reached a root
+    assert carried > 500, carried
+
+
+def test_one_prime_root_search_matches_the_pairwise_enumeration(monkeypatch):
+    # b = +-p returns before any CRT basis is built: b = +-2, p | a, a
+    # residue (alone and with a carried root) and a non-residue, against the
+    # enumeration and, for p < 200, the least root by search
+    rng = random.Random(1009)
+    primes = primes_below(200) + [1009, 10007, 999983, 2**31 - 1, 2**61 - 1]
+    for p in primes:
+        for b in (p, -p):
+            cases = [rng.randint(-10**6, 10**6) * p, 0]
+            if p == 2:
+                cases += [rng.randint(-10**6, 10**6) for _ in range(10)]
+            else:
+                for _ in range(10):
+                    x = rng.randrange(1, p)
+                    a = x * x + rng.randint(-5, 5) * p
+                    cases.append(a)
+                    z = rng.randrange(1, p)
+                    while sqrt_mod_prime(z, p) is not None:
+                        z = rng.randrange(1, p)
+                    cases.append(z + rng.randint(-5, 5) * p)
+            for a in cases:
+                got = rational._sqrt_mod_squarefree_general(a, b, [p])
+                assert got == _old_sqrt_mod_squarefree_general(a, b, [p]), (a, b)
+                if p < 200:
+                    roots = [d for d in range(p // 2 + 1) if (d * d - a) % p == 0]
+                    assert got == (roots[0] if roots else None), (a, b)
+                if got is not None:
+                    root = _any_root(got, [p], b, rng)
+                    assert rational._sqrt_mod_squarefree_general(a, b, [p], root) == got
+    # with a carried root no exponentiation runs: no basis inverse, no root
+    p = Prime(10007)
+    calls = []
+    monkeypatch.setattr(rational, "pow", lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    assert rational._sqrt_mod_squarefree_general(3**2 + 7 * p, -p, [p], 3 + 5 * p) == 3
+    assert rational._sqrt_mod_squarefree_general(5 * p, p, [p]) == 0
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

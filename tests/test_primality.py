@@ -1,13 +1,16 @@
 """is_probable_prime: Miller-Rabin with as many bases as the size of n
-needs, and Baillie-PSW above psi_13.  One table, rational._MR_TIERS, gives
-the bases of each n: below psi_3 = 25326001 and from 2^64 to psi_13 the
-first t primes, t the least with n < psi_t (Jaeschke's table, kept here as
-reference data); from psi_3 to 2^64 the least proven set of n's band, 3 to
-7 bases (the sets sympy's isprime uses).  The tiered test is pinned to the
-fixed 13-base test it replaced, which proves primality below psi_13, and
-to sympy; the number of bases per band is pinned by counting
-exponentiations; the strong Lucas half of BPSW is pinned to its known
-pseudoprimes."""
+needs, and Baillie-PSW above psi_13.  From 65077 to 2^32 an n prime to
+2..47 runs one strong test to a hashed base, rational._MR_BASES_32 (Forisek
+& Jancina's table, as sympy's isprime holds it).  Elsewhere one table,
+rational._MR_TIERS, gives the bases of each n: below 65077 and from 2^64
+to psi_13 the first t primes, t the least with n < psi_t (Jaeschke's table,
+kept here as reference data); from 2^32 to 2^64 the least proven set of
+n's band, 3 to 7 bases (the sets sympy's isprime uses).  The test is
+pinned to the fixed 13-base test it replaced, which proves primality below
+psi_13, and to sympy; the hashed band to sympy on 10^5 seeded n, at its
+edges and on its strong pseudoprimes and Carmichael numbers; the number of
+bases per band is pinned by counting exponentiations; the strong Lucas
+half of BPSW is pinned to its known pseudoprimes."""
 
 import math
 import random
@@ -17,6 +20,8 @@ import pytest
 from qrlab import rational
 from qrlab.rational import (
     _MR_BASES,
+    _MR_BASES_32,
+    _MR_HASHED_FROM,
     _MR_TIERS,
     _is_strong_lucas_prp,
     factorize,
@@ -297,11 +302,79 @@ def test_bases_per_band(monkeypatch):
         assert is_probable_prime(n), n
         return len(calls)
 
-    # the psi-table keeps 1, 2 and 3 bases below psi_3 and 12 above 2^64
-    assert [cost(_next_prime(n)) for n in (1000, PSI[0], PSI[1], 2**64)] == [1, 2, 3, 12]
-    assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [3, 4, 5, 6, 7]
+    # the psi-table keeps 1 and 2 bases below 65077 and 12 above 2^64; the
+    # hashed band, from 65077 to 2^32, holds the primes after psi_2 and
+    # psi_3 and the first of the 3-base band, and runs one base on each
+    assert [cost(_next_prime(n)) for n in (1000, PSI[0], PSI[1], 2**64)] == [1, 2, 1, 12]
+    assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [1, 4, 5, 6, 7]
     assert [cost(_next_prime(hi - 10**6)) for _, hi in BANDS] == [3, 4, 5, 6, 7]
-    # a base that is 0 mod n passes: this prime divides the second base of
-    # the first band, so only the other two are exponentiated
+    assert cost(_next_prime(_MR_HASHED_FROM)) == cost(_next_prime(2**32 - 10**6)) == 1
+    assert cost(_next_prime(2**32)) == 3
+    # this prime divides the second base of the 3-base band, which would
+    # skip that base, but it lies in the hashed band: one exponentiation
     assert 14694767155120705706 % 3709689913 == 0
-    assert _thirteen_base_test(3709689913) and cost(3709689913) == 2
+    assert _thirteen_base_test(3709689913) and cost(3709689913) == 1
+
+
+# ---------------------------------------------------------------------------
+# the hashed band, 65077 <= n < 2^32: one strong test to _MR_BASES_32[h]
+
+
+def _hash_64(n: int) -> int:
+    """Forisek & Jancina's hash of n on 64-bit words, as their C code runs it."""
+    mask = 2**64 - 1
+    h = ((n >> 16) ^ n) * 0x45d9f3b & mask
+    h = ((h >> 16) ^ h) * 0x45d9f3b & mask
+    return ((h >> 16) ^ h) & 255
+
+
+def test_hashed_base_table_is_sympys():
+    pytest.importorskip("sympy")
+    from sympy.ntheory import primetest
+
+    assert len(_MR_BASES_32) == 256
+    assert list(_MR_BASES_32) == primetest._MR_BASES_32
+    # every base is below the band, so none is 0 or 1 mod n and skipped
+    assert max(_MR_BASES_32) < _MR_HASHED_FROM == 65077
+    # the hash on unbounded ints picks the entry the 64-bit hash picks
+    rng = random.Random(2015)
+    for n in [_MR_HASHED_FROM, 2**32 - 1] + [rng.randrange(_MR_HASHED_FROM, 2**32)
+                                               for _ in range(10**4)]:
+        h = ((n >> 16) ^ n) * 0x45d9f3b
+        h = ((h >> 16) ^ h) * 0x45d9f3b
+        assert ((h >> 16) ^ h) & 255 == _hash_64(n), n
+
+
+def test_hashed_band_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(65077)
+    ns = [rng.randrange(_MR_HASHED_FROM, 2**32) for _ in range(10**5)]
+    # every odd n prime to 3, 5 and 7 in a quarter of the draws, so the
+    # strong test itself decides many of them
+    ns += [n for n in (rng.randrange(_MR_HASHED_FROM, 2**32) | 1 for _ in range(10**5))
+           if math.gcd(n, 3 * 5 * 7) == 1][: 25000]
+    for n in ns:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    # +-200 around the band's edges and psi_2, psi_3 inside it
+    for edge in (_MR_HASHED_FROM, PSI[1], PSI[2], 2**32):
+        for n in range(edge - 200, edge + 201):
+            assert is_probable_prime(n) == sympy.isprime(n) == _thirteen_base_test(n), n
+    assert is_probable_prime(2**32 - 5)  # the largest prime below 2^32
+
+
+def test_hashed_band_rejects_its_pseudoprimes_and_carmichael_numbers():
+    # psi_4, a strong pseudoprime to 2, 3, 5 and 7, lies in the band
+    assert _MR_HASHED_FROM < PSI[3] == 3215031751 < 2**32
+    assert not is_probable_prime(PSI[3])
+    # every Carmichael number (6k+1)(12k+1)(18k+1) with three prime factors,
+    # and every p (2p-1) with both factors prime, that lies in the band
+    carmichael = [n for n in (math.prod((6 * k + 1, 12 * k + 1, 18 * k + 1))
+                              for k in range(1, 200)
+                              if all(map(_thirteen_base_test, (6 * k + 1, 12 * k + 1, 18 * k + 1))))
+                  if _MR_HASHED_FROM <= n < 2**32]
+    semiprimes = [p * (2 * p - 1) for p in range(3, math.isqrt(2**31) + 1)
+                  if _MR_HASHED_FROM <= p * (2 * p - 1) < 2**32
+                  and _thirteen_base_test(p) and _thirteen_base_test(2 * p - 1)]
+    assert (len(carmichael), len(semiprimes)) == (8, 618)
+    for n in carmichael + semiprimes:
+        assert not is_probable_prime(n), n
