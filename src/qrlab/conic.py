@@ -3,10 +3,10 @@ local symbol vector, and when solvable produce an exact rational point by
 Legendre descent.  Includes the ternary variant a x^2 + b y^2 + c z^2 = 0
 and the global norm test for quadratic extensions.
 
-The descent runs on primitive integer triples (x, y, z) with
-a x^2 + b y^2 = z^2, moved between the forms <a, b> and <a, c> through a
-frame d^2 - a = b c; the rational point is formed once, from the final
-triple.
+The descent is one loop down, which records a frame d^2 - a = b c per
+level in a list, and one loop up that list, which moves a primitive integer
+triple (x, y, z) with a x^2 + b y^2 = z^2 from each form <a, c> back to
+<a, b>; the rational point is formed once, from the final triple.
 """
 
 from __future__ import annotations
@@ -127,47 +127,45 @@ class ConicCertificate(Record):
 _MAX_DEPTH = 64
 
 
-def _descent(a: int, b: int, primes_a, primes_b, depth: int = 0,
-             root: int | None = None) -> tuple[int, int, int, int]:
+def _descent(a: int, b: int, primes_a, primes_b) -> tuple[int, int, int, list]:
     """A primitive integer triple (x, y, z), z != 0, with a x^2 + b y^2 = z^2
     for squarefree integers a, b whose symbol vector is everywhere +1, and
-    the max depth reached.  The descent runs on primitive integer triples
-    at every level; no Fraction enters a triple.
+    the frame list: one (DescentFrame, f, swapped) per level, top first.
 
-    primes_a and primes_b are the primes of a and b.  Each level factors c
-    once, splits it on plain ints, and hands the primes of its squarefree
-    part e down with the primes of a, so no level factors a or b again.  It hands its d
-    down too: d^2 - a = b c makes d a root of a mod e, so the next level
-    takes its least root mod e from d and runs no Tonelli-Shanks, unless
-    it swaps a and e.  root is that d, or None at the top and after a
-    swap."""
-    assert depth < _MAX_DEPTH, "descent failed to terminate"
-    if a == 1:
-        return 1, 0, 1, depth
-    if b == 1:
-        return 0, 1, 1, depth
-    if abs(a) > abs(b):
-        y, x, z, reached = _descent(b, a, primes_b, primes_a, depth)
-        return x, y, z, reached
-    # |a| <= |b|, |b| >= 2: the local conditions provide the least d in
-    # [0, |b|/2] with d^2 = a (mod |b|)
-    d = _sqrt_mod_squarefree_general(a, b, primes_b, root)
-    assert d is not None, (a, b)
-    if d * d == a:
-        return 1, 0, d, depth
-    c = (d * d - a) // b
-    # c is an integer, so the split's denominator is 1
-    e, f, _, primes_e = _squarefree_core(1 if c > 0 else -1, _exponent_dict(c).items())
-    # solve the lighter form <a, e>, lift to <a, c> = <a, e f^2>, and step
-    # back to <a, b>
-    X, Y, Z, reached = _descent(a, e, primes_a, primes_e, depth + 1, d)
-    x, y, z = descent_step(DescentFrame(a, b, c, d), (X * f, Y, Z * f), "backward")
-    if z == 0:
-        # isotropic: the line through (x : y : 0) and (0 : 1 : 1) meets the
-        # conic again at ((1 - b) x : (1 + b) y : 2 b y)
-        x, y, z = (1 - b) * x, (1 + b) * y, 2 * b * y
-    g = math.gcd(x, y, z)
-    return x // g, y // g, z // g, reached
+    The loop down swaps a and b where |a| > |b|, takes the least root d of
+    a mod b, splits c = (d^2 - a) / b once into e f^2 and goes on to
+    <a, e>; a and b stay squarefree and a != 1, so c != 0.  primes_a and
+    primes_b are the primes of a and b, and each level hands those of e
+    down, so no level factors a or b again.  d^2 - a = b c makes d a root
+    of a mod e, so the next level reads its root from d, unless it swaps.
+    The loop up lifts the base triple through the frames in reverse."""
+    frames, root = [], None
+    while a != 1 and b != 1:
+        swapped = abs(a) > abs(b)
+        if swapped:
+            a, b, primes_a, primes_b, root = b, a, primes_b, primes_a, None
+        # |a| <= |b|, |b| >= 2: the local conditions provide the least d in
+        # [0, |b|/2] with d^2 = a (mod |b|)
+        d = _sqrt_mod_squarefree_general(a, b, primes_b, root)
+        assert d is not None, (a, b)
+        c = (d * d - a) // b
+        # c is an integer, so the split's denominator is 1
+        e, f, _, primes_e = _squarefree_core(1 if c > 0 else -1, _exponent_dict(c).items())
+        frames.append((DescentFrame(a, b, c, d), f, swapped))
+        assert len(frames) < _MAX_DEPTH, "descent failed to terminate"
+        b, primes_b, root = e, primes_e, d
+    x, y, z = (1, 0, 1) if a == 1 else (0, 1, 1)
+    for frame, f, swapped in reversed(frames):
+        x, y, z = descent_step(frame, (x * f, y, z * f), "backward")
+        if z == 0:
+            # isotropic: the line through (x : y : 0) and (0 : 1 : 1) meets
+            # the conic again at ((1 - b) x : (1 + b) y : 2 b y)
+            x, y, z = (1 - frame.b) * x, (1 + frame.b) * y, 2 * frame.b * y
+        g = math.gcd(x, y, z)
+        x, y, z = x // g, y // g, z // g
+        if swapped:
+            x, y = y, x
+    return x, y, z, frames
 
 
 def solve_conic(a: Rat, b: Rat) -> ConicCertificate:
@@ -199,10 +197,10 @@ def _solve(a: Fraction, b: Fraction, va: dict, vb: dict) -> ConicCertificate:
     # scale to squarefree integers: a x^2 = a0 (sa x)^2, sa = num_a / den_a
     a0, num_a, den_a, primes_a = _squarefree_core(1 if a > 0 else -1, va.items())
     b0, num_b, den_b, primes_b = _squarefree_core(1 if b > 0 else -1, vb.items())
-    X, Y, Z, depth = _descent(a0, b0, primes_a, primes_b)
+    X, Y, Z, frames = _descent(a0, b0, primes_a, primes_b)
     # x = X / (Z sa) and y = Y / (Z sb), of the four sign flips the one with x >= 0 >= y
     x, y = abs(Fraction(X * den_a, Z * num_a)), -abs(Fraction(Y * den_b, Z * num_b))
-    cert = ConicCertificate(a, b, "solution", x=x, y=y, descent_depth=depth)
+    cert = ConicCertificate(a, b, "solution", x=x, y=y, descent_depth=len(frames))
     assert cert.verify(), (a, b, x, y)
     return cert
 

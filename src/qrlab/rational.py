@@ -8,7 +8,7 @@ in one place, `local_unit`, which reads v = v_p(x) and the unit x / p^v
 from one `int_valuation` and returns v and the unit's residue; `vp` is its
 valuation.  The factor core, `_exponent_dict`, gives {p: v_p(x)} for a
 rational x (trial division to 10^3, one gcd with the primes to 10^4, then
-rho; Miller-Rabin on one hashed base from 65077 to 2^32); the symbol
+rho; Miller-Rabin on one hashed base from 2809 to 2^32); the symbol
 vector and the conic layer read its dicts as they are (the symbol vector,
 which holds v = v_p(x), reads the unit's square class from one exact
 division of num * den by p^|v|), and `rational_factor_exponents` sorts
@@ -78,23 +78,18 @@ _MID_PRIMES = _PRIMES_TO_MID[len(_SMALL_PRIMES) :]
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _MID_PRIMORIAL = math.prod(_MID_PRIMES)
 
-# Miller-Rabin tiers (bound, bases): n runs on the bases of the first row
-# whose bound is > n, and an n below it with no factor among _MR_BASES is
-# prime iff it passes each base whose residue mod n is >= 2.  Below psi_3 and
-# from 2^64, the bound is psi_t, the least strong pseudoprime to the first t
+# Miller-Rabin from 2^32, in tiers (bound, bases): n runs on the bases of the
+# first row whose bound is > n, and an n below it prime to 2..47 is prime iff
+# it passes each base whose residue mod n is >= 2.  To 2^64 the bases are the
+# least sets proven over their bands, as sympy.ntheory.primetest.isprime (and
+# Wikipedia's "Miller-Rabin primality test") lists them; those with base 2
+# were checked against Feitsma-Galway's base-2 strong pseudoprimes below
+# 2^64.  Then the bound is psi_t, the least strong pseudoprime to the first t
 # prime bases (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson &
-# Webster, Math. Comp. 86, 2017).  From psi_3 to 2^64 the bases are the least
-# sets proven over their whole ranges, as sympy.ntheory.primetest.isprime
-# lists them (and Wikipedia's "Miller-Rabin primality test"); those with base
-# 2 were checked against Feitsma-Galway's base-2 strong pseudoprimes below
-# 2^64.  So the test proves primality below psi_13.  Above it, all 13 bases
-# and a strong Lucas test make a Baillie-PSW test: no composite is known to
-# pass, but it is no proof.
+# Webster, Math. Comp. 86, 2017), to psi_13; above it, the 13 bases and a
+# strong Lucas test make a Baillie-PSW test: no composite is known to pass.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_TIERS = (
-    (2047, _MR_BASES[:1]),
-    (1373653, _MR_BASES[:2]),
-    (25326001, _MR_BASES[:3]),
     (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
     (55245642489451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
     (7999252175582851,
@@ -106,12 +101,13 @@ _MR_TIERS = (
     (3317044064679887385961981, _MR_BASES),
 )
 
-# The hashed band [_MR_HASHED_FROM, 2^32) overrides those rows: an n prime to
-# 2..47 runs one strong test, to _MR_BASES_32[h] for h its hash, a base that
-# exposes every odd composite < 2^32 prime to 3, 5, 7 with that hash (Forisek
-# & Jancina, 2015).  Their C hash runs on 64-bit words; the low 24 bits it
-# reads match on Python ints.  Band and table: sympy 1.14 isprime's, verbatim.
-_MR_HASHED_FROM = 65077
+# Below 2^32, an n prime to 2..47 is prime below 53^2 = 2809 and from there
+# runs one strong test, to _MR_BASES_32[h] for h its hash: a base exposing
+# every odd composite < 2^32 prime to 3, 5, 7 with that hash (Forisek &
+# Jancina, 2015).  Their C hash runs on 64-bit words; the low 24 bits it
+# reads match on Python ints.  The table is sympy 1.14 isprime's, verbatim;
+# sympy runs it from 65077, and a test checks it below that against a sieve.
+_TRIAL_PRIMES = _SMALL_PRIMES[:15]
 _MR_BASES_32 = (
     15591, 2018, 166, 7429, 8064, 16045, 10503, 4399, 1949, 1295, 2776,
     3620, 560, 3128, 5212, 2657, 2300, 2021, 4652, 1471, 9336, 4018, 2398,
@@ -225,22 +221,21 @@ class Record:
 # primality and factorization
 
 def is_probable_prime(n: int) -> bool:
-    """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved by
-    Miller-Rabin: from 65077 to 2^32 one hashed base (_MR_BASES_32), and
-    elsewhere the bases of n's row of _MR_TIERS, the first t primes below
-    65077 and from 2^64 on, t the least with n < psi_t, and from 2^32 to
-    2^64 the least proven set of n's band (3 bases below 350269456337, then
-    4, 5, 6 and 7).  Above psi_13 it is Baillie-PSW (the 13 bases, then a
-    strong Lucas test with Selfridge's parameters): no composite is known to
-    pass, but none is ruled out."""
+    """Whether n is prime.  Below psi_13 ~ 3.3e24 the answer is proved:
+    trial division by 2..47 decides n < 2809, Miller-Rabin on one hashed
+    base (_MR_BASES_32) n < 2^32, and then on the bases of n's row of
+    _MR_TIERS (3 bases below 350269456337, then 4, 5, 6 and 7 to 2^64, then
+    12 or 13).  Above psi_13 it is Baillie-PSW (the 13 bases, then a strong
+    Lucas test with Selfridge's parameters): no composite is known to pass,
+    but none is ruled out."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
-    if _MR_HASHED_FROM <= n < 2**32:
-        if n % 43 == 0 or n % 47 == 0:
-            return False
+    if n < 2809:
+        return True
+    if n < 2**32:
         h = ((n >> 16) ^ n) * 0x45d9f3b
         h = ((h >> 16) ^ h) * 0x45d9f3b
         bases = (_MR_BASES_32[((h >> 16) ^ h) & 255],)
@@ -355,8 +350,8 @@ def odd_prime(p: int) -> Prime:
     return p
 
 
-#: Each small prime as a Prime, for the factor core (prime by the sieve).
-_SMALL_PRIME_TABLE = {p: int.__new__(Prime, p) for p in _SMALL_PRIMES}
+#: Each prime up to _MID_PRIME_LIMIT as a Prime, for the factor core.
+_PRIME_TABLE = {p: int.__new__(Prime, p) for p in _PRIMES_TO_MID}
 
 
 def _pollard_rho(n: int) -> int:
@@ -413,22 +408,11 @@ class Factorization(Record):
         return iter(self.factors)
 
 
-def _factor_dict(n: int) -> dict[Prime, int]:
-    """{p: v_p(n)} for an integer n >= 1, in no particular order.
-
-    The gcd of n with the product of the primes <= TRIAL_DIVISION_LIMIT
-    names the small primes of n, and only those are divided out.  What is
-    left, and every part split off it, has no prime factor <=
-    TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
-    construction (the least such composite is 1009^2 = 1018081 > 10^6): a
-    cofactor that small is recorded at once.  Larger ones are certified
-    once by is_probable_prime; one it calls composite splits off its least
-    mid prime (<= _MID_PRIME_LIMIT), named by one gcd, and only one with
-    none goes to Pollard rho (10007^2 is its least input).  The keys are
-    Primes; the loops run on plain ints."""
-    found: dict[Prime, int] = {}
-    g = math.gcd(n, _SMALL_PRIMORIAL)
-    for p in _SMALL_PRIMES:
+def _divide_out(n: int, g: int, primes, found: dict[Prime, int]) -> int:
+    """n with every copy of each prime of g divided out, each recorded in
+    found with its exponent; g is a squarefree divisor of n whose primes
+    lie in primes, an ascending tuple."""
+    for p in primes:
         if g == 1:
             break
         if p * p > g:
@@ -441,7 +425,25 @@ def _factor_dict(n: int) -> dict[Prime, int]:
         while n % p == 0:
             n //= p
             e += 1
-        found[_SMALL_PRIME_TABLE[p]] = e
+        found[_PRIME_TABLE[p]] = e
+    return n
+
+
+def _factor_dict(n: int) -> dict[Prime, int]:
+    """{p: v_p(n)} for an integer n >= 1, in no particular order.
+
+    The gcd of n with the product of the primes <= TRIAL_DIVISION_LIMIT
+    names the small primes of n, and only those are divided out.  What is
+    left, and every part split off it, has no prime factor <=
+    TRIAL_DIVISION_LIMIT, so one below TRIAL_DIVISION_LIMIT^2 is prime by
+    construction (the least such composite is 1009^2 = 1018081 > 10^6): a
+    cofactor that small is recorded at once.  Larger ones are certified
+    once by is_probable_prime; one it calls composite has its mid primes
+    (<= _MID_PRIME_LIMIT), named by one gcd, divided out the same way, and
+    only one with none goes to Pollard rho (10007^2 is its least input).
+    The keys are Primes; the loops run on plain ints."""
+    found: dict[Prime, int] = {}
+    n = _divide_out(n, math.gcd(n, _SMALL_PRIMORIAL), _SMALL_PRIMES, found)
     if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
         if n > 1:
             found[int.__new__(Prime, n)] = 1
@@ -455,12 +457,11 @@ def _factor_dict(n: int) -> dict[Prime, int]:
         g = math.gcd(m, _MID_PRIMORIAL)
         if g == 1:
             d = _pollard_rho(m)
-        elif g < _MID_PRIME_LIMIT:
-            d = g  # one mid prime: two make at least 1009 * 1013
+            stack += (d, m // d)
         else:
-            d = next(p for p in _MID_PRIMES if g % p == 0)
-        stack.append(d)
-        stack.append(m // d)
+            m = _divide_out(m, g, _MID_PRIMES, found)
+            if m > 1:
+                stack.append(m)
     return found
 
 
@@ -560,7 +561,7 @@ class Place(Record):
 
 INF_PLACE = Place.infinity()
 #: The place at 2, which every symbol vector and root-number product visits.
-TWO_PLACE = Place.finite(_SMALL_PRIME_TABLE[2])
+TWO_PLACE = Place.finite(_PRIME_TABLE[2])
 
 
 def int_valuation(n: int, p: int) -> tuple[int, int]:

@@ -337,7 +337,9 @@ def test_descent_isotropic_branch():
     # back to (-1, 1, 0), an isotropic vector of -3 x^2 + 3 y^2; the second
     # intersection ((1 - b) x, (1 + b) y, 2 b y) = (2, 4, 6) is (1, 2, 3)
     assert descent_step(DescentFrame(-3, 3, 1, 0), (0, 1, 1), "backward") == (-1, 1, 0)
-    assert _descent(-3, 3, [3], [3]) == (1, 2, 3, 1)
+    x, y, z, frames = _descent(-3, 3, [3], [3])
+    assert (x, y, z, len(frames)) == (1, 2, 3, 1)
+    assert frames == [(DescentFrame(-3, 3, 1, 0), 1, False)]
     cert = solve_conic(-3, 3)
     assert (cert.x, cert.y, cert.descent_depth) == (Fraction(1, 3), Fraction(-2, 3), 1)
     _assert_matches_fraction_route(-3, 3)

@@ -285,9 +285,29 @@ def test_factorize_smallest_composites_past_trial_division(monkeypatch):
         assert [name for name, _ in calls].count("_pollard_rho") == 1, n
 
 
+def test_factor_dict_divides_out_every_copy_of_each_mid_prime(monkeypatch):
+    # the gcd with the mid primes names each of them once, and each is
+    # divided out as often as it divides: one Miller-Rabin call on the
+    # input, none on the powers left behind, and no rho
+    calls = []
+    real = rational.is_probable_prime
+    monkeypatch.setattr(rational, "is_probable_prime", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(rational, "_pollard_rho", lambda n: pytest.fail(f"rho on {n}"))
+    for n, factors in ((1009**9, {1009: 9}), (9973**7, {9973: 7}),
+                       (1009**4 * 1013**3, {1009: 4, 1013: 3})):
+        calls.clear()
+        assert rational._factor_dict(n) == factors
+        assert calls == [n], n
+    # what the mid primes leave is certified once more: here a prime
+    calls.clear()
+    q = 2**61 - 1
+    assert rational._factor_dict(1009**3 * 9973 * q) == {1009: 3, 9973: 1, q: 1}
+    assert calls == [1009**3 * 9973 * q, q]
+
+
 def test_factor_dict_splits_mid_primes_against_sympy(monkeypatch):
     # the gcd with the mid primes (10^3, 10^4] holds two of them: g >= 10^4,
-    # and its least prime is found by a scan.  Then mid-prime powers and
+    # and its primes are found by a scan.  Then mid-prime powers and
     # products of two up to 2^96.  None of these reaches rho.
     sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(rational, "_pollard_rho", lambda n: pytest.fail(f"rho on {n}"))
@@ -1143,47 +1163,69 @@ _DESCENT_PAIRS = _solvable_squarefree_pairs(20261019, 300)
 def test_descent_matches_the_fresh_root_descent():
     depths = []
     for a, b, primes_a, primes_b in _DESCENT_PAIRS:
-        got = conic._descent(a, b, primes_a, primes_b)
-        assert got == _old_descent(a, b, primes_a, primes_b), (a, b)
-        depths.append(got[3])
+        x, y, z, frames = conic._descent(a, b, primes_a, primes_b)
+        assert (x, y, z, len(frames)) == _old_descent(a, b, primes_a, primes_b), (a, b)
+        depths.append(len(frames))
     assert max(depths) >= 4  # the pairs reach deep descents
 
 
 def test_descent_takes_no_root_mod_a_prime_of_a_frames_e(monkeypatch):
-    # A level reached through a frame (one deeper than its caller, not a
-    # swap) that keeps its order takes its roots from the caller's d; only
-    # the top level and a level after a swap call sqrt_mod_prime, once for
-    # each odd prime of b that does not divide a.
-    stack, expected, fresh, carried = [], [], [], []
+    # A level that keeps the order of the form its frame hands down takes
+    # its roots from that frame's d; only the top level and a level that
+    # swaps call sqrt_mod_prime, once for each odd prime of b that does not
+    # divide a.  The levels are read from the frames afterwards.
+    calls, expected, fresh, carried = [], [], [], []
     saved = 0
-    descent, root = conic._descent, rational.sqrt_mod_prime
-
-    def traced_descent(a, b, primes_a, primes_b, depth=0, *rest):
-        nonlocal saved
-        via_frame = bool(stack) and depth == stack[-1][0] + 1
-        stack.append((depth, via_frame))
-        if 1 not in (a, b) and abs(a) <= abs(b):
-            needed = [(a % p, p) for p in primes_b if p != 2 and a % p]
-            if via_frame:
-                saved += len(needed)
-            else:
-                expected.extend(needed)
-        try:
-            return descent(a, b, primes_a, primes_b, depth, *rest)
-        finally:
-            stack.pop()
-
-    def traced_root(a, p):
-        (carried if stack[-1][1] else fresh).append((a % p, p))
-        return root(a, p)
-
-    monkeypatch.setattr(conic, "_descent", traced_descent)
-    monkeypatch.setattr(rational, "sqrt_mod_prime", traced_root)
+    root = rational.sqrt_mod_prime
+    monkeypatch.setattr(rational, "sqrt_mod_prime",
+                        lambda a, p: calls.append((a % p, p)) or root(a, p))
     for a, b, primes_a, primes_b in _DESCENT_PAIRS[:100]:
-        solve_conic(a, b)
+        calls.clear()
+        *_, frames = conic._descent(a, b, primes_a, primes_b)
+        needed_fresh, needed_carried = [], []
+        for level, (frame, _, swapped) in enumerate(frames):
+            needed = [(frame.a % p, p) for p in rational._exponent_dict(frame.b)
+                      if p != 2 and frame.a % p]
+            (needed_fresh if level == 0 or swapped else needed_carried).extend(needed)
+        carried += [call for call in calls if call in needed_carried and call not in needed_fresh]
+        fresh += sorted(calls)
+        expected += sorted(needed_fresh)
+        saved += len(needed_carried)
     assert carried == []
     assert fresh == expected
     assert saved > len(fresh) // 4, (saved, len(fresh))
+
+
+def _descent_inputs():
+    """(a0, b0, primes_a, primes_b) for _DESCENT_PAIRS and for each solvable
+    pair of the [-40, 40]^2 grid, and the pair solve_conic takes."""
+    for a, b, primes_a, primes_b in _DESCENT_PAIRS:
+        yield (a, b, primes_a, primes_b), (a, b)
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a and b and not hilbert_vector(a, b).minus_places:
+                a0, b0 = (rational._squarefree_core(*rational_factor_exponents(t))[0]
+                          for t in (a, b))
+                primes = [[p for p, _ in factorize(t)] for t in (a0, b0)]
+                yield (a0, b0, *primes), (a, b)
+
+
+def test_descent_frames_chain_from_the_input_to_a_base_form():
+    # each frame's <a, e>, e the squarefree part of c = e f^2, is the next
+    # frame's form, swapped where that frame says so; the first frame's is
+    # the input's, the last one's has a coefficient 1; and the list is one
+    # frame per level of solve_conic's descent_depth
+    for (a, b, primes_a, primes_b), pair in _descent_inputs():
+        *_, frames = conic._descent(a, b, primes_a, primes_b)
+        form = (a, b)
+        for frame, f, swapped in frames:
+            assert (frame.a, frame.b) == (form[::-1] if swapped else form), (a, b)
+            e = frame.c // (f * f)
+            assert e * f * f == frame.c, (a, b)
+            assert all(v == 1 for v in rational._exponent_dict(e).values()), (a, b)
+            form = (frame.a, e)
+        assert 1 in form, (a, b)
+        assert len(frames) == solve_conic(*pair).descent_depth, (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,28 @@
-"""is_probable_prime: Miller-Rabin with as many bases as the size of n
-needs, and Baillie-PSW above psi_13.  From 65077 to 2^32 an n prime to
-2..47 runs one strong test to a hashed base, rational._MR_BASES_32 (Forisek
-& Jancina's table, as sympy's isprime holds it).  Elsewhere one table,
-rational._MR_TIERS, gives the bases of each n: below 65077 and from 2^64
-to psi_13 the first t primes, t the least with n < psi_t (Jaeschke's table,
-kept here as reference data); from 2^32 to 2^64 the least proven set of
-n's band, 3 to 7 bases (the sets sympy's isprime uses).  The test is
-pinned to the fixed 13-base test it replaced, which proves primality below
-psi_13, and to sympy; the hashed band to sympy on 10^5 seeded n, at its
-edges and on its strong pseudoprimes and Carmichael numbers; the number of
-bases per band is pinned by counting exponentiations; the strong Lucas
-half of BPSW is pinned to its known pseudoprimes."""
+"""is_probable_prime: trial division by 2..47, Miller-Rabin with as many
+bases as the size of n needs, and Baillie-PSW above psi_13.  Below 53^2 =
+2809 an n prime to 2..47 is prime; from 2809 to 2^32 it runs one strong
+test to a hashed base, rational._MR_BASES_32 (Forisek & Jancina's table, as
+sympy's isprime holds it).  From 2^32 one table, rational._MR_TIERS, gives
+the bases of each n: to 2^64 the least proven set of n's band, 3 to 7
+bases (the sets sympy's isprime uses), and then the first t primes, t the
+least with n < psi_t (Jaeschke's table, kept here as reference data).  The
+test is pinned to the fixed 13-base test it replaced, which proves
+primality below psi_13, and to sympy; the hashed band to a sieve on every
+candidate below 65077, where sympy's band begins, to sympy on 10^5 seeded
+n, at its edges and on its strong pseudoprimes and Carmichael numbers; the
+number of bases per band is pinned by counting exponentiations; the strong
+Lucas half of BPSW is pinned to its known pseudoprimes."""
 
 import math
 import random
 
 import pytest
 
+from oracles import primes_below
 from qrlab import rational
 from qrlab.rational import (
     _MR_BASES,
     _MR_BASES_32,
-    _MR_HASHED_FROM,
     _MR_TIERS,
     _is_strong_lucas_prp,
     factorize,
@@ -38,7 +39,7 @@ PSI = (
     3825123056546413051, 318665857834031151167461, PSI_13,
 )
 
-#: The least base sets proven from psi_3 to 2^64, by the upper bound of
+#: The least base sets proven from 2^32 to 2^64, by the upper bound of
 #: their bands, as sympy.ntheory.primetest.isprime lists them
 MINIMAL_SETS = (
     (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
@@ -56,13 +57,13 @@ def _is_psi_row(bases) -> bool:
     return bases == _MR_BASES[: len(bases)]
 
 
-#: The tier bounds; the bands of the minimal base sets, psi_3 to 2^64, with
+#: The tier bounds; the bands of the minimal base sets, 2^32 to 2^64, with
 #: their bases; and the psi_t inside the bands
 BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
-MINIMAL_TIERS = tuple(((lo, hi), bases) for (lo, _), (hi, bases) in zip(_MR_TIERS, _MR_TIERS[1:])
+MINIMAL_TIERS = tuple(((lo, hi), bases) for lo, (hi, bases) in zip((2**32, *BOUNDS), _MR_TIERS)
                       if not _is_psi_row(bases))
 BANDS = tuple(band for band, _ in MINIMAL_TIERS)
-PSI_IN_BANDS = (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
+PSI_IN_BANDS = (2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
 
 
 def _thirteen_base_test(n: int) -> bool:
@@ -113,17 +114,17 @@ def test_psi_table_is_the_strong_pseudoprime_table():
     for t, psi in enumerate(PSI, 1):
         assert _strong_pseudoprime(psi, _MR_BASES[:t]), t
     assert PSI[-1] == PSI_13 == 1287836182261 * 2575672364521
-    # the tiers: bounds strictly increasing, each psi row (psi_t, the first
-    # t bases) with psi_t a strong pseudoprime to them, and the minimal
-    # rows the proven sets, in the order of their bands
-    assert len(_MR_TIERS) == 10
-    assert all(lo < hi for lo, hi in zip(BOUNDS, BOUNDS[1:]))
+    # the tiers from 2^32: bounds strictly increasing, the minimal rows the
+    # proven sets, in the order of their bands, and each psi row (psi_t, the
+    # first t bases) with psi_t a strong pseudoprime to them
+    assert len(_MR_TIERS) == 7
+    assert all(lo < hi for lo, hi in zip((2**32, *BOUNDS), BOUNDS))
     psi_rows = [(bound, bases) for bound, bases in _MR_TIERS if _is_psi_row(bases)]
-    assert [len(bases) for _, bases in psi_rows] == [1, 2, 3, 12, 13]
+    assert [len(bases) for _, bases in psi_rows] == [12, 13]
     for bound, bases in psi_rows:
         assert bound == PSI[len(bases) - 1], bound
         assert _strong_pseudoprime(bound, bases), bound
-    assert _MR_TIERS[3:8] == MINIMAL_SETS
+    assert _MR_TIERS[:5] == MINIMAL_SETS
     assert tuple((hi, bases) for (_, hi), bases in MINIMAL_TIERS) == MINIMAL_SETS
 
 
@@ -203,9 +204,9 @@ def test_strong_lucas_against_sympy():
 def test_tiers_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1993)
-    # one range per psi-table tier and per band, from psi_0 = 3, and two
-    # past psi_13
-    edges = sorted({3, *PSI, *BOUNDS, 2**96, 2**128})
+    # one range per psi-table tier and per band, from psi_0 = 3, with the
+    # ends of the hashed band, and two past psi_13
+    edges = sorted({3, 2809, 2**32, *PSI, *BOUNDS, 2**96, 2**128})
     for lo, hi in zip(edges, edges[1:]):
         for _ in range(60):
             n = rng.randrange(lo, hi)
@@ -227,10 +228,11 @@ def _next_prime(n: int) -> int:
 
 
 def test_band_edges_against_the_thirteen_base_test():
-    assert BANDS[0][0] == 25326001
+    assert BANDS[0][0] == 2**32
     assert [hi for _, hi in BANDS] == [350269456337, 55245642489451, 7999252175582851,
                                        585226005592931977, 2**64]
-    for edge in (BANDS[0][0], *(hi for _, hi in BANDS)):
+    # 2809 = 53^2, below which trial division by 2..47 decides
+    for edge in (2809, BANDS[0][0], *(hi for _, hi in BANDS)):
         for n in range(edge - 200, edge + 201):
             assert is_probable_prime(n) == _thirteen_base_test(n), n
 
@@ -254,14 +256,17 @@ def _divisors(m: int) -> list[int]:
 def test_composites_that_skip_a_base_are_composite():
     # a base that is 0 or 1 mod n is no witness and is skipped, so a
     # composite n in a band that divides a or a - 1 meets one base fewer:
-    # every such n past the trial divisors must still be exposed
+    # every such n past the trial divisors must still be exposed.  The
+    # 3-base set is proven from psi_3, and the 6 such n from psi_3 to 2^32
+    # meet the hashed base instead; they are checked too
     skipping = []
     for (lo, hi), bases in MINIMAL_TIERS:
+        lo = PSI[2] if lo == 2**32 else lo
         for a in bases:
             for m in (a, a - 1):
                 skipping += [n for n in _divisors(m) if lo <= n < hi
                              and all(n % p for p in _MR_BASES) and not _thirteen_base_test(n)]
-    assert len(skipping) == 13
+    assert len(skipping) == 13 and sum(n < 2**32 for n in skipping) == 6
     for n in skipping:
         assert not is_probable_prime(n), n
 
@@ -302,14 +307,15 @@ def test_bases_per_band(monkeypatch):
         assert is_probable_prime(n), n
         return len(calls)
 
-    # the psi-table keeps 1 and 2 bases below 65077 and 12 above 2^64; the
-    # hashed band, from 65077 to 2^32, holds the primes after psi_2 and
-    # psi_3 and the first of the 3-base band, and runs one base on each
-    assert [cost(_next_prime(n)) for n in (1000, PSI[0], PSI[1], 2**64)] == [1, 2, 1, 12]
-    assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [1, 4, 5, 6, 7]
+    # trial division decides the primes below 2809 with no base, so those
+    # after 1000 and psi_1; the hashed band, from 2809 to 2^32, holds the
+    # primes after psi_2 and psi_3 and runs one base on each; the psi-table
+    # keeps 12 bases above 2^64
+    assert [cost(_next_prime(n)) for n in (1000, PSI[0], PSI[1], 2**64)] == [0, 0, 1, 12]
+    assert [cost(_next_prime(lo)) for lo, _ in BANDS] == [3, 4, 5, 6, 7]
     assert [cost(_next_prime(hi - 10**6)) for _, hi in BANDS] == [3, 4, 5, 6, 7]
-    assert cost(_next_prime(_MR_HASHED_FROM)) == cost(_next_prime(2**32 - 10**6)) == 1
-    assert cost(_next_prime(2**32)) == 3
+    assert cost(_next_prime(2809)) == cost(_next_prime(2**32 - 10**6)) == 1
+    assert cost(2803) == 0  # the largest prime below 2809
     # this prime divides the second base of the 3-base band, which would
     # skip that base, but it lies in the hashed band: one exponentiation
     assert 14694767155120705706 % 3709689913 == 0
@@ -317,7 +323,7 @@ def test_bases_per_band(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the hashed band, 65077 <= n < 2^32: one strong test to _MR_BASES_32[h]
+# the hashed band, 2809 <= n < 2^32: one strong test to _MR_BASES_32[h]
 
 
 def _hash_64(n: int) -> int:
@@ -334,29 +340,42 @@ def test_hashed_base_table_is_sympys():
 
     assert len(_MR_BASES_32) == 256
     assert list(_MR_BASES_32) == primetest._MR_BASES_32
-    # every base is below the band, so none is 0 or 1 mod n and skipped
-    assert max(_MR_BASES_32) < _MR_HASHED_FROM == 65077
+    # every base is below 65077, where sympy's band begins, so from there
+    # none is 0 or 1 mod n and skipped; below it the sieve check covers
+    # the n that skip it
+    assert max(_MR_BASES_32) < 65077
     # the hash on unbounded ints picks the entry the 64-bit hash picks
     rng = random.Random(2015)
-    for n in [_MR_HASHED_FROM, 2**32 - 1] + [rng.randrange(_MR_HASHED_FROM, 2**32)
-                                               for _ in range(10**4)]:
+    for n in [2809, 2**32 - 1] + [rng.randrange(2809, 2**32) for _ in range(10**4)]:
         h = ((n >> 16) ^ n) * 0x45d9f3b
         h = ((h >> 16) ^ h) * 0x45d9f3b
         assert ((h >> 16) ^ h) & 255 == _hash_64(n), n
 
 
+def test_hashed_band_below_65077_against_a_sieve():
+    # sympy runs the hashed base from 65077; below it every n from 2809 is
+    # checked, 8624 of them prime to 2..47 and so left to the hashed base,
+    # where a base of the table may be 0 or 1 mod n
+    primes = set(primes_below(65077))
+    ns = range(2809, 65077)
+    assert sum(all(n % p for p in primes if p <= 47) for n in ns) == 8624
+    for n in ns:
+        assert is_probable_prime(n) == (n in primes), n
+
+
 def test_hashed_band_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(65077)
-    ns = [rng.randrange(_MR_HASHED_FROM, 2**32) for _ in range(10**5)]
+    ns = [rng.randrange(2809, 2**32) for _ in range(10**5)]
     # every odd n prime to 3, 5 and 7 in a quarter of the draws, so the
     # strong test itself decides many of them
-    ns += [n for n in (rng.randrange(_MR_HASHED_FROM, 2**32) | 1 for _ in range(10**5))
+    ns += [n for n in (rng.randrange(2809, 2**32) | 1 for _ in range(10**5))
            if math.gcd(n, 3 * 5 * 7) == 1][: 25000]
     for n in ns:
         assert is_probable_prime(n) == sympy.isprime(n), n
-    # +-200 around the band's edges and psi_2, psi_3 inside it
-    for edge in (_MR_HASHED_FROM, PSI[1], PSI[2], 2**32):
+    # +-200 around the band's edges, 65077 where sympy's begins, and psi_2,
+    # psi_3 inside it
+    for edge in (2809, 65077, PSI[1], PSI[2], 2**32):
         for n in range(edge - 200, edge + 201):
             assert is_probable_prime(n) == sympy.isprime(n) == _thirteen_base_test(n), n
     assert is_probable_prime(2**32 - 5)  # the largest prime below 2^32
@@ -364,17 +383,17 @@ def test_hashed_band_against_sympy():
 
 def test_hashed_band_rejects_its_pseudoprimes_and_carmichael_numbers():
     # psi_4, a strong pseudoprime to 2, 3, 5 and 7, lies in the band
-    assert _MR_HASHED_FROM < PSI[3] == 3215031751 < 2**32
+    assert 2809 < PSI[3] == 3215031751 < 2**32
     assert not is_probable_prime(PSI[3])
     # every Carmichael number (6k+1)(12k+1)(18k+1) with three prime factors,
     # and every p (2p-1) with both factors prime, that lies in the band
     carmichael = [n for n in (math.prod((6 * k + 1, 12 * k + 1, 18 * k + 1))
                               for k in range(1, 200)
                               if all(map(_thirteen_base_test, (6 * k + 1, 12 * k + 1, 18 * k + 1))))
-                  if _MR_HASHED_FROM <= n < 2**32]
+                  if 2809 <= n < 2**32]
     semiprimes = [p * (2 * p - 1) for p in range(3, math.isqrt(2**31) + 1)
-                  if _MR_HASHED_FROM <= p * (2 * p - 1) < 2**32
+                  if 2809 <= p * (2 * p - 1) < 2**32
                   and _thirteen_base_test(p) and _thirteen_base_test(2 * p - 1)]
-    assert (len(carmichael), len(semiprimes)) == (8, 618)
+    assert (len(carmichael), len(semiprimes)) == (8, 622)
     for n in carmichael + semiprimes:
         assert not is_probable_prime(n), n
