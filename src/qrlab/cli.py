@@ -522,7 +522,7 @@ def _product_shard(pairs):
             sign, exps = rational.rational_factor_exponents(x)
             places.update(Place.finite(p) for p, _ in exps)
         prod = 1
-        for v in sorted(places):
+        for v in places:
             prod *= hilbert.hilbert_symbol(a, b, v)
         if prod != 1:
             bad.append((a, b))

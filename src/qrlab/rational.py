@@ -184,8 +184,9 @@ class Record:
     fields in __slots__, and its __init__ checks its arguments and then
     sets each field exactly once through `_set` (object.__setattr__).
     Assignment raises AttributeError.  Equality and hashing go by the
-    fields, between instances of one class; repr reads "Name(field=value,
-    ...)"; pickle and copy rebuild an instance through __init__."""
+    fields, between instances of one class (Place hashes by its prime
+    alone); repr reads "Name(field=value, ...)"; pickle and copy rebuild an
+    instance through __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -441,7 +442,9 @@ def _factor_dict(n: int) -> dict[Prime, int]:
     once by is_probable_prime; one it calls composite has its mid primes
     (<= _MID_PRIME_LIMIT), named by one gcd, divided out the same way, and
     only one with none goes to Pollard rho (10007^2 is its least input).
-    The keys are Primes; the loops run on plain ints."""
+    Every part split off after that has no prime factor <=
+    _MID_PRIME_LIMIT, so one below _MID_PRIME_LIMIT^2 is prime by
+    construction too.  The keys are Primes; the loops run on plain ints."""
     found: dict[Prime, int] = {}
     n = _divide_out(n, math.gcd(n, _SMALL_PRIMORIAL), _SMALL_PRIMES, found)
     if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
@@ -449,11 +452,13 @@ def _factor_dict(n: int) -> dict[Prime, int]:
             found[int.__new__(Prime, n)] = 1
         return found
     stack = [n]
+    prime_below = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
     while stack:
         m = stack.pop()
-        if m < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_probable_prime(m):
+        if m < prime_below or is_probable_prime(m):
             found[int.__new__(Prime, m)] = found.get(m, 0) + 1
             continue
+        prime_below = _MID_PRIME_LIMIT * _MID_PRIME_LIMIT
         g = math.gcd(m, _MID_PRIMORIAL)
         if g == 1:
             d = _pollard_rho(m)
@@ -530,7 +535,13 @@ class Place(Record):
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        return cls("finite", p)
+        """The place at p; a Prime is taken as certified, an int is tested."""
+        if type(p) is not Prime:
+            return cls("finite", p)
+        place = object.__new__(cls)
+        _set(place, "kind", "finite")
+        _set(place, "prime", p)
+        return place
 
     @classmethod
     def parse(cls, text: str) -> "Place":
@@ -551,6 +562,9 @@ class Place(Record):
 
     def __lt__(self, other: "Place") -> bool:
         return self._sort_key() < other._sort_key()
+
+    def __hash__(self):
+        return hash(self.prime)  # the kind follows from the prime
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else str(self.prime)

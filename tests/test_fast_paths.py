@@ -20,6 +20,7 @@ and LocalWitness.verify in integers against its Fraction evaluation.
 Also the certified-prime type Prime, and how many primality tests each
 public route makes."""
 
+import copy
 import hashlib
 import importlib
 import json
@@ -283,6 +284,12 @@ def test_factorize_smallest_composites_past_trial_division(monkeypatch):
         assert factorize(n).factors == factors
         assert calls[:2] == [("is_probable_prime", n), ("_pollard_rho", n)], n
         assert [name for name, _ in calls].count("_pollard_rho") == 1, n
+    # rho's parts have no prime factor <= 10^4, so below 10^8 they are
+    # recorded with no second certification
+    n = 1000003 * 99999989
+    calls.clear()
+    assert factorize(n).factors == ((1000003, 1), (99999989, 1))
+    assert calls == [("is_probable_prime", n), ("_pollard_rho", n)]
 
 
 def test_factor_dict_divides_out_every_copy_of_each_mid_prime(monkeypatch):
@@ -298,7 +305,11 @@ def test_factor_dict_divides_out_every_copy_of_each_mid_prime(monkeypatch):
         calls.clear()
         assert rational._factor_dict(n) == factors
         assert calls == [n], n
-    # what the mid primes leave is certified once more: here a prime
+    # what the mid primes leave is prime by construction below 10^8, and
+    # certified once more above it
+    calls.clear()
+    assert rational._factor_dict(1009 * 1000003) == {1009: 1, 1000003: 1}
+    assert calls == [1009 * 1000003]
     calls.clear()
     q = 2**61 - 1
     assert rational._factor_dict(1009**3 * 9973 * q) == {1009: 3, 9973: 1, q: 1}
@@ -358,10 +369,14 @@ def test_factorize_mixed_products_against_sympy():
 def test_factor_dict_at_the_prime_by_construction_boundary():
     # a cofactor below TRIAL_DIVISION_LIMIT^2 = 10^6 is recorded as prime at
     # once; 1009^2 = 1018081 and 1009 * 1013 are the least composites past
-    # it and must still be split
+    # it and must still be split.  A part split off by the mid primes or
+    # rho is recorded below 10^8; 10007^2 and 10007 * 10009 are the least
+    # composites past that, and must be split again
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1018081)
     ns = [1, 999983, 2 * 3 * 999983, 1009**2, 1009 * 1013, 997 * 999983]
+    ns += [1009 * 99999989, 9973 * 10007**2, 10007**3, 10007 * 10009 * 10037,
+           10007 * 99999989, 99999989**2, 1009 * 10007 * 10009]
     ns += [rng.randint(1, 10**7) for _ in range(10**4)]
     for n in ns:
         assert rational._factor_dict(n) == sympy.factorint(n), n
@@ -446,11 +461,23 @@ def test_factorize_and_places_yield_primes():
 
 
 def test_trusted_place_equals_the_validated_one():
+    # Place.finite(Prime) sets its fields with no __init__, and a place
+    # hashes by its prime alone: every route to the place at p must still
+    # give one equal, equally hashed place with the same repr and JSON
     for p in (2, 3, 1009, 2**61 - 1):
-        assert Place.finite(Prime(p)) == Place.finite(p)
-        assert hash(Place.finite(Prime(p))) == hash(Place.finite(p))
-        assert Place.finite(p).json_value() == p and str(Place.finite(p)) == str(p)
-    for bad in (1, 9, PSI_13):
+        trusted = Place.finite(Prime(p))
+        places = [trusted, Place.finite(p), Place("finite", p), Place.parse(str(p))]
+        places += [pickle.loads(pickle.dumps(trusted, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        places += [copy.copy(trusted), copy.deepcopy(trusted)]
+        for place in places:
+            assert place == trusted and hash(place) == hash(trusted), (p, place)
+            assert repr(place) == repr(trusted) and place.json_value() == p
+            assert str(place) == str(p) and type(place.prime) is Prime
+            assert place != INF_PLACE and INF_PLACE != place
+        assert len(set(places)) == 1 and set(places) == {Place.finite(p)}
+        assert len({INF_PLACE, *places}) == 2
+    for bad in (1, 9, -7, PSI_13):
         with pytest.raises(ValueError):
             Place.finite(bad)
         with pytest.raises(ValueError):
