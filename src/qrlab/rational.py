@@ -182,11 +182,12 @@ _set = object.__setattr__
 class Record:
     """Base of the library's immutable value classes.  A subclass names its
     fields in __slots__, and its __init__ checks its arguments and then
-    sets each field exactly once through `_set` (object.__setattr__).
-    Assignment raises AttributeError.  Equality and hashing go by the
-    fields, between instances of one class (Place hashes by its prime
-    alone); repr reads "Name(field=value, ...)"; pickle and copy rebuild an
-    instance through __init__."""
+    sets each field exactly once through `_set` (object.__setattr__),
+    unless the subclass names another constructor.  Assignment raises
+    AttributeError.  Equality and hashing go by the fields, between
+    instances of one class, unless the subclass says otherwise; repr reads
+    "Name(field=value, ...)"; pickle and copy rebuild an instance through
+    __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -515,7 +516,8 @@ def rational_factor_exponents(x: Rat) -> tuple[int, tuple[tuple[int, int], ...]]
 
 class Place(Record):
     """A place of Q: the archimedean place or a finite prime, held as a
-    Prime (certified on construction unless it is one already)."""
+    Prime, certified once: Place.finite sets the fields with no __init__,
+    taking a Prime as it is.  A place hashes by its prime (None at inf)."""
 
     __slots__ = ("kind", "prime")
 
@@ -535,12 +537,9 @@ class Place(Record):
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        """The place at p; a Prime is taken as certified, an int is tested."""
-        if type(p) is not Prime:
-            return cls("finite", p)
         place = object.__new__(cls)
         _set(place, "kind", "finite")
-        _set(place, "prime", p)
+        _set(place, "prime", p if type(p) is Prime else Prime(p))
         return place
 
     @classmethod
@@ -564,7 +563,7 @@ class Place(Record):
         return self._sort_key() < other._sort_key()
 
     def __hash__(self):
-        return hash(self.prime)  # the kind follows from the prime
+        return hash(self.prime)
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else str(self.prime)
