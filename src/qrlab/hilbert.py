@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qrlab.padic import unit_sqrt
 from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
@@ -24,6 +23,7 @@ from qrlab.rational import (
     int_valuation,
     is_rational_square,
     local_unit,
+    unit_sqrt,
 )
 from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
 
@@ -233,7 +233,7 @@ def _inverse_sqrt(x: Fraction) -> Fraction:
 def _unit_witness(ua: int, ub: int, beta: int, p: int, k: int) -> tuple[Fraction, Fraction]:
     """(x, y) with A x^2 + p^beta B y^2 = 1 to k digits, for beta in {0, 1}
     and p-adic units A, B of residues ua, ub mod p^k with (A, p^beta B)_p = +1.
-    Every square root is unit_sqrt's on a residue mod p^k."""
+    Every square root is rational.unit_sqrt's on a residue mod p^k, on ints."""
     mod = p**k
     r = unit_sqrt(ua, p, k)
     if r is not None:

@@ -6,7 +6,8 @@ valuation and 2-adic binomial-series exercises.
 Precision is relative: an element stores k unit digits, so its value is
 known modulo p^(v+k).  Exact zero is a distinguished value, never a
 "very small" element.  An element holds its prime as a `Prime`, so the
-elements computed from it certify nothing again.
+elements computed from it certify nothing again.  hensel_lift runs the
+Newton core _lift; a unit's root is rational.unit_sqrt's, on that schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from qrlab.rational import (
     _set,
     int_valuation,
     local_unit,
-    sqrt_mod_prime,
+    unit_sqrt,
 )
 from qrlab.symbols import smallest_nonresidue
 
@@ -234,8 +235,8 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
     unique mod p^N, so f = 0, of which every x is a root, is refused, as
     is a nonzero constant f, which has none.
 
-    The lift runs on integers in _lift, the one Newton core that unit_sqrt
-    shares; this wrapper checks its arguments and builds the element."""
+    The lift runs on integers in _lift; this wrapper checks its arguments
+    and builds the element."""
     p = Prime(p)
     x = int(x0)
     N = target_precision
@@ -259,7 +260,8 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
 def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
     """(xi mod p^N, exact) for the Hensel lift xi of the integer seed x, with
     f and fprime = f' callables on ints; exact says that f(x) = 0 already,
-    so xi = x.  The one Newton loop of hensel_lift and unit_sqrt.
+    so xi = x.  The general Newton core of hensel_lift; rational.unit_sqrt
+    runs the same schedule for T^2 - u, whose delta and m it knows.
 
     Schedule: Newton iteration with the precisions fixed from the top down
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9; Brent &
@@ -339,28 +341,6 @@ def padic_sqrt(x: PAdicElement) -> PAdicElement | None:
         raise ValueError("need at least 3 unit digits to decide squareness at 2")
     root = unit_sqrt(x.unit, p, k)
     return None if root is None else PAdicElement(p, v // 2, root, k - 1 if p == 2 else k)
-
-
-def unit_sqrt(u: int, p: int, k: int) -> int | None:
-    """The normalized square root of the unit residue u mod p^k, or None
-    when u is not a square in Z_p; p is a Prime, and k >= 3 at p = 2.
-
-    For odd p the root is taken mod p^k with its first digit in
-    [1, (p-1)/2].  At p = 2 the roots mod 2^k come in pairs +-r and
-    r + 2^(k-1), so one digit is lost: the root is taken mod 2^(k-1) and
-    is = 1 (mod 4).  The root of T^2 - u is lifted on plain ints by _lift,
-    the Newton core hensel_lift runs.
-    """
-    if p == 2:
-        if u % 8 != 1:
-            return None
-        root = _lift(lambda t: t * t - u, lambda t: 2 * t, 1, p, k)[0] % 2 ** (k - 1)
-        return 2 ** (k - 1) - root if root % 4 == 3 else root
-    r0 = sqrt_mod_prime(u, p)
-    if r0 is None:
-        return None
-    root = _lift(lambda t: t * t - u, lambda t: 2 * t, r0, p, k)[0]
-    return p ** k - root if root % p > (p - 1) // 2 else root
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ which holds v = v_p(x), reads the unit's square class from one exact
 division of num * den by p^|v|), and `rational_factor_exponents` sorts
 them for `factorize` and the CLI.
 
+`unit_sqrt` lifts a root mod p to one mod p^k in a Newton loop of its own,
+for padic_sqrt and for the local witnesses, which load no p-adics.
+
 The library's value types are `Record`s: each checks its arguments in
 __init__ and sets every field exactly once, so a built record is valid.
 
@@ -431,6 +434,14 @@ def _divide_out(n: int, g: int, primes, found: dict[Prime, int]) -> int:
     return n
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method on ints from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _factor_dict(n: int) -> dict[Prime, int]:
     """{p: v_p(n)} for an integer n >= 1, in no particular order.
 
@@ -442,9 +453,12 @@ def _factor_dict(n: int) -> dict[Prime, int]:
     cofactor that small is recorded at once.  Larger ones are certified
     once by is_probable_prime; one it calls composite has its mid primes
     (<= _MID_PRIME_LIMIT), named by one gcd, divided out the same way, and
-    only one with none goes to Pollard rho (10007^2 is its least input).
-    Every part split off after that has no prime factor <=
-    _MID_PRIME_LIMIT, so one below _MID_PRIME_LIMIT^2 is prime by
+    only one with none goes on.  Such a part m has no prime factor <=
+    _MID_PRIME_LIMIT, so it is a perfect k-th power only for k <= log m /
+    log _MID_PRIME_LIMIT; one that is, for a prime k, splits into k copies
+    of its root, and one that is not goes to Pollard rho (10007 * 10009 is
+    its least input).  Every part split off after that has no prime factor
+    <= _MID_PRIME_LIMIT, so one below _MID_PRIME_LIMIT^2 is prime by
     construction too.  The keys are Primes; the loops run on plain ints."""
     found: dict[Prime, int] = {}
     n = _divide_out(n, math.gcd(n, _SMALL_PRIMORIAL), _SMALL_PRIMES, found)
@@ -462,8 +476,15 @@ def _factor_dict(n: int) -> dict[Prime, int]:
         prime_below = _MID_PRIME_LIMIT * _MID_PRIME_LIMIT
         g = math.gcd(m, _MID_PRIMORIAL)
         if g == 1:
-            d = _pollard_rho(m)
-            stack += (d, m // d)
+            for k in _SMALL_PRIMES:
+                if _MID_PRIME_LIMIT**k > m:
+                    d = _pollard_rho(m)
+                    stack += (d, m // d)
+                    break
+                r = math.isqrt(m) if k == 2 else _iroot(m, k)
+                if r**k == m:
+                    stack += [r] * k
+                    break
         else:
             m = _divide_out(m, g, _MID_PRIMES, found)
             if m > 1:
@@ -699,6 +720,34 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     if r * r % p != a:
         return None
     return min(r, p - r)
+
+
+def unit_sqrt(u: int, p: int, k: int) -> int | None:
+    """The normalized square root of the unit residue u mod p^k, or None
+    when u is not a square in Z_p; p is a Prime, and k >= 3 at p = 2.
+    At odd p the root is taken mod p^k, its first digit in [1, (p-1)/2]
+    like its seed's from sqrt_mod_prime.  At 2 the roots mod 2^k are +-r
+    and +-r + 2^(k-1): the root is taken mod 2^(k-1), = 1 (mod 4) as seed 1.
+
+    T^2 - u is lifted on padic._lift's top-down schedule with delta = d =
+    v_p(2x) and m <= v_p(x^2 - u) known at the seed: d, m = 0, 1 at odd p
+    and 1, 3 at 2, so every step keeps x mod p^(m-d), the seed's sign.  The
+    step to t is x <- x - ((x^2 - u)/p^d) s mod p^t, s = 1/(2x/p^d) mod
+    p^(t-2d), whose digits s <- s(2 - (2x/p^d) s) doubles; as d > 0 only
+    at 2, the shifts by d divide by p^d."""
+    x, d, m = (1 if u % 8 == 1 else None, 1, 3) if p == 2 else (sqrt_mod_prime(u, p), 0, 1)
+    if x is None:
+        return None
+    targets, t = [], k + d
+    while t > m:
+        targets.append(t)
+        t = (t + 1) // 2 + d
+    s = pow((2 * x) >> d, -1, p)  # t - 2d = 1 here
+    for t in reversed(targets[1:]):
+        mod = p ** (t - 2 * d)
+        x = (x - ((x * x - u) >> d) * s) % (mod << 2 * d)
+        s = s * (2 - ((2 * x) >> d) * s) % mod
+    return (x - ((x * x - u) >> d) * s) % p ** (k - d)
 
 
 def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None) -> int | None:

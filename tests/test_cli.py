@@ -420,6 +420,16 @@ def test_a_command_loads_only_the_modules_it_runs():
     run_legendre = "from qrlab import cli; cli.run(['legendre', '2', '7'])"
     loaded = _loaded_after(run_legendre, SLOW_STDLIB)
     assert loaded == {"qrlab.cli", "qrlab.rational", "qrlab.symbols"}
+    # the local witnesses' square roots are rational.unit_sqrt's, so the
+    # Hilbert and conic layers, and the commands that run them, need no
+    # p-adic elements
+    conic = {"qrlab.rational", "qrlab.symbols", "qrlab.hilbert", "qrlab.conic"}
+    assert _loaded_after("import qrlab.conic", ()) == conic
+    commands = [["hilbert", "-60/7", "-10", "--all"], ["solve", "3", "5"],
+                ["ternary", "3", "5", "-7"], ["global-norm", "2", "-7"],
+                ["is-norm", "2", "7", "7"]]
+    runs = "; ".join(f"cli.run({argv!r})" for argv in commands)
+    assert _loaded_after(f"from qrlab import cli; {runs}", ()) == conic | {"qrlab.cli"}
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

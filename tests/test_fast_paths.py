@@ -5,20 +5,21 @@ per-place evaluation through legendre/eps4/eps8 (with shared primes up to
 factorize and its core against trial division and sympy (with the
 cofactors that trial division to 10^3 leaves to Miller-Rabin, those below
 10^6 that it records as prime, those that one gcd with the mid primes to
-10^4 splits without rho, and the least that still reach rho), solve_conic
-against recorded certificate points,
+10^4 splits without rho, the perfect powers that never reach it, and the
+least that still do), solve_conic against recorded certificate points,
 hensel_lift's precision-doubling schedule against the per-step loop it
-replaced, unit_sqrt on plain ints against the polynomial route it replaced,
-sqrt_mod_prime's one exponentiation per root against Euler's criterion and
-Tonelli-Shanks, square roots mod squarefree b from one CRT basis, and mod
-one prime with no basis, with and without a carried root, against the
-pairwise-CRT enumeration they replaced, the descent that carries each
-frame's d down against one that takes a fresh root at every level, the
-logarithmic valuation against the one-division-per-digit loop, local_unit
-and its callers against the old route that built the unit as a Fraction,
-and LocalWitness.verify in integers against its Fraction evaluation.
-Also the certified-prime type Prime, and how many primality tests each
-public route makes."""
+replaced, unit_sqrt's own Newton loop in rational against the polynomial
+route through hensel_lift and padic._lift that it replaced, up to the
+precision bound, sqrt_mod_prime's one exponentiation per root against
+Euler's criterion and Tonelli-Shanks, square roots mod squarefree b from
+one CRT basis, and mod one prime with no basis, with and without a
+carried root, against the pairwise-CRT enumeration they replaced, the
+descent that carries each frame's d down against one that takes a fresh
+root at every level, the logarithmic valuation against the
+one-division-per-digit loop, local_unit and its callers against the old
+route that built the unit as a Fraction, and LocalWitness.verify in
+integers against its Fraction evaluation.  Also the certified-prime type
+Prime, and how many primality tests each public route makes."""
 
 import copy
 import hashlib
@@ -27,6 +28,7 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -266,7 +268,8 @@ def test_factorize_smallest_composites_past_trial_division(monkeypatch):
     # <= 10^3: only those below (10^3)^2 are prime by construction, so these
     # two must fail Miller-Rabin, and the gcd with the mid primes splits
     # them without rho.  10007^2 and 10007*10009 are the least composites
-    # with no prime factor <= 10^4, so the least that still reach rho.
+    # with no prime factor <= 10^4: the square splits as a perfect power,
+    # so 10007*10009 is the least that still reaches rho.
     assert TRIAL_DIVISION_LIMIT == 10**3 and rational._MID_PRIME_LIMIT == 10**4
     assert rational._MID_PRIMES[0] == 1009 and rational._MID_PRIMES[-1] == 9973
     assert [n for n in range(9974, 10010) if is_prime_trial(n)] == [10007, 10009]
@@ -275,15 +278,15 @@ def test_factorize_smallest_composites_past_trial_division(monkeypatch):
         real = getattr(rational, name)
         monkeypatch.setattr(rational, name,
                             lambda n, real=real, name=name: calls.append((name, n)) or real(n))
-    for n, factors in ((1009**2, ((1009, 2),)), (1009 * 1013, ((1009, 1), (1013, 1)))):
+    for n, factors in ((1009**2, ((1009, 2),)), (1009 * 1013, ((1009, 1), (1013, 1))),
+                       (10007**2, ((10007, 2),))):
         calls.clear()
         assert factorize(n).factors == factors
         assert calls == [("is_probable_prime", n)], n
-    for n, factors in ((10007**2, ((10007, 2),)), (10007 * 10009, ((10007, 1), (10009, 1)))):
-        calls.clear()
-        assert factorize(n).factors == factors
-        assert calls[:2] == [("is_probable_prime", n), ("_pollard_rho", n)], n
-        assert [name for name, _ in calls].count("_pollard_rho") == 1, n
+    n = 10007 * 10009
+    calls.clear()
+    assert factorize(n).factors == ((10007, 1), (10009, 1))
+    assert calls == [("is_probable_prime", n), ("_pollard_rho", n)]
     # rho's parts have no prime factor <= 10^4, so below 10^8 they are
     # recorded with no second certification
     n = 1000003 * 99999989
@@ -340,6 +343,56 @@ def test_factor_dict_splits_mid_primes_against_sympy(monkeypatch):
             k += 1
     for n in ns:
         assert n <= 2**96 and rational._factor_dict(n) == sympy.factorint(n), n
+
+
+def test_factorize_powers_of_48_bit_primes_within_a_deadline(monkeypatch):
+    # a part that would reach rho is first tested for a perfect k-th power,
+    # k a prime <= log m / log 10^4: the square of a 48-bit prime, which
+    # took rho ~10 s, splits with no rho call, and so do the cubes; of
+    # r^2 s^2 rho sees only r s
+    sympy = pytest.importorskip("sympy")
+    rho = rational._pollard_rho
+    seen = []
+    monkeypatch.setattr(rational, "_pollard_rho", lambda n: seen.append(n) or rho(n))
+    rng = random.Random(48)
+    p, q = (sympy.nextprime(rng.randrange(2**47, 2**48)) for _ in range(2))
+    r, s = (sympy.nextprime(rng.randrange(2**23, 2**24)) for _ in range(2))
+    t = sympy.nextprime(rng.randrange(2**31, 2**32))
+    # powers of 48-bit primes past the factorize bound go to the core, and
+    # the cube of a 521-bit prime takes a k-th root past 2^1024
+    m521 = 2**521 - 1
+    cases = [(factorize, p**2), (factorize, t**3), (factorize, r**2 * s**2),
+             (rational._factor_dict, p**3), (rational._factor_dict, q**5),
+             (rational._factor_dict, m521**3)]
+    for split, n in cases:
+        seen.clear()
+        start = time.perf_counter()
+        got = split(n)
+        elapsed = time.perf_counter() - start
+        got = dict(got.factors) if split is factorize else got
+        assert got == ({m521: 3} if n == m521**3 else sympy.factorint(n)), n
+        assert elapsed < 0.5, (n, elapsed)
+        assert set(seen) == ({r * s} if n == r**2 * s**2 else set()), n
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        factorize(p**2)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01, best
+
+
+def test_integer_kth_root_is_exact_on_ints():
+    rng = random.Random(1024)
+    for _ in range(2000):
+        k = rng.choice((3, 5, 7, 11, 13))
+        m = rng.randrange(1, 2 ** rng.randint(1, 3000))
+        r = rational._iroot(m, k)
+        assert r**k <= m < (r + 1) ** k, (m, k)
+    for k in (2, 3, 5, 7):
+        for r in (2, 3, 10007, 2**521 - 1, 2**1100 + 1):
+            assert rational._iroot(r**k, k) == r
+            assert rational._iroot(r**k - 1, k) == r - 1
+            assert rational._iroot(r**k + 1, k) == r
 
 
 def test_factorize_prime_powers_past_trial_division():
@@ -854,7 +907,7 @@ def test_hensel_n_equals_one_and_exact_roots():
 
 
 # ---------------------------------------------------------------------------
-# unit_sqrt: the integer Newton core against the polynomial route it replaced
+# unit_sqrt: its own Newton loop against the polynomial route it replaced
 
 
 def _polynomial_unit_sqrt(u: int, p: int, k: int) -> int | None:
@@ -872,11 +925,22 @@ def _polynomial_unit_sqrt(u: int, p: int, k: int) -> int | None:
     return p ** k - root if root % p > (p - 1) // 2 else root
 
 
+def _sqrt_precisions(p: int) -> list[int]:
+    """Every k to 136 (from 3 at p = 2), and up to the precision bound,
+    p^k <= 2^PADIC_BITS_BOUND, each 2^j - 1, 2^j and 2^j + 1, where the
+    schedule's halvings change, and the largest k itself."""
+    top = int(PADIC_BITS_BOUND / math.log2(p))
+    ks = set(range(3 if p == 2 else 1, 137)) | {top}
+    for j in range(2, top.bit_length() + 1):
+        ks |= {k for k in (2**j - 1, 2**j, 2**j + 1) if k <= top}
+    return sorted(ks)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 1009, 1013])
 def test_unit_sqrt_matches_the_polynomial_route(p):
     rng = random.Random(5150 + p)
     p = Prime(p)
-    for k in range(3 if p == 2 else 1, 137):
+    for k in _sqrt_precisions(p):
         mod = p**k
         # random units (at 2 half of them 1 mod 8, so that most have roots),
         # and exact squares, whose seed can be an exact integer root
@@ -884,9 +948,27 @@ def test_unit_sqrt_matches_the_polynomial_route(p):
         units += [8 * rng.randrange(mod // 8) + 1 if p == 2 else rng.randrange(1, mod)
                   for _ in range(3)]
         units += [r * r % mod for r in (rng.randrange(1, 60), rng.randrange(1, mod))]
+        # a non-residue mod p, or a unit that is not 1 mod 8: no root
+        if p == 2:
+            units.append((8 * rng.randrange(mod // 8) + rng.choice((3, 5, 7))) % mod)
+        else:
+            units.append((p * rng.randrange(mod // p) + smallest_nonresidue(p)) % mod)
         for u in units:
-            if u % p:
-                assert unit_sqrt(u, p, k) == _polynomial_unit_sqrt(u, p, k), (u, p, k)
+            if u % p == 0:
+                continue
+            root = unit_sqrt(u, p, k)
+            assert root == _polynomial_unit_sqrt(u, p, k), (u, p, k)
+            if p == 2:
+                assert (root is None) == (u % 8 != 1), (u, k)
+                if root is not None:
+                    # one digit is lost: the root is read mod 2^(k-1)
+                    assert root % 4 == 1 and root < 2 ** (k - 1), (u, k)
+                    assert (root * root - u) % 2**k == 0, (u, k)
+            else:
+                assert (root is None) == (legendre(u, p) == -1), (u, p, k)
+                if root is not None:
+                    assert 1 <= root % p <= (p - 1) // 2 and root < mod, (u, p, k)
+                    assert (root * root - u) % mod == 0, (u, p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1621,9 +1703,10 @@ def test_local_witness_reduces_each_input_once(local_calls, monkeypatch):
             assert again == [], (a, b, p, again)
 
 
-def test_hensel_lift_and_unit_sqrt_share_one_newton_core(monkeypatch):
-    # both lift through padic._lift, so a second Newton loop in either
-    # would leave the core uncalled; unit_sqrt hands it T^2 - u and 2T
+def test_unit_sqrt_lifts_in_its_own_loop_beside_hensel_lift(monkeypatch):
+    # hensel_lift lifts through padic._lift, and unit_sqrt through a loop
+    # of its own in rational, on the same schedule: the core sees
+    # hensel_lift's call alone, and the two roots agree up to sign
     calls = []
 
     def counting(f, fprime, x, p, N):
@@ -1632,14 +1715,15 @@ def test_hensel_lift_and_unit_sqrt_share_one_newton_core(monkeypatch):
 
     real = padic._lift
     monkeypatch.setattr(padic, "_lift", counting)
+    assert padic.unit_sqrt is rational.unit_sqrt
     for u, p, k, r0 in ((2, 7, 20, 3), (17, 2, 10, 1), (3 * 1013 + 4, 1013, 40, 2)):
         f = IntPolynomial((-u, 0, 1))
         lifted = hensel_lift(f, r0, k, p=p).integer_rep()
         root = unit_sqrt(u, Prime(p), k)
-        assert [call[2:] for call in calls] == [(r0, p, k)] * 2
+        assert [call[2:] for call in calls] == [(r0, p, k)]
         mod = p ** (k - 1) if p == 2 else p**k
         assert root in (lifted % mod, -lifted % mod)
-        g, gprime = calls[1][:2]
+        g, gprime = calls[0][:2]
         for t in (0, 1, -5, 10**40 + 3):
             assert (g(t), gprime(t)) == (f(t), f.derivative()(t))
         calls.clear()
