@@ -479,76 +479,23 @@ def _h_bost(a):
 
 
 # ---------------------------------------------------------------------------
-# scans (shardable across processes; results kept in input order)
+# scans (each in the calling process; failures reported in input order)
 
-#: Largest max_prime of scan-reciprocity: its 28203 pairs take about 0.6 s.
+#: Largest max_prime of scan-reciprocity: its 28203 pairs take about 0.4 s.
 SCAN_PRIME_BOUND = 1500
 
-#: Most pairs of scan-product-formula: about 1.6 s at heights up to 10^6.
+#: Most pairs of scan-product-formula: about 0.9 s at heights up to 10^6.
 SCAN_PAIRS_BOUND = 10**4
-
-
-def _chunks(items, n):
-    size = max(1, -(-len(items) // n))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _run_sharded(fn, items, workers):
-    # the pool starts all its workers at once: no more than this process's CPUs
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cpus or 1)
-    if workers <= 1 or len(items) <= 1:
-        return fn(items)
-    from concurrent.futures import ProcessPoolExecutor
-
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(fn, _chunks(items, workers)):
-            out.extend(part)
-    return out
-
-
-def _reciprocity_shard(pairs):
-    from qrlab import symbols
-    return [(p, q) for p, q in pairs if not symbols.reciprocity_check(p, q)]
-
-
-def _product_shard(pairs):
-    from qrlab import hilbert
-    bad = []
-    for a, b in pairs:
-        places = {INF_PLACE, TWO_PLACE}
-        for x in (a, b):
-            sign, exps = rational.rational_factor_exponents(x)
-            places.update(Place.finite(p) for p, _ in exps)
-        prod = 1
-        for v in places:
-            prod *= hilbert.hilbert_symbol(a, b, v)
-        if prod != 1:
-            bad.append((a, b))
-    return bad
-
-
-def _vonstaudt_shard(ks):
-    from qrlab import analytic
-    if ks:
-        analytic.bernoulli(max(ks))  # one pass fills the cache for every k
-    bad = []
-    for k in ks:
-        try:
-            analytic.von_staudt_W(k)
-        except ArithmeticError:
-            bad.append(k)
-    return bad
 
 
 def _h_scan_reciprocity(a):
     bound = _int(a.max_prime)
     if bound > SCAN_PRIME_BOUND:
         raise ValueError(f"max_prime = {bound} exceeds the scan workload bound {SCAN_PRIME_BOUND}")
+    from qrlab import symbols
     primes = [p for p in range(3, bound) if rational.is_probable_prime(p)]
     pairs = [(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]]
-    failures = _run_sharded(_reciprocity_shard, pairs, a.workers)
+    failures = [(p, q) for p, q in pairs if not symbols.reciprocity_check(p, q)]
     lines = [f"FAIL: p={p} q={q}" for p, q in failures]
     lines.append(f"{len(primes)} primes, {len(pairs)} pairs, {len(failures)} failures")
     payload = {
@@ -567,6 +514,8 @@ def _h_scan_product_formula(a):
         raise ValueError(f"count = {count} exceeds the scan workload bound {SCAN_PAIRS_BOUND}")
     import random
 
+    from qrlab import hilbert
+
     rng = random.Random(a.seed)
 
     def draw():
@@ -574,7 +523,17 @@ def _h_scan_product_formula(a):
         return Fraction(n, rng.randint(1, bound))
 
     pairs = [(draw(), draw()) for _ in range(count)]
-    failures = _run_sharded(_product_shard, pairs, a.workers)
+    failures = []
+    for x, y in pairs:
+        places = {INF_PLACE, TWO_PLACE}
+        for z in (x, y):
+            _, exps = rational.rational_factor_exponents(z)
+            places.update(Place.finite(p) for p, _ in exps)
+        prod = 1
+        for v in places:
+            prod *= hilbert.hilbert_symbol(x, y, v)
+        if prod != 1:
+            failures.append((x, y))
     lines = [f"FAIL: a={_ratstr(x)} b={_ratstr(y)}" for x, y in failures]
     lines.append(f"{count} pairs, {len(failures)} failures")
     payload = {
@@ -586,12 +545,18 @@ def _h_scan_product_formula(a):
 
 def _h_scan_vonstaudt(a):
     max_k = _int(a.max_k)
+    from qrlab import analytic
     if max_k >= 2:
-        from qrlab import analytic
-        # refuses a k past BERNOULLI_BOUND before the list is built
+        # one pass fills the cache for every k, and refuses a k past
+        # BERNOULLI_BOUND before the list is built
         analytic.bernoulli(max_k - max_k % 2)
     ks = list(range(2, max_k + 1, 2))
-    failures = _run_sharded(_vonstaudt_shard, ks, a.workers)
+    failures = []
+    for k in ks:
+        try:
+            analytic.von_staudt_W(k)
+        except ArithmeticError:
+            failures.append(k)
     lines = [f"FAIL: k={k}" for k in failures]
     lines.append(f"{len(ks)} values, {len(failures)} failures")
     return (1 if failures else 0), lines, {"values": len(ks), "failures": failures}
@@ -610,7 +575,7 @@ def _opt(flag, help_, **kw):
 
 _PREC = _opt("--prec", "working precision in digits", type=int, default=DEFAULT_PRECISION)
 _P = _opt("-p", "prime", type=int, default=None)
-_WORKERS = _opt("--workers", "parallel worker processes", type=int, default=1)
+_WORKERS = _opt("--workers", "ignored: every scan runs in one process", type=int, default=1)
 _ELEMENT = _pos("x", "rational or textual element")
 
 #: name -> (handler, help, arguments in order); every command also takes

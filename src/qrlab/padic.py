@@ -6,8 +6,9 @@ valuation and 2-adic binomial-series exercises.
 Precision is relative: an element stores k unit digits, so its value is
 known modulo p^(v+k).  Exact zero is a distinguished value, never a
 "very small" element.  An element holds its prime as a `Prime`, so the
-elements computed from it certify nothing again.  hensel_lift runs the
-Newton core _lift; a unit's root is rational.unit_sqrt's, on that schedule.
+elements computed from it certify nothing again.  hensel_lift runs a
+Newton loop on plain ints; a unit's root is rational.unit_sqrt's, lifted
+on hensel_lift's schedule.
 """
 
 from __future__ import annotations
@@ -233,35 +234,10 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
     v_p(f(x0)) = m > 2*delta, delta = v_p(f'(x0)), produce xi with
     f(xi) = 0 (mod p^N) and xi = x0 (mod p^(m-delta)).  That root is
     unique mod p^N, so f = 0, of which every x is a root, is refused, as
-    is a nonzero constant f, which has none.
-
-    The lift runs on integers in _lift; this wrapper checks its arguments
-    and builds the element."""
-    p = Prime(p)
-    x = int(x0)
-    N = target_precision
-    if N < 1:
-        raise ValueError("target precision must be >= 1")
-    if not f.coefficients:
-        raise ValueError("f = 0: every x is a root, so none is simple")
-    if f.degree == 0:
-        raise ValueError("f is a nonzero constant: it has no root")
-
-    root, exact = _lift(f, f.derivative(), x, p, N)
-    if exact:
-        # exact integer root: no refinement needed, and N digits of its unit
-        if x == 0:
-            return PAdicElement.zero(p)
-        v, u = int_valuation(x, p)
-        return PAdicElement(p, v, u % p ** N, N)
-    return _element_from_int(root, p, N)
-
-
-def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
-    """(xi mod p^N, exact) for the Hensel lift xi of the integer seed x, with
-    f and fprime = f' callables on ints; exact says that f(x) = 0 already,
-    so xi = x.  The general Newton core of hensel_lift; rational.unit_sqrt
-    runs the same schedule for T^2 - u, whose delta and m it knows.
+    is a nonzero constant f, which has none.  When f(x0) = 0 already,
+    xi = x0 with N digits of its unit.  The lift runs on plain ints;
+    rational.unit_sqrt runs the same schedule for T^2 - u, whose delta and
+    m it knows.
 
     Schedule: Newton iteration with the precisions fixed from the top down
     (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9; Brent &
@@ -285,9 +261,24 @@ def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
     t - 2*delta: the digits that the step from t needs.  A step's moduli
     are that one power p^(t-2*delta) and it times p^(2*delta); the last
     step only reduces its x mod p^N."""
+    p = Prime(p)
+    x = int(x0)
+    N = target_precision
+    if N < 1:
+        raise ValueError("target precision must be >= 1")
+    if not f.coefficients:
+        raise ValueError("f = 0: every x is a root, so none is simple")
+    if f.degree == 0:
+        raise ValueError("f is a nonzero constant: it has no root")
+
     fx = f(x)
     if fx == 0:
-        return x % p ** N, True
+        # exact integer root: no refinement needed, and N digits of its unit
+        if x == 0:
+            return PAdicElement.zero(p)
+        v, u = int_valuation(x, p)
+        return PAdicElement(p, v, u % p ** N, N)
+    fprime = f.derivative()
     dx = fprime(x)
     if dx == 0:
         raise ValueError("f'(x0) = 0: root is not simple")
@@ -311,7 +302,7 @@ def _lift(f, fprime, x: int, p: int, N: int) -> tuple[int, bool]:
             s = s * (2 - fprime(x) // pd * s) % mod
             fx = f(x)
         x = x - fx // pd * s
-    return x % p ** N, False
+    return _element_from_int(x, p, N)
 
 
 def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:

@@ -455,11 +455,13 @@ def _factor_dict(n: int) -> dict[Prime, int]:
     (<= _MID_PRIME_LIMIT), named by one gcd, divided out the same way, and
     only one with none goes on.  Such a part m has no prime factor <=
     _MID_PRIME_LIMIT, so it is a perfect k-th power only for k <= log m /
-    log _MID_PRIME_LIMIT; one that is, for a prime k, splits into k copies
-    of its root, and one that is not goes to Pollard rho (10007 * 10009 is
-    its least input).  Every part split off after that has no prime factor
-    <= _MID_PRIME_LIMIT, so one below _MID_PRIME_LIMIT^2 is prime by
-    construction too.  The keys are Primes; the loops run on plain ints."""
+    log _MID_PRIME_LIMIT; one that is, for a prime k, has its root factored
+    once by a call of its own (which certifies a root past
+    TRIAL_DIVISION_LIMIT^2), each exponent counted k times, and one that is
+    not goes to Pollard rho (10007 * 10009 is its least input).  Every part
+    split off after that has no prime factor <= _MID_PRIME_LIMIT, so one
+    below _MID_PRIME_LIMIT^2 is prime by construction too.  The keys are
+    Primes; the loops run on plain ints."""
     found: dict[Prime, int] = {}
     n = _divide_out(n, math.gcd(n, _SMALL_PRIMORIAL), _SMALL_PRIMES, found)
     if n < TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
@@ -483,7 +485,8 @@ def _factor_dict(n: int) -> dict[Prime, int]:
                     break
                 r = math.isqrt(m) if k == 2 else _iroot(m, k)
                 if r**k == m:
-                    stack += [r] * k
+                    for q, e in _factor_dict(r).items():
+                        found[q] = found.get(q, 0) + k * e
                     break
         else:
             m = _divide_out(m, g, _MID_PRIMES, found)
@@ -729,12 +732,12 @@ def unit_sqrt(u: int, p: int, k: int) -> int | None:
     like its seed's from sqrt_mod_prime.  At 2 the roots mod 2^k are +-r
     and +-r + 2^(k-1): the root is taken mod 2^(k-1), = 1 (mod 4) as seed 1.
 
-    T^2 - u is lifted on padic._lift's top-down schedule with delta = d =
-    v_p(2x) and m <= v_p(x^2 - u) known at the seed: d, m = 0, 1 at odd p
-    and 1, 3 at 2, so every step keeps x mod p^(m-d), the seed's sign.  The
-    step to t is x <- x - ((x^2 - u)/p^d) s mod p^t, s = 1/(2x/p^d) mod
-    p^(t-2d), whose digits s <- s(2 - (2x/p^d) s) doubles; as d > 0 only
-    at 2, the shifts by d divide by p^d."""
+    T^2 - u is lifted on padic.hensel_lift's top-down schedule with delta
+    = d = v_p(2x) and m <= v_p(x^2 - u) known at the seed: d, m = 0, 1 at
+    odd p and 1, 3 at 2, so every step keeps x mod p^(m-d), the seed's
+    sign.  The step to t is x <- x - ((x^2 - u)/p^d) s mod p^t, s =
+    1/(2x/p^d) mod p^(t-2d), whose digits s <- s(2 - (2x/p^d) s) doubles;
+    as d > 0 only at 2, the shifts by d divide by p^d."""
     x, d, m = (1 if u % 8 == 1 else None, 1, 3) if p == 2 else (sqrt_mod_prime(u, p), 0, 1)
     if x is None:
         return None

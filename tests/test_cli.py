@@ -132,43 +132,22 @@ def test_scan_workers_agree(capsys):
     assert json.loads(solo) == json.loads(sharded)
 
 
-class _RecordingPool:
-    """A stand-in for ProcessPoolExecutor that records max_workers and maps
-    in this process, so no worker is ever started."""
-
-    asked = []
-
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_scan_workers_are_capped_at_the_available_cpus(capsys, monkeypatch):
+def test_every_scan_runs_in_this_process_for_any_workers(capsys, monkeypatch):
+    # --workers takes any int and changes nothing: no pool is built
     import concurrent.futures
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "asked", [])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    solo = invoke(capsys, "scan-product-formula", "40", "500", "--json")
-    for workers, asked in (("2", [2]), ("3", [3]), ("1000", [3]), (str(10**30), [3])):
-        _RecordingPool.asked.clear()
-        argv = ["scan-product-formula", "40", "500", "--workers", workers, "--json"]
-        assert invoke(capsys, *argv) == solo, workers
-        assert _RecordingPool.asked == asked, workers
-    # one CPU: the scan runs in this process, and no pool is built
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    _RecordingPool.asked.clear()
-    assert invoke(capsys, "scan-reciprocity", "60", "--workers", "8")[1] == (
-        "16 primes, 120 pairs, 0 failures")
-    assert _RecordingPool.asked == []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for scan in (["scan-reciprocity", "60"], ["scan-vonstaudt", "40"],
+                 ["scan-product-formula", "40", "500"]):
+        for json_flag in ([], ["--json"]):
+            solo = invoke(capsys, *scan, *json_flag)
+            assert solo[0] == 0 and solo[2] == "", scan
+            for workers in (-1, 0, 1, 2, 3, 1000, 10**30):
+                argv = [*scan, "--workers", str(workers), *json_flag]
+                assert invoke(capsys, *argv) == solo, argv
 
 
 def test_scan_bounds_exit_2_before_any_list_is_built(capsys):
@@ -398,8 +377,8 @@ def _loaded_after(code, watched):
 
 
 def test_import_loads_no_process_pool():
-    # the worker pool and the seeded scans' rng are imported where they are
-    # used, so a one-shot command does not pay for them
+    # the seeded scans' rng is imported where it is used, so a one-shot
+    # command does not pay for it, and no command builds a process pool
     watched = ("concurrent.futures", "multiprocessing", "random")
     assert not _loaded_after("import qrlab.cli", watched).intersection(watched)
 
@@ -460,15 +439,19 @@ def test_precision_names_are_one_object_across_modules():
     assert padic.DEFAULT_PRECISION == rational.DEFAULT_PRECISION == 32
 
 
-def test_sharded_scans_run_in_a_fresh_process():
-    # the workers of a fresh child have only cli and rational loaded: each
-    # shard function imports the modules it calls
-    for argv, report in (
+def test_scans_import_what_they_run_in_a_fresh_process():
+    # a fresh child has only cli and rational loaded: each scan imports the
+    # modules it calls, and --workers 2 loads no process pool
+    cases = (
         (["scan-reciprocity", "60", "--workers", "2"], "16 primes, 120 pairs, 0 failures"),
         (["scan-vonstaudt", "40", "--workers", "2"], "20 values, 0 failures"),
         (["scan-product-formula", "20", "100", "--workers", "2"], "20 pairs, 0 failures"),
-    ):
+    )
+    for argv, report in cases:
         assert _child("-m", "qrlab.cli", *argv) == report + "\n", argv
+    runs = "; ".join(f"cli.run({argv!r})" for argv, _ in cases)
+    watched = ("concurrent.futures", "multiprocessing")
+    assert not _loaded_after(f"from qrlab import cli; {runs}", watched).intersection(watched)
 
 
 # argparse's help and error text as printed before the parser was built one
@@ -1007,7 +990,7 @@ def test_arithmetic_commands_exit_0_or_2(command, data):
 # 2, never 1.  Each bound is drawn on both sides: p = 10000019, the least
 # prime past 10^7, takes n = VP_FACTORIAL_BOUND and refuses the next n; the
 # scans take their bounds and refuse one more.  Heights stay small where the
-# count of pairs can reach its bound, and no draw starts a worker process.
+# count of pairs can reach its bound, and --workers takes any int.
 # The analytic commands take k = BERNOULLI_BOUND and refuse the next k,
 # scan-vonstaudt the next even k;
 # power-sum prints 0^k + ... + (n-1)^k up to POWER_SUM_DIGITS_BOUND digits,
@@ -1021,7 +1004,7 @@ def test_arithmetic_commands_exit_0_or_2(command, data):
 _MALFORMED = st.sampled_from(["x", "3/4", "1e3", "", "--"])
 _BIG_INTS = st.sampled_from([10**40, -(10**40), 7 + 10**700 * 2**1024])
 _FACTORIAL_PRIMES = st.one_of(_FUZZ_MODULI, st.sampled_from(["9999991", "10000019"]))
-_WORKERS = st.one_of(st.just([]), st.sampled_from(["-1", "0", "1"]).map(
+_WORKERS = st.one_of(st.just([]), st.sampled_from(["-1", "0", "1", "2", "1000"]).map(
     lambda w: ["--workers", w]))
 _BOUNDED_COMMANDS = {
     "vp-factorial": st.builds(

@@ -5,21 +5,22 @@ per-place evaluation through legendre/eps4/eps8 (with shared primes up to
 factorize and its core against trial division and sympy (with the
 cofactors that trial division to 10^3 leaves to Miller-Rabin, those below
 10^6 that it records as prime, those that one gcd with the mid primes to
-10^4 splits without rho, the perfect powers that never reach it, and the
-least that still do), solve_conic against recorded certificate points,
-hensel_lift's precision-doubling schedule against the per-step loop it
-replaced, unit_sqrt's own Newton loop in rational against the polynomial
-route through hensel_lift and padic._lift that it replaced, up to the
-precision bound, sqrt_mod_prime's one exponentiation per root against
-Euler's criterion and Tonelli-Shanks, square roots mod squarefree b from
-one CRT basis, and mod one prime with no basis, with and without a
-carried root, against the pairwise-CRT enumeration they replaced, the
-descent that carries each frame's d down against one that takes a fresh
-root at every level, the logarithmic valuation against the
-one-division-per-digit loop, local_unit and its callers against the old
-route that built the unit as a Fraction, and LocalWitness.verify in
-integers against its Fraction evaluation.  Also the certified-prime type
-Prime, and how many primality tests each public route makes."""
+10^4 splits without rho, the perfect powers that never reach it, whose
+roots are factored once, and the least that still do), solve_conic
+against recorded certificate points, hensel_lift's precision-doubling
+schedule against the per-step loop it replaced, unit_sqrt's own Newton
+loop in rational against the polynomial route through hensel_lift that
+it replaced, up to the precision bound, sqrt_mod_prime's one
+exponentiation per root against Euler's criterion and Tonelli-Shanks,
+square roots mod squarefree b from one CRT basis, and mod one prime with
+no basis, with and without a carried root, against the pairwise-CRT
+enumeration they replaced, the descent that carries each frame's d down
+against one that takes a fresh root at every level, the logarithmic
+valuation against the one-division-per-digit loop, local_unit and its callers
+against the old route that built the unit as a Fraction, and
+LocalWitness.verify in integers against its Fraction evaluation.  Also
+the certified-prime type Prime, and how many primality tests each public
+route makes."""
 
 import copy
 import hashlib
@@ -379,6 +380,27 @@ def test_factorize_powers_of_48_bit_primes_within_a_deadline(monkeypatch):
         factorize(p**2)
         best = min(best, time.perf_counter() - start)
     assert best < 0.01, best
+
+
+def test_factor_dict_factors_a_perfect_powers_root_once(monkeypatch):
+    # a perfect k-th power is replaced by its root, whose exponents count k
+    # times: rho splits r s once in (r s)^k, and p^k certifies p once
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    for name in ("is_probable_prime", "_pollard_rho"):
+        real = getattr(rational, name)
+        monkeypatch.setattr(rational, name,
+                            lambda n, real=real, name=name: calls.append((name, n)) or real(n))
+    r, s, p = 16777213, 16777199, 281474976710597
+    for n in [(r * s) ** k for k in (2, 3, 5, 6)] + [1009**2 * (r * s) ** 2]:
+        calls.clear()
+        assert rational._factor_dict(n) == sympy.factorint(n), n
+        assert [m for name, m in calls if name == "_pollard_rho"] == [r * s], n
+    for k in (2, 3, 4, 5):
+        calls.clear()
+        assert rational._factor_dict(p**k) == {p: k}, k
+        assert calls.count(("is_probable_prime", p)) == 1, (k, calls)
+        assert not any(name == "_pollard_rho" for name, _ in calls), k
 
 
 def test_integer_kth_root_is_exact_on_ints():
@@ -838,17 +860,15 @@ def test_hensel_matches_per_step_loop_delta_2_to_4():
                                  _precision_near_a_power_of_two(edges), p)
 
 
-def test_lift_works_at_full_precision_only_in_its_last_step():
+def test_lift_works_at_full_precision_only_in_its_last_step(monkeypatch):
     # the targets are fixed from N + delta down, so every f and f' that the
     # lift evaluates sees an x below the second-to-last target,
     # p^(ceil((N + delta)/2) + delta); the last step evaluates neither
     rng = random.Random(1904)
-
-    def recording(g):
-        def wrapper(x):
-            seen.append(x)
-            return g(x)
-        return wrapper
+    seen = []
+    evaluate = IntPolynomial.__call__
+    monkeypatch.setattr(IntPolynomial, "__call__",
+                        lambda g, x: seen.append(x) or evaluate(g, x))
 
     def lifts(p):
         for j in range(1, 11):
@@ -871,13 +891,13 @@ def test_lift_works_at_full_precision_only_in_its_last_step():
 
     for p in (2, 3, 1013):
         for f, x0, N, delta in lifts(p):
-            seen = []
-            fprime = f.derivative()
-            root, exact = padic._lift(recording(f), recording(fprime), x0, p, N)
-            assert not exact and f(root) % p**N == 0, (p, N, f)
-            assert _naive_vp(fprime(x0), p) == delta
+            seen.clear()
+            root = hensel_lift(f, x0, N, p=p).integer_rep()
+            lifted = seen[:]
+            assert f(x0) != 0 and f(root) % p**N == 0, (p, N, f)
+            assert _naive_vp(f.derivative()(x0), p) == delta
             bound = p ** (-(-(N + delta) // 2) + delta)
-            assert all(0 <= x < bound for x in seen), (p, N, f, max(seen), bound)
+            assert all(0 <= x < bound for x in lifted), (p, N, f, max(lifted), bound)
 
 
 def test_hensel_matches_per_step_loop_from_padic_seeds():
@@ -1704,26 +1724,20 @@ def test_local_witness_reduces_each_input_once(local_calls, monkeypatch):
 
 
 def test_unit_sqrt_lifts_in_its_own_loop_beside_hensel_lift(monkeypatch):
-    # hensel_lift lifts through padic._lift, and unit_sqrt through a loop
-    # of its own in rational, on the same schedule: the core sees
-    # hensel_lift's call alone, and the two roots agree up to sign
-    calls = []
-
-    def counting(f, fprime, x, p, N):
-        calls.append((f, fprime, x, p, N))
-        return real(f, fprime, x, p, N)
-
-    real = padic._lift
-    monkeypatch.setattr(padic, "_lift", counting)
+    # hensel_lift evaluates f and f', and unit_sqrt lifts in a loop of its
+    # own in rational, on the same schedule: it evaluates no polynomial, and
+    # the two roots agree up to sign
+    evaluated = []
+    evaluate = IntPolynomial.__call__
+    monkeypatch.setattr(IntPolynomial, "__call__",
+                        lambda g, x: evaluated.append(g) or evaluate(g, x))
     assert padic.unit_sqrt is rational.unit_sqrt
     for u, p, k, r0 in ((2, 7, 20, 3), (17, 2, 10, 1), (3 * 1013 + 4, 1013, 40, 2)):
         f = IntPolynomial((-u, 0, 1))
         lifted = hensel_lift(f, r0, k, p=p).integer_rep()
+        assert set(evaluated) == {f, f.derivative()}, (u, p, k)
+        evaluated.clear()
         root = unit_sqrt(u, Prime(p), k)
-        assert [call[2:] for call in calls] == [(r0, p, k)]
+        assert evaluated == [], (u, p, k)
         mod = p ** (k - 1) if p == 2 else p**k
         assert root in (lifted % mod, -lifted % mod)
-        g, gprime = calls[0][:2]
-        for t in (0, 1, -5, 10**40 + 3):
-            assert (g(t), gprime(t)) == (f(t), f.derivative()(t))
-        calls.clear()
