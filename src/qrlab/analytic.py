@@ -14,11 +14,12 @@ import math
 from fractions import Fraction
 
 from qrlab.hilbert import PlaceLike, _coerce_place, ext_char_correspondence
-from qrlab.padic import PAdicElement, PrecisionLossError, square_class
+from qrlab.padic import PAdicElement, square_class
 from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
     Place,
+    PrecisionLossError,
     Prime,
     Rat,
     Record,
@@ -134,31 +135,7 @@ def p_frac_part(x: Rat | PAdicElement, p: int | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# complex values and local characters
-
-class ComplexValue(Record):
-    """A double-precision complex number; comparisons always carry an
-    explicit tolerance."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: float, im: float):
-        _set(self, "re", re)
-        _set(self, "im", im)
-
-    @classmethod
-    def of(cls, z: complex) -> "ComplexValue":
-        return cls(float(z.real), float(z.imag))
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __str__(self) -> str:
-        return f"{self.re:.12g}{self.im:+.12g}·i"
-
-
-ONE = ComplexValue(1.0, 0.0)
-
+# local characters
 
 class LocalCharacter(Record):
     """A character of Q_v^x of order dividing 2: at a finite place p a
@@ -247,7 +224,7 @@ def _e(t: float) -> complex:
     return cmath.exp(complex(0.0, 2.0 * math.pi * t))
 
 
-def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> ComplexValue:
+def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> complex:
     """W_v(chi): i^(-r) at the real place; at p the normalized Gauss sum
     chi(gamma)/sqrt(p^a) * sum over units x mod p^a of chi(x) e(<x/gamma>_p)
     with v_p(gamma) = a(chi).  The value does not depend on gamma.
@@ -256,7 +233,7 @@ def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> ComplexV
     runs on ints: u is inverted mod p^a once, and chi(x) of the unit x is
     read from x itself."""
     if chi.place.is_infinite:
-        return ONE if chi.r == 0 else ComplexValue(0.0, -1.0)
+        return complex(1.0, 0.0) if chi.r == 0 else complex(0.0, -1.0)
     p = chi.place.prime
     a = conductor_exponent(chi)
     q = p ** a
@@ -276,10 +253,10 @@ def local_root_number(chi: LocalCharacter, gamma: Rat | None = None) -> ComplexV
         for x in range(1, q + 1)
         if x % p
     )
-    return ComplexValue.of(chi.value(gamma) * total / math.sqrt(q))
+    return chi.value(gamma) * total / math.sqrt(q)
 
 
-def root_number_product(d: int) -> ComplexValue:
+def root_number_product(d: int) -> complex:
     """prod over v of W_v(chi_v) for the characters attached to Q_v(sqrt d),
     d squarefree; the factors away from {inf, 2, p | d} are 1, and the
     product itself must come back 1 up to rounding."""
@@ -296,5 +273,5 @@ def root_number_product(d: int) -> ComplexValue:
     places += [Place.finite(p) for p, _ in fd.factors if p != 2]
     z = complex(1.0, 0.0)
     for v in places:
-        z *= local_root_number(LocalCharacter.attached_to_extension(d, v)).as_complex()
-    return ComplexValue.of(z)
+        z *= local_root_number(LocalCharacter.attached_to_extension(d, v))
+    return z

@@ -61,7 +61,7 @@ def _element(text: str, p: int | None, prec: int):
         return x
     if p is None:
         raise ValueError("pass -p for rational input")
-    padic.check_padic_size(p, prec)
+    rational.check_padic_size(p, prec)
     return padic.PAdicElement.from_rational(_rat(text), p, prec)
 
 
@@ -74,8 +74,11 @@ def _bool(b: bool) -> str:
 
 
 def _ratstr(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
+
+
+def _complex(w: complex):
+    return 0, [f"{w.real:.12g}{w.imag:+.12g}·i"], {"re": w.real, "im": w.imag}
 
 
 def _character(text: str, place: Place | None):
@@ -237,7 +240,7 @@ def _h_hensel(a):
     from qrlab import padic
     coeffs = tuple(_int(c) for c in a.f.split(","))
     f = padic.IntPolynomial(coeffs)
-    padic.check_padic_size(a.p, a.prec)
+    rational.check_padic_size(a.p, a.prec)
     root = padic.hensel_lift(f, _int(a.x0), a.prec, p=a.p)
     return 0, [padic.format_padic(root)], {"root": padic.format_padic(root)}
 
@@ -254,7 +257,7 @@ def _h_sqrt(a):
 def _h_teichmuller(a):
     from qrlab import padic
     p = _int(a.p)
-    padic.check_padic_size(p, a.prec)
+    rational.check_padic_size(p, a.prec)
     t = padic.teichmuller(_int(a.a), p, a.prec)
     return 0, [padic.format_padic(t)], {"representative": padic.format_padic(t)}
 
@@ -278,7 +281,7 @@ def _h_vp_factorial(a):
 
 def _h_sqrt_series(a):
     from qrlab import padic
-    padic.check_padic_size(2, a.prec)
+    rational.check_padic_size(2, a.prec)
     y = padic.sqrt_series_1p8x(_int(a.x), a.prec)
     return 0, [padic.format_padic(y)], {"root": padic.format_padic(y)}
 
@@ -316,10 +319,10 @@ def _h_hilbert(a):
 
 
 def _h_witness(a):
-    from qrlab import hilbert, padic
+    from qrlab import hilbert
     place = Place.parse(a.v)
     if not place.is_infinite:
-        padic.check_padic_size(place.prime, a.prec)
+        rational.check_padic_size(place.prime, a.prec)
     w = hilbert.local_solve_witness(_rat(a.a), _rat(a.b), place, precision=a.prec)
     if w is None:
         return 0, ["none"], {"witness": None}
@@ -444,14 +447,12 @@ def _h_root_number(a):
     place = None if a.v is None else Place.parse(a.v)
     chi = _character(a.chi, place)
     gamma = None if a.gamma is None else _rat(a.gamma)
-    w = analytic.local_root_number(chi, gamma=gamma)
-    return 0, [str(w)], {"re": w.re, "im": w.im}
+    return _complex(analytic.local_root_number(chi, gamma=gamma))
 
 
 def _h_root_product(a):
     from qrlab import analytic
-    w = analytic.root_number_product(_int(a.d))
-    return 0, [str(w)], {"re": w.re, "im": w.im}
+    return _complex(analytic.root_number_product(_int(a.d)))
 
 
 def _h_bost(a):

@@ -105,18 +105,12 @@ class ConicCertificate(Record):
         )
 
     def to_json(self) -> dict:
-        def enc(q):
-            if q is None:
-                return None
-            q = Fraction(q)
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
         return {
-            "a": enc(self.a),
-            "b": enc(self.b),
+            "a": str(Fraction(self.a)),
+            "b": str(Fraction(self.b)),
             "outcome": self.outcome,
-            "x": enc(self.x),
-            "y": enc(self.y),
+            "x": None if self.x is None else str(Fraction(self.x)),
+            "y": None if self.y is None else str(Fraction(self.y)),
             "places": [v.json_value() for v in self.places],
         }
 

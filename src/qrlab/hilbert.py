@@ -23,9 +23,10 @@ from qrlab.rational import (
     int_valuation,
     is_rational_square,
     local_unit,
+    smallest_nonresidue,
     unit_sqrt,
 )
-from qrlab.symbols import QuadraticCharacter, eps_inf, smallest_nonresidue
+from qrlab.symbols import QuadraticCharacter, eps_inf
 
 PlaceLike = Place | int | str
 

@@ -13,28 +13,24 @@ on hensel_lift's schedule.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from qrlab.rational import (
     DEFAULT_PRECISION,
     INFINITY,
+    PADIC_BITS_BOUND,
     PrecisionLossError,
     Prime,
     Rat,
     Record,
     _set,
+    check_padic_size,
     int_valuation,
     local_unit,
+    smallest_nonresidue,
     unit_sqrt,
 )
-from qrlab.symbols import smallest_nonresidue
-
-#: Largest bit size of p^k for p-adic input from text or the command line,
-#: k the --prec digits or the exponent of a textual O(p^k): p^k <= 2^1024.
-#: Every p-adic command takes well under 1 s there.
-PADIC_BITS_BOUND = 1024
 
 #: Most products mod p that vp_factorial spends on digit factorials, about
 #: 0.5 s; a digit needs at most (p-1)/2, so no p below 10^7 is refused.
@@ -185,15 +181,6 @@ def arith(op: str, x: PAdicElement, y: PAdicElement) -> PAdicElement:
     if op == "div":
         return x / y
     raise ValueError(f"unknown operation {op!r}")
-
-
-def check_padic_size(p: int, k: int) -> None:
-    """Refuse p^k above 2^PADIC_BITS_BOUND before anything computes it; a p
-    below 2 is left for the primality check to refuse."""
-    if p >= 2 and k > 0 and k * math.log2(p) > PADIC_BITS_BOUND:
-        raise ValueError(
-            f"{p}^{k} exceeds the p-adic workload bound of 2^{PADIC_BITS_BOUND}"
-        )
 
 
 # ---------------------------------------------------------------------------

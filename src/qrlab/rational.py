@@ -54,12 +54,27 @@ ROOT_SEARCH_BOUND = 20
 #: Unit digits of a p-adic element read from a rational when none are given.
 DEFAULT_PRECISION = 32
 
+#: Largest bit size of p^k for p-adic input from text or the command line,
+#: k the --prec digits or the exponent of a textual O(p^k): p^k <= 2^1024.
+#: Every p-adic command takes well under 1 s there.
+PADIC_BITS_BOUND = 1024
+
 
 class PrecisionLossError(ArithmeticError):
     """Raised when a p-adic result is indistinguishable from zero at the
     known precision (total cancellation), or otherwise has no certain
-    digits.  Defined here, with DEFAULT_PRECISION, so that the CLI can
-    name both without loading the p-adic module."""
+    digits.  Defined here, with DEFAULT_PRECISION and the p-adic size
+    check, so that the CLI can name them without loading the p-adic
+    module."""
+
+
+def check_padic_size(p: int, k: int) -> None:
+    """Refuse p^k above 2^PADIC_BITS_BOUND before anything computes it; a p
+    below 2 is left for the primality check to refuse."""
+    if p >= 2 and k > 0 and k * math.log2(p) > PADIC_BITS_BOUND:
+        raise ValueError(
+            f"{p}^{k} exceeds the p-adic workload bound of 2^{PADIC_BITS_BOUND}"
+        )
 
 
 def _primes_upto(n: int) -> tuple[int, ...]:
@@ -674,54 +689,58 @@ def norm_product_check(x: Rat) -> bool:
 # ---------------------------------------------------------------------------
 # modular square roots
 
+def smallest_nonresidue(p: int) -> int:
+    """The least positive non-residue modulo the odd prime p, by Jacobi
+    symbols, which are Legendre symbols at a prime."""
+    p = odd_prime(p)
+    u = 2
+    while _jacobi(u, p) == 1:
+        u += 1
+    return u
+
+
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """Square root of a mod an odd prime p, normalized into (0, (p-1)/2];
     None if a is a non-residue.  a must be prime to p.
 
-    One full-size exponentiation per call, with no separate Euler test: a
-    non-residue shows in the root itself.  For p = 3 (mod 4), r =
-    a^((p+1)/4) and r^2 = a fails; for p = 5 (mod 8), Atkin's formula
-    r = a v (i - 1) with v = (2a)^((p-5)/8), i = 2 a v^2, and r^2 = a
-    fails; for p = 1 (mod 8), Tonelli-Shanks from w = a^((q-1)/2), p - 1 =
-    q 2^s, where t = a^q has order 2^s exactly when a is a non-residue."""
+    No separate Euler test: a non-residue shows in the root.  For p = 5
+    (mod 8), Atkin's r = a v (i - 1), v = (2a)^((p-5)/8), i = 2 a v^2,
+    and r^2 = a fails; Tonelli-Shanks would add a full-size z^q there,
+    about 3% of conic-descent's ops/s.  Otherwise Tonelli-Shanks (Cohen,
+    Alg. 1.5.1) with p - 1 = q 2^s, from r = a^((q+1)/2) and t = a^q: a
+    is a non-residue exactly when t has order 2^s.  At s = 1 (p = 3 mod
+    4) that is r = a^((p+1)/4) and Euler's criterion t = a^((p-1)/2); a
+    taller tower takes c = z^q, z = smallest_nonresidue(p), once t != 1."""
     p = odd_prime(p)
     a %= p
     if a == 0:
         raise ValueError("a must be prime to p")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
+    if p % 8 == 5:
         v = pow(2 * a, (p - 5) // 8, p)
         r = a * v * (2 * a * v * v - 1) % p
-    else:
-        # Tonelli-Shanks: descend through the 2-Sylow tower from r = a^((q+1)/2)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        w = pow(a, (q - 1) // 2, p)
-        r = a * w % p
-        t = r * w % p
-        m, c = s, None
-        while t != 1:
-            t2, i = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            if i == m:
-                return None  # t of order 2^s: a^((p-1)/2) = -1
-            if c is None:
-                z = 3  # 2 is a residue mod p = 1 (mod 8)
-                while _jacobi(z, p) != -1:
-                    z += 1
-                c = pow(z, q, p)
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            t = t * b * b % p
-            c = b * b % p
-            m = i
-    if r * r % p != a:
-        return None
+        return min(r, p - r) if r * r % p == a else None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    w = pow(a, (q - 1) // 2, p)
+    r = a * w % p
+    t = r * w % p
+    m, c = s, None
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == m:
+            return None  # t of order 2^s: a^((p-1)/2) = -1
+        if c is None:
+            c = pow(smallest_nonresidue(p), q, p)
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        t = t * b * b % p
+        c = b * b % p
+        m = i
     return min(r, p - r)
 
 

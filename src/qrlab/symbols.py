@@ -22,6 +22,7 @@ from qrlab.rational import (
     factorize,
     local_unit,
     odd_prime,
+    smallest_nonresidue,
     unit_residue,
     vp,
 )
@@ -323,15 +324,6 @@ def binomial_primality(n: int) -> bool:
         if c % n:
             return False
     return True
-
-
-def smallest_nonresidue(p: int) -> int:
-    """The least positive non-residue modulo the odd prime p."""
-    p = odd_prime(p)
-    u = 2
-    while pow(u, (p - 1) // 2, p) == 1:
-        u += 1
-    return u
 
 
 # ---------------------------------------------------------------------------

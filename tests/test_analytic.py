@@ -20,9 +20,7 @@ from oracles import (
 )
 from qrlab.analytic import (
     BERNOULLI_BOUND,
-    ONE,
     ROOT_NUMBER_BOUND,
-    ComplexValue,
     LocalCharacter,
     bernoulli,
     conductor_exponent,
@@ -268,12 +266,12 @@ def test_character_determined_by_conductor():
 # ---------------------------------------------------------------------------
 # root numbers
 
-def approx(w: ComplexValue, z: complex, tol: float = 1e-9) -> bool:
-    return abs(w.as_complex() - z) < tol
+def approx(w: complex, z: complex, tol: float = 1e-9) -> bool:
+    return abs(w - z) < tol
 
 
 def test_root_number_archimedean():
-    assert local_root_number(LocalCharacter.at_infinity(0)) == ONE
+    assert local_root_number(LocalCharacter.at_infinity(0)) == complex(1.0, 0.0)
     assert approx(local_root_number(LocalCharacter.at_infinity(1)), -1j, 1e-15)
 
 
@@ -300,7 +298,7 @@ def test_root_number_gauss_sums_odd():
 def test_root_number_modulus_one():
     for p in [q for q in primes_below(100) if q > 2]:
         w = local_root_number(_chi(p, factors=(p,)))
-        assert abs(abs(w.as_complex()) - 1) < 1e-9
+        assert abs(abs(w) - 1) < 1e-9
 
 
 def test_root_number_gamma_independence():
@@ -312,7 +310,7 @@ def test_root_number_gamma_independence():
             if vp_split(Fraction(unit), p)[0] != 0:
                 continue
             w = local_root_number(chi, gamma=Fraction(p) ** a * unit)
-            assert abs(base.as_complex() - w.as_complex()) < 1e-9, (chi, unit)
+            assert abs(base - w) < 1e-9, (chi, unit)
 
 
 def test_root_number_workload_bound():
@@ -363,9 +361,3 @@ def test_product_formula_rejects():
         root_number_product(0)
     with pytest.raises(ValueError):
         root_number_product(12)
-
-
-def test_complex_value_formatting():
-    assert str(ONE) == "1+0·i"
-    assert str(ComplexValue(0.0, 1.0)) == "0+1·i"
-    assert str(ComplexValue(0.0, -1.0)) == "0-1·i"

@@ -409,6 +409,18 @@ def test_a_command_loads_only_the_modules_it_runs():
                 ["is-norm", "2", "7", "7"]]
     runs = "; ".join(f"cli.run({argv!r})" for argv in commands)
     assert _loaded_after(f"from qrlab import cli; {runs}", ()) == conic | {"qrlab.cli"}
+    # a witness checks the p-adic size bound in rational, and the p-adic
+    # commands find the least non-residue there, not in symbols
+    loads = (
+        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols", "qrlab.hilbert"},
+         [["witness", "5/7", "3", "1013"], ["witness", "2", "3", "inf"]]),
+        ({"qrlab.cli", "qrlab.rational", "qrlab.padic"},
+         [["sqrt", "2", "-p", "7"], ["hensel", "-2,0,1", "3", "-p", "7"],
+          ["digits", "1/3", "-p", "7"]]),
+    )
+    for modules, commands in loads:
+        for argv in commands:
+            assert _loaded_after(f"from qrlab import cli; cli.run({argv!r})", ()) == modules, argv
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():
@@ -437,6 +449,8 @@ def test_precision_names_are_one_object_across_modules():
 
     assert padic.PrecisionLossError is rational.PrecisionLossError is cli.PrecisionLossError
     assert padic.DEFAULT_PRECISION == rational.DEFAULT_PRECISION == 32
+    assert padic.PADIC_BITS_BOUND == rational.PADIC_BITS_BOUND == 1024
+    assert padic.check_padic_size is rational.check_padic_size
 
 
 def test_scans_import_what_they_run_in_a_fresh_process():
@@ -676,9 +690,23 @@ def test_root_number_format(capsys):
     code, out, _ = invoke(capsys, "root-number", "lambda_4")
     assert code == 0
     assert re.fullmatch(r"-?[0-9.e-]+[+-][0-9.e-]+·i", out)
-    code, out, _ = invoke(capsys, "root-number", "sign", "-v", "inf", "--json")
-    payload = json.loads(out)
-    assert abs(payload["re"]) < 1e-12 and abs(payload["im"] + 1) < 1e-12
+    # the real place's values carry +0.0, never -0.0, in both forms
+    cases = (
+        (("root-number", "sign", "-v", "inf"), "0-1·i"),
+        (("root-number", "sign", "-v", "inf", "--json"), '{"re": 0.0, "im": -1.0}'),
+        (("root-number", "1", "-v", "inf"), "1+0·i"),
+        (("root-number", "1", "-v", "inf", "--json"), '{"re": 1.0, "im": 0.0}'),
+        (("root-number", "lambda_4", "--json"), '{"re": 1.2246467991473532e-16, "im": 1.0}'),
+        (("root-product", "-1", "--json"), '{"re": 1.0, "im": -1.2246467991473532e-16}'),
+    )
+    for argv, want in cases:
+        assert invoke(capsys, *argv)[:2] == (0, want), argv
+
+
+def test_complex_value_formatting():
+    for w, text in ((complex(1.0, 0.0), "1+0·i"), (complex(0.0, 1.0), "0+1·i"),
+                    (complex(0.0, -1.0), "0-1·i")):
+        assert cli._complex(w)[1] == [text]
 
 
 def test_root_product_command(capsys):

@@ -10,12 +10,14 @@ roots are factored once, and the least that still do), solve_conic
 against recorded certificate points, hensel_lift's precision-doubling
 schedule against the per-step loop it replaced, unit_sqrt's own Newton
 loop in rational against the polynomial route through hensel_lift that
-it replaced, up to the precision bound, sqrt_mod_prime's one
-exponentiation per root against Euler's criterion and Tonelli-Shanks,
-square roots mod squarefree b from one CRT basis, and mod one prime with
-no basis, with and without a carried root, against the pairwise-CRT
-enumeration they replaced, the descent that carries each frame's d down
-against one that takes a fresh root at every level, the logarithmic
+it replaced, up to the precision bound, sqrt_mod_prime (Atkin's
+formula at p = 5 (mod 8), one Tonelli-Shanks loop at every other odd
+prime) against Euler's criterion followed by a^((p+1)/4) or
+Tonelli-Shanks, smallest_nonresidue's Jacobi symbols against Euler's
+criterion, square roots mod squarefree b from one CRT basis, and mod one
+prime with no basis, with and without a carried root, against the
+pairwise-CRT enumeration they replaced, the descent that carries each
+frame's d down against one that takes a fresh root at every level, the logarithmic
 valuation against the one-division-per-digit loop, local_unit and its callers
 against the old route that built the unit as a Fraction, and
 LocalWitness.verify in integers against its Fraction evaluation.  Also
@@ -648,9 +650,9 @@ def test_root_numbers_test_no_prime_once_the_character_is_built(primality_calls)
               for p in (3, 101) for nu in (None, p)]
     primality_calls.clear()
     for chi in chars:
-        assert abs(abs(local_root_number(chi).as_complex()) - 1) < 1e-9
+        assert abs(abs(local_root_number(chi)) - 1) < 1e-9
     for d in (-1, 2, -15, 6 * 101, -(2 * 3 * 5 * 7 * 11 * 13)):
-        assert abs(root_number_product(d).as_complex() - 1) < 1e-9
+        assert abs(root_number_product(d) - 1) < 1e-9
     assert primality_calls == []
 
 
@@ -1027,8 +1029,10 @@ def test_valuation_needs_a_base_of_at_least_2():
 
 
 # ---------------------------------------------------------------------------
-# modular square roots: one exponentiation per root against a search and
-# against Euler's criterion followed by Tonelli-Shanks
+# modular square roots: Atkin's formula at p = 5 (mod 8) and one
+# Tonelli-Shanks loop at every other odd prime, with no separate Euler
+# test, against a search and against Euler's criterion followed by
+# a^((p+1)/4) or Tonelli-Shanks
 
 
 def test_sqrt_core_matches_sqrt_mod_prime():
@@ -1119,6 +1123,15 @@ def test_sqrt_mod_prime_matches_euler_then_tonelli_shanks_on_large_primes():
         for a in nonresidues:
             assert sqrt_mod_prime(a, p) is None and _old_sqrt_mod_prime(a, p) is None, (a, p)
     assert classes == {1, 3, 5, 7}
+
+
+def test_smallest_nonresidue_matches_euler_criterion_below_10_4():
+    for p in primes_below(10**4)[1:]:
+        u = 2
+        while pow(u, (p - 1) // 2, p) == 1:
+            u += 1
+        assert smallest_nonresidue(p) == u, p
+
 
 def _old_crt_pair(r1, m1, r2, m2):
     t = (r2 - r1) * pow(m1, -1, m2) % m2

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrlab.analytic import ComplexValue, LocalCharacter
+from qrlab.analytic import LocalCharacter
 from qrlab.conic import ConicCertificate, DescentFrame, NormCertificate
 from qrlab.hilbert import LocalWitness, SymbolVector
 from qrlab.padic import IntPolynomial, PAdicElement
@@ -60,7 +60,6 @@ CASES = [
         "NormCertificate(a=Fraction(-1, 1), b=Fraction(3, 1), is_norm=False, y=None, z=None,"
         " places=(Place(kind='finite', prime=3), Place(kind='archimedean', prime=None)))",
     ),
-    (ComplexValue, (1.0, -0.5), "ComplexValue(re=1.0, im=-0.5)"),
     (
         LocalCharacter,
         (P3, LAMBDA_3, 0),
