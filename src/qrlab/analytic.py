@@ -1,6 +1,7 @@
 """Bernoulli numbers and the von Staudt-Clausen integer, exact power sums,
-the p-adic fractional part, and local root numbers of quadratic characters
-(normalized Gauss sums) together with their global product formula.
+and local root numbers of quadratic characters (normalized Gauss sums)
+together with their global product formula; the character of Q_v(sqrt(d))
+is symbols' closed form.
 
 Root numbers live in double-precision complex arithmetic; everything else
 is exact.  The primitive fourth root of unity is fixed as i = (0, +1),
@@ -13,23 +14,19 @@ import cmath
 import math
 from fractions import Fraction
 
-from qrlab.hilbert import PlaceLike, _coerce_place, ext_char_correspondence
-from qrlab.padic import PAdicElement, square_class
 from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
     Place,
-    PrecisionLossError,
-    Prime,
+    PlaceLike,
     Rat,
     Record,
     _set,
     factorize,
     is_probable_prime,
     local_unit,
-    vp,
 )
-from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, sign_inf
+from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, _extension_character, sign_inf
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and friends
@@ -111,30 +108,6 @@ def power_sum(k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the p-adic fractional part
-
-def p_frac_part(x: Rat | PAdicElement, p: int | None = None) -> Fraction:
-    """<x>_p: the negative-power tail of the p-adic expansion, a rational
-    in [0, 1) with denominator a power of p and x - <x>_p integral at p."""
-    if isinstance(x, PAdicElement):
-        if p not in (None, x.prime):
-            raise ValueError(f"element lives at {x.prime}, not {p}")
-        p = x.prime
-        if x.is_zero or x.valuation >= 0:
-            return Fraction(0)
-        if x.abs_precision < 0:
-            raise PrecisionLossError("tail digits below precision")
-        q = p ** (-x.valuation)
-        return Fraction(x.unit % q, q)
-    p = Prime(p)
-    v = vp(x, p)
-    if v >= 0:  # INFINITY for x = 0
-        return Fraction(0)
-    q = p ** (-v)
-    return Fraction(local_unit(x, p, q)[1], q)
-
-
-# ---------------------------------------------------------------------------
 # local characters
 
 class LocalCharacter(Record):
@@ -174,14 +147,10 @@ class LocalCharacter(Record):
         d = Fraction(d)
         if d == 0:
             raise ValueError("d must be nonzero")
-        place = _coerce_place(v)
+        place = Place.parse(v)
         if place.is_infinite:
             return cls(place, r=0 if d > 0 else 1)
-        p = place.prime
-        for b, chi in ext_char_correspondence(p):
-            if square_class(b * d, p) == 1:
-                return cls(place, chi)
-        return cls(place)  # d is a local square: the extension is split
+        return cls(place, _extension_character(d, place.prime))
 
     def value(self, x: Rat) -> int:
         """chi(x) in {+1, -1}; x nonzero rational."""

@@ -346,8 +346,8 @@ def _h_is_norm(a):
 
 
 def _h_correspondence(a):
-    from qrlab import hilbert
-    table = hilbert.ext_char_correspondence(_int(a.p))
+    from qrlab import symbols
+    table = symbols.ext_char_correspondence(_int(a.p))
     lines = [f"{b}: {chi.label()}" for b, chi in table]
     payload = {"p": _int(a.p), "table": [{"b": b, "character": chi.label()} for b, chi in table]}
     return 0, lines, payload
@@ -423,14 +423,14 @@ def _h_power_sum(a):
 
 
 def _h_frac_part(a):
-    from qrlab import analytic, padic
+    from qrlab import padic
     if "O(" in a.x:
         x = padic.parse_padic(a.x)
-        t = analytic.p_frac_part(x, a.p)
+        t = padic.p_frac_part(x, a.p)
     else:
         if a.p is None:
             raise ValueError("pass -p for rational input")
-        t = analytic.p_frac_part(_rat(a.x), a.p)
+        t = padic.p_frac_part(_rat(a.x), a.p)
     return 0, [_ratstr(t)], {"frac": _ratstr(t)}
 
 

@@ -1,9 +1,9 @@
 """The quadratic Hilbert symbol (a,b)_v at every place of Q, the product
 formula, constructive local solvability witnesses for a x^2 + b y^2 = 1,
-norm-group membership, and the quadratic-extension/character dictionary.
+and norm-group membership, on rational alone.
 
-Symbols are computed exactly from closed forms on valuations and unit
-residues; witnesses are the only finite-precision artifacts.
+Symbols are computed exactly from closed forms on signs, valuations and
+unit residues; witnesses are the only finite-precision artifacts.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import math
 from fractions import Fraction
 
 from qrlab.rational import (
+    DEFAULT_PRECISION,
     INF_PLACE,
     TWO_PLACE,
     Place,
-    Prime,
+    PlaceLike,
     Rat,
     Record,
     _exponent_dict,
@@ -23,20 +24,8 @@ from qrlab.rational import (
     int_valuation,
     is_rational_square,
     local_unit,
-    smallest_nonresidue,
     unit_sqrt,
 )
-from qrlab.symbols import QuadraticCharacter, eps_inf
-
-PlaceLike = Place | int | str
-
-
-def _coerce_place(v: PlaceLike) -> Place:
-    if isinstance(v, Place):
-        return v
-    if isinstance(v, int):
-        return Place.finite(v)
-    return Place.parse(v)
 
 
 def _symbol_exponent(p: int, alpha: int, ua: int, beta: int, ub: int) -> int:
@@ -62,9 +51,9 @@ def hilbert_symbol(a: Rat, b: Rat, v: PlaceLike) -> int:
     and unit residues."""
     if not a or not b:
         raise ValueError("inputs must be nonzero")
-    place = _coerce_place(v)
+    place = Place.parse(v)
     if place.is_infinite:
-        return (-1) ** (eps_inf(a) * eps_inf(b))
+        return -1 if a < 0 and b < 0 else 1
     p = place.prime
     m = 8 if p == 2 else p
     (alpha, ua), (beta, ub) = local_unit(a, p, m), local_unit(b, p, m)
@@ -266,7 +255,7 @@ _PRECISION_BUFFER = 8
 
 
 def local_solve_witness(
-    a: Rat, b: Rat, v: PlaceLike, precision: int = 32
+    a: Rat, b: Rat, v: PlaceLike, precision: int = DEFAULT_PRECISION
 ) -> LocalWitness | None:
     """A constructive solution of a x^2 + b y^2 = 1 in Q_v, or None exactly
     when the Hilbert symbol is -1.
@@ -280,7 +269,7 @@ def local_solve_witness(
     2p, and a root at p = 2 is known only mod 2^(K-1).  The real place
     needs no precision and ignores it.
     """
-    place = _coerce_place(v)
+    place = Place.parse(v)
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
@@ -327,33 +316,3 @@ def is_local_norm(a: Rat, b: Rat, v: PlaceLike) -> bool:
     is the identity, and otherwise membership is detected by the symbol."""
     return hilbert_symbol(a, b, v) == 1
 
-
-# ---------------------------------------------------------------------------
-# quadratic extensions <-> characters
-
-def _nu(p: int) -> QuadraticCharacter:
-    return QuadraticCharacter(frozenset(), unramified_sign_prime=p)
-
-
-def ext_char_correspondence(p: int) -> list[tuple[int, QuadraticCharacter]]:
-    """The dictionary between quadratic extensions Q_p(sqrt(b)) (b running
-    over the nontrivial square classes) and the quadratic characters of
-    Q_p^x with kernel the norm group: chi_b(a) = (a, b)_p."""
-    p = Prime(p)
-    if p == 2:
-        nu = _nu(p)
-        l4 = QuadraticCharacter(frozenset({4}))
-        l8 = QuadraticCharacter(frozenset({8}))
-        return [
-            (5, nu),
-            (-1, l4),
-            (-5, nu.times(l4)),
-            (2, l8),
-            (10, nu.times(l8)),
-            (-2, l4.times(l8)),
-            (-10, nu.times(l4).times(l8)),
-        ]
-    u = smallest_nonresidue(p)
-    nu = _nu(p)
-    lp = QuadraticCharacter(frozenset({p}))
-    return [(u, nu), (-p, lp), (-u * p, nu.times(lp))]

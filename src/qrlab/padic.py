@@ -1,6 +1,7 @@
 """Finite-precision model of Q_p: elements in the normal form p^v * u with a
 unit u tracked modulo p^k, exact-aware arithmetic, Hensel lifting, square
-roots, Teichmuller representatives, digit expansions, and the factorial
+roots, Teichmuller representatives, digit expansions, the fractional part
+<x>_p of an element or a rational, square classes, and the factorial
 valuation and 2-adic binomial-series exercises.
 
 Precision is relative: an element stores k unit digits, so its value is
@@ -30,6 +31,7 @@ from qrlab.rational import (
     local_unit,
     smallest_nonresidue,
     unit_sqrt,
+    vp,
 )
 
 #: Most products mod p that vp_factorial spends on digit factorials, about
@@ -455,6 +457,30 @@ def digits(x: PAdicElement, scheme: str = "standard") -> list[int]:
         out.append(d)
         rem = (rem - d) // p
     return out
+
+
+# ---------------------------------------------------------------------------
+# the p-adic fractional part
+
+def p_frac_part(x: Rat | PAdicElement, p: int | None = None) -> Fraction:
+    """<x>_p: the negative-power tail of the p-adic expansion, a rational
+    in [0, 1) with denominator a power of p and x - <x>_p integral at p."""
+    if isinstance(x, PAdicElement):
+        if p not in (None, x.prime):
+            raise ValueError(f"element lives at {x.prime}, not {p}")
+        p = x.prime
+        if x.is_zero or x.valuation >= 0:
+            return Fraction(0)
+        if x.abs_precision < 0:
+            raise PrecisionLossError("tail digits below precision")
+        q = p ** (-x.valuation)
+        return Fraction(x.unit % q, q)
+    p = Prime(p)
+    v = vp(x, p)
+    if v >= 0:  # INFINITY for x = 0
+        return Fraction(0)
+    q = p ** (-v)
+    return Fraction(local_unit(x, p, q)[1], q)
 
 
 # ---------------------------------------------------------------------------

@@ -582,13 +582,18 @@ class Place(Record):
         return place
 
     @classmethod
-    def parse(cls, text: str) -> "Place":
-        if text in ("inf", "infinity", "oo"):
+    def parse(cls, v: "PlaceLike") -> "Place":
+        """v if a Place, an int's finite place, or text: "inf" or a prime."""
+        if isinstance(v, Place):
+            return v
+        if isinstance(v, int):
+            return cls.finite(v)
+        if v in ("inf", "infinity", "oo"):
             return cls.infinity()
         try:
-            p = int(text)
+            p = int(v)
         except ValueError:
-            raise ValueError(f"place must be 'inf' or a prime, got {text!r}")
+            raise ValueError(f"place must be 'inf' or a prime, got {v!r}")
         return cls.finite(p)
 
     @property
@@ -610,6 +615,8 @@ class Place(Record):
     def json_value(self):
         return "inf" if self.is_infinite else self.prime
 
+
+PlaceLike = Place | int | str
 
 INF_PLACE = Place.infinity()
 #: The place at 2, which every symbol vector and root-number product visits.

@@ -1,7 +1,8 @@
 """Quadratic characters of (Z/mZ)^x and of p-local units: the Legendre
 character, the mod-4 and mod-8 sign characters, Gauss's lemma, the
-reciprocity law with its lattice-count proof, and the composite characters
-psi_a and chi_a.
+reciprocity law with its lattice-count proof, the composite characters
+psi_a and chi_a, and the table pairing each quadratic extension Q_p(sqrt(d))
+with the character of its norm group, computed from one closed form.
 
 Sign values are plain ints in {+1,-1}.  The mod-4, mod-8 and archimedean
 signs each have an epsilon twin returning an element of {0,1} (the exponent
@@ -228,6 +229,40 @@ class QuadraticCharacter(Record):
 
 
 TRIVIAL_CHARACTER = QuadraticCharacter(frozenset())
+
+
+# ---------------------------------------------------------------------------
+# quadratic extensions <-> characters
+
+def _extension_character(d: Rat, p: int) -> QuadraticCharacter:
+    """The character a -> (a, d)_p of Q_p^x, whose kernel is the norm group
+    of Q_p(sqrt(d)): Serre's closed form for the Hilbert symbol (A Course in
+    Arithmetic, III.1.2) read as a function of a.  With d = p^beta u, it is
+    lambda_4^eps4(u) lambda_8^beta nu^eps8(u) at 2, and
+    lambda_p^beta nu^(beta (p-1)/2 + [u is a non-residue]) at odd p."""
+    beta, u = local_unit(d, p, 8 if p == 2 else p)
+    beta %= 2
+    factors = {8 if p == 2 else p} if beta else set()
+    if p == 2:
+        if u % 4 == 3:  # eps4(u)
+            factors.add(4)
+        nu = u % 8 in (3, 5)  # eps8(u)
+    else:
+        nu = (beta * (p - 1) // 2 + (pow(u, (p - 1) // 2, p) != 1)) % 2
+    return QuadraticCharacter(frozenset(factors), p if nu else None)
+
+
+def ext_char_correspondence(p: int) -> list[tuple[int, QuadraticCharacter]]:
+    """The dictionary between quadratic extensions Q_p(sqrt(b)) (b running
+    over the nontrivial square classes) and the quadratic characters of
+    Q_p^x with kernel the norm group: chi_b(a) = (a, b)_p."""
+    p = Prime(p)
+    if p == 2:
+        reps = (5, -1, -5, 2, 10, -2, -10)
+    else:
+        u = smallest_nonresidue(p)
+        reps = (u, -p, -u * p)
+    return [(b, _extension_character(b, p)) for b in reps]
 
 
 def psi(a: int, n: Rat) -> int:

@@ -268,3 +268,44 @@ def global_norm_by_solve_conic(a, b):
     if conic.outcome == "obstruction":
         return NormCertificate(a, b, False, places=conic.places)
     return NormCertificate(a, b, True, y=conic.y, z=conic.x)
+
+
+def ext_char_table_by_hand(p: int):
+    """ext_char_correspondence by its older route, kept to pin the closed
+    form that replaced it: the seven 2-adic characters and the three at an
+    odd p, each written out as a product of nu, lambda_4, lambda_8 and
+    lambda_p."""
+    from qrlab.rational import smallest_nonresidue
+    from qrlab.symbols import QuadraticCharacter
+
+    nu = QuadraticCharacter(frozenset(), unramified_sign_prime=p)
+    if p == 2:
+        l4 = QuadraticCharacter(frozenset({4}))
+        l8 = QuadraticCharacter(frozenset({8}))
+        return [
+            (5, nu),
+            (-1, l4),
+            (-5, nu.times(l4)),
+            (2, l8),
+            (10, nu.times(l8)),
+            (-2, l4.times(l8)),
+            (-10, nu.times(l4).times(l8)),
+        ]
+    u = smallest_nonresidue(p)
+    lp = QuadraticCharacter(frozenset({p}))
+    return [(u, nu), (-p, lp), (-u * p, nu.times(lp))]
+
+
+def attached_character_by_search(d, p: int):
+    """LocalCharacter.attached_to_extension(d, p) by its older route, kept
+    to pin the closed form that replaced it: the character of the table
+    entry b with b d a square at p, or the trivial one when d is a square."""
+    from qrlab.analytic import LocalCharacter
+    from qrlab.padic import square_class
+    from qrlab.rational import Place
+
+    place = Place.finite(p)
+    for b, chi in ext_char_table_by_hand(p):
+        if square_class(b * Fraction(d), p) == 1:
+            return LocalCharacter(place, chi)
+    return LocalCharacter(place)

@@ -21,7 +21,6 @@ from qrlab.analytic import (
 )
 from qrlab.conic import solve_conic
 from qrlab.hilbert import (
-    ext_char_correspondence,
     hilbert_symbol,
     hilbert_vector,
     local_solve_witness,
@@ -32,6 +31,7 @@ from qrlab.rational import INF_PLACE, Place, factorize, rational_factor_exponent
 from qrlab.symbols import (
     bost_demo,
     binomial_primality,
+    ext_char_correspondence,
     gauss_lemma_sign,
     group_product_sign,
     lambda4,

@@ -25,13 +25,12 @@ from qrlab.analytic import (
     bernoulli,
     conductor_exponent,
     local_root_number,
-    p_frac_part,
     power_sum,
     root_number_product,
     von_staudt_W,
 )
 from qrlab.hilbert import hilbert_symbol
-from qrlab.padic import PAdicElement, PrecisionLossError
+from qrlab.padic import PAdicElement, PrecisionLossError, p_frac_part
 from qrlab.rational import INF_PLACE, Place, factorize, is_probable_prime, vp_split
 from qrlab.symbols import QuadraticCharacter
 

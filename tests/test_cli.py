@@ -401,8 +401,10 @@ def test_a_command_loads_only_the_modules_it_runs():
     assert loaded == {"qrlab.cli", "qrlab.rational", "qrlab.symbols"}
     # the local witnesses' square roots are rational.unit_sqrt's, so the
     # Hilbert and conic layers, and the commands that run them, need no
-    # p-adic elements
-    conic = {"qrlab.rational", "qrlab.symbols", "qrlab.hilbert", "qrlab.conic"}
+    # p-adic elements; the Hilbert symbols read signs, valuations and unit
+    # residues from rational, so they need no qrlab.symbols either
+    assert _loaded_after("import qrlab.hilbert", ()) == {"qrlab.rational", "qrlab.hilbert"}
+    conic = {"qrlab.rational", "qrlab.hilbert", "qrlab.conic"}
     assert _loaded_after("import qrlab.conic", ()) == conic
     commands = [["hilbert", "-60/7", "-10", "--all"], ["solve", "3", "5"],
                 ["ternary", "3", "5", "-7"], ["global-norm", "2", "-7"],
@@ -412,7 +414,7 @@ def test_a_command_loads_only_the_modules_it_runs():
     # a witness checks the p-adic size bound in rational, and the p-adic
     # commands find the least non-residue there, not in symbols
     loads = (
-        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols", "qrlab.hilbert"},
+        ({"qrlab.cli", "qrlab.rational", "qrlab.hilbert"},
          [["witness", "5/7", "3", "1013"], ["witness", "2", "3", "inf"]]),
         ({"qrlab.cli", "qrlab.rational", "qrlab.padic"},
          [["sqrt", "2", "-p", "7"], ["hensel", "-2,0,1", "3", "-p", "7"],
@@ -421,6 +423,21 @@ def test_a_command_loads_only_the_modules_it_runs():
     for modules, commands in loads:
         for argv in commands:
             assert _loaded_after(f"from qrlab import cli; cli.run({argv!r})", ()) == modules, argv
+    # the analytic layer reads a local character from symbols' closed form,
+    # <x>_p lives beside the p-adic elements, and the extension/character
+    # table is symbols' own: each set's commands run in one child
+    loads = (
+        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols", "qrlab.analytic"},
+         [["bernoulli", "4"], ["von-staudt", "12"], ["power-sum", "3", "10"],
+          ["conductor", "lambda_4"], ["root-number", "lambda_4"], ["root-product", "-1"],
+          ["scan-vonstaudt", "20"]]),
+        ({"qrlab.cli", "qrlab.rational", "qrlab.padic"},
+         [["frac-part", "1/2000", "-p", "5"], ["frac-part", "5^-2 * (1) + O(5^3)"]]),
+        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols"}, [["correspondence", "7"]]),
+    )
+    for modules, commands in loads:
+        runs = "; ".join(f"cli.run({argv!r})" for argv in commands)
+        assert _loaded_after(f"from qrlab import cli; {runs}", ()) == modules, commands
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

@@ -19,10 +19,12 @@ prime with no basis, with and without a carried root, against the
 pairwise-CRT enumeration they replaced, the descent that carries each
 frame's d down against one that takes a fresh root at every level, the logarithmic
 valuation against the one-division-per-digit loop, local_unit and its callers
-against the old route that built the unit as a Fraction, and
-LocalWitness.verify in integers against its Fraction evaluation.  Also
-the certified-prime type Prime, and how many primality tests each public
-route makes."""
+against the old route that built the unit as a Fraction,
+LocalWitness.verify in integers against its Fraction evaluation, and the
+extension/character table and attached characters, from one closed form,
+against the hand-written tables and the square-class search they
+replaced.  Also the certified-prime type Prime, and how many primality
+tests each public route makes."""
 
 import copy
 import hashlib
@@ -38,14 +40,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eps_p, factorization_value, is_prime_trial, primes_below, slow_hilbert
+from oracles import (
+    attached_character_by_search,
+    eps_p,
+    ext_char_table_by_hand,
+    factorization_value,
+    is_prime_trial,
+    primes_below,
+    slow_hilbert,
+)
 from qrlab import conic, padic, rational
 from qrlab.conic import solve_conic
-from qrlab.analytic import LocalCharacter, local_root_number, p_frac_part, root_number_product
+from qrlab.analytic import LocalCharacter, local_root_number, root_number_product
 from qrlab.hilbert import (
     WITNESS_TOLERANCE,
     LocalWitness,
-    ext_char_correspondence,
     hilbert_symbol,
     hilbert_vector,
     local_solve_witness,
@@ -58,6 +67,7 @@ from qrlab.padic import (
     _class_rep,
     digits,
     hensel_lift,
+    p_frac_part,
     padic_sqrt,
     square_class,
     teichmuller,
@@ -83,6 +93,7 @@ from qrlab.symbols import (
     eps4,
     eps8,
     eps_inf,
+    ext_char_correspondence,
     gauss_lemma_sign,
     lattice_counts,
     legendre,
@@ -1131,6 +1142,25 @@ def test_smallest_nonresidue_matches_euler_criterion_below_10_4():
         while pow(u, (p - 1) // 2, p) == 1:
             u += 1
         assert smallest_nonresidue(p) == u, p
+
+
+def test_correspondence_closed_form_matches_the_hand_table_below_10_4():
+    for p in primes_below(10**4):
+        assert ext_char_correspondence(p) == ext_char_table_by_hand(p), p
+
+
+def test_attached_character_closed_form_matches_the_square_class_search():
+    # seeded d of height <= 10^6 with a factor p^k, |k| <= 3, in the
+    # numerator or the denominator
+    rng = random.Random(30)
+    for p in (2, 3, 5, 7, 11, 13, 1009, 1013):
+        exponents = [k for k in range(-3, 4) if p ** abs(k) <= 10**6]
+        for _ in range(600):
+            k = rng.choice(exponents)
+            bound = 10**6 // p ** abs(k)
+            d = Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
+            d *= Fraction(p) ** k
+            assert LocalCharacter.attached_to_extension(d, p) == attached_character_by_search(d, p), (d, p)
 
 
 def _old_crt_pair(r1, m1, r2, m2):

@@ -12,14 +12,13 @@ from oracles import sign_at, slow_hilbert
 from qrlab.hilbert import (
     LocalWitness,
     SymbolVector,
-    ext_char_correspondence,
     hilbert_symbol,
     hilbert_vector,
     is_local_norm,
     local_solve_witness,
 )
 from qrlab.rational import INF_PLACE, Place
-from qrlab.symbols import lambda4, lambda8, legendre
+from qrlab.symbols import ext_char_correspondence, lambda4, lambda8, legendre
 
 SQUARE_CLASSES = {
     2: [1, 5, -1, -5, 2, 10, -2, -10],
