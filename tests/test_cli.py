@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from qrlab import analytic, cli
 from qrlab.analytic import BERNOULLI_BOUND, ROOT_NUMBER_BOUND
 from qrlab.cli import run
+from qrlab.commands import scans
+from qrlab.commands.analytic import _complex
 from qrlab.hilbert import hilbert_symbol
 from qrlab.padic import PADIC_BITS_BOUND, VP_FACTORIAL_BOUND
 from qrlab.rational import is_probable_prime
@@ -152,9 +154,9 @@ def test_every_scan_runs_in_this_process_for_any_workers(capsys, monkeypatch):
 
 def test_scan_bounds_exit_2_before_any_list_is_built(capsys):
     for argv in (
-        ["scan-reciprocity", str(cli.SCAN_PRIME_BOUND + 1)],
+        ["scan-reciprocity", str(scans.SCAN_PRIME_BOUND + 1)],
         ["scan-reciprocity", str(10**30)],
-        ["scan-product-formula", str(cli.SCAN_PAIRS_BOUND + 1), "10"],
+        ["scan-product-formula", str(scans.SCAN_PAIRS_BOUND + 1), "10"],
         ["scan-product-formula", str(10**30), "10"],
         ["scan-vonstaudt", str(10**30)],
     ):
@@ -163,7 +165,7 @@ def test_scan_bounds_exit_2_before_any_list_is_built(capsys):
         assert err.startswith("error:") and "workload bound" in err, argv
     # criteria 1 and 3 stay within the bounds
     assert invoke(capsys, "scan-reciprocity", "1000")[:2] == (0, "167 primes, 13861 pairs, 0 failures")
-    assert cli.SCAN_PAIRS_BOUND >= 10**4
+    assert scans.SCAN_PAIRS_BOUND >= 10**4
 
 
 def test_vp_factorial_and_sqrt_series_in_bounded_time(capsys):
@@ -384,7 +386,29 @@ def test_import_loads_no_process_pool():
 
 
 LIBRARY = ("rational", "symbols", "padic", "hilbert", "conic", "analytic")
-SLOW_STDLIB = ("dataclasses", "typing", "inspect", "json")
+# shutil is what argparse's default help width costs: it brings bz2, lzma,
+# zlib and fnmatch
+SLOW_STDLIB = ("dataclasses", "typing", "inspect", "json", "shutil")
+
+
+def _command_modules(handlers, *layers):
+    """What a command loads: cli, the handler package and its one handler
+    module, and rational with the other library layers it runs."""
+    library = {f"qrlab.{name}" for name in ("rational", *layers)}
+    return {"qrlab.cli", "qrlab.commands", f"qrlab.commands.{handlers}"} | library
+
+
+def _imported_as_main(*argv):
+    """Every module a cold `python -S -m qrlab.cli argv` imports, read from
+    its -X importtime report, in which cli itself runs as __main__."""
+    err = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "qrlab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in err.splitlines() if line.startswith("import time:")}
 
 
 def test_a_command_loads_only_the_modules_it_runs():
@@ -395,49 +419,50 @@ def test_a_command_loads_only_the_modules_it_runs():
     imports = "; ".join(f"import qrlab.{name}" for name in LIBRARY)
     loaded = _loaded_after(imports, SLOW_STDLIB)
     assert loaded == {f"qrlab.{name}" for name in LIBRARY}
-    # legendre needs symbols alone, and prints text without json
-    run_legendre = "from qrlab import cli; cli.run(['legendre', '2', '7'])"
-    loaded = _loaded_after(run_legendre, SLOW_STDLIB)
-    assert loaded == {"qrlab.cli", "qrlab.rational", "qrlab.symbols"}
     # the local witnesses' square roots are rational.unit_sqrt's, so the
-    # Hilbert and conic layers, and the commands that run them, need no
-    # p-adic elements; the Hilbert symbols read signs, valuations and unit
-    # residues from rational, so they need no qrlab.symbols either
+    # Hilbert and conic layers need no p-adic elements; the Hilbert symbols
+    # read signs, valuations and unit residues from rational, so they need
+    # no qrlab.symbols either
     assert _loaded_after("import qrlab.hilbert", ()) == {"qrlab.rational", "qrlab.hilbert"}
-    conic = {"qrlab.rational", "qrlab.hilbert", "qrlab.conic"}
-    assert _loaded_after("import qrlab.conic", ()) == conic
-    commands = [["hilbert", "-60/7", "-10", "--all"], ["solve", "3", "5"],
-                ["ternary", "3", "5", "-7"], ["global-norm", "2", "-7"],
-                ["is-norm", "2", "7", "7"]]
-    runs = "; ".join(f"cli.run({argv!r})" for argv in commands)
-    assert _loaded_after(f"from qrlab import cli; {runs}", ()) == conic | {"qrlab.cli"}
-    # a witness checks the p-adic size bound in rational, and the p-adic
-    # commands find the least non-residue there, not in symbols
+    assert _loaded_after("import qrlab.conic", ()) == {"qrlab.rational", "qrlab.hilbert", "qrlab.conic"}
+    # a command compiles the one handler module of its layer, and runs
+    # only the layers it needs: legendre needs symbols alone, and prints
+    # text without json; a witness checks the p-adic size bound in
+    # rational, and the p-adic commands find the least non-residue there,
+    # not in symbols; the analytic layer reads a local character from
+    # symbols' closed form, <x>_p lives beside the p-adic elements, and the
+    # extension/character table is symbols' own.  Each set's commands run
+    # in one child.
     loads = (
-        ({"qrlab.cli", "qrlab.rational", "qrlab.hilbert"},
-         [["witness", "5/7", "3", "1013"], ["witness", "2", "3", "inf"]]),
-        ({"qrlab.cli", "qrlab.rational", "qrlab.padic"},
+        (_command_modules("rational"), [["factorize", "1018081"], ["vp", "12", "2"]]),
+        (_command_modules("symbols", "symbols"),
+         [["legendre", "2", "7"], ["correspondence", "7"]]),
+        (_command_modules("hilbert", "hilbert"),
+         [["hilbert", "-60/7", "-10", "--all"], ["is-norm", "2", "7", "7"],
+          ["witness", "5/7", "3", "1013"], ["witness", "2", "3", "inf"]]),
+        (_command_modules("conic", "hilbert", "conic"),
+         [["solve", "3", "5"], ["ternary", "3", "5", "-7"], ["global-norm", "2", "-7"]]),
+        (_command_modules("padic", "padic"),
          [["sqrt", "2", "-p", "7"], ["hensel", "-2,0,1", "3", "-p", "7"],
-          ["digits", "1/3", "-p", "7"]]),
-    )
-    for modules, commands in loads:
-        for argv in commands:
-            assert _loaded_after(f"from qrlab import cli; cli.run({argv!r})", ()) == modules, argv
-    # the analytic layer reads a local character from symbols' closed form,
-    # <x>_p lives beside the p-adic elements, and the extension/character
-    # table is symbols' own: each set's commands run in one child
-    loads = (
-        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols", "qrlab.analytic"},
+          ["digits", "1/3", "-p", "7"], ["frac-part", "1/2000", "-p", "5"],
+          ["frac-part", "5^-2 * (1) + O(5^3)"]]),
+        (_command_modules("analytic", "symbols", "analytic"),
          [["bernoulli", "4"], ["von-staudt", "12"], ["power-sum", "3", "10"],
-          ["conductor", "lambda_4"], ["root-number", "lambda_4"], ["root-product", "-1"],
-          ["scan-vonstaudt", "20"]]),
-        ({"qrlab.cli", "qrlab.rational", "qrlab.padic"},
-         [["frac-part", "1/2000", "-p", "5"], ["frac-part", "5^-2 * (1) + O(5^3)"]]),
-        ({"qrlab.cli", "qrlab.rational", "qrlab.symbols"}, [["correspondence", "7"]]),
+          ["conductor", "lambda_4"], ["root-number", "lambda_4"], ["root-product", "-1"]]),
+        (_command_modules("scans", "symbols", "analytic"), [["scan-vonstaudt", "20"]]),
+        (_command_modules("scans", "symbols"), [["scan-reciprocity", "50"]]),
     )
     for modules, commands in loads:
         runs = "; ".join(f"cli.run({argv!r})" for argv in commands)
-        assert _loaded_after(f"from qrlab import cli; {runs}", ()) == modules, commands
+        assert _loaded_after(f"from qrlab import cli; {runs}", SLOW_STDLIB) == modules, commands
+    # run as __main__, cli is not imported again by its handlers, and a
+    # cold call of each command of the benchmark's mix loads no shutil
+    mix = (["legendre", "2", "7"], ["hilbert", "-60/7", "-10", "--all"], ["solve", "3", "5"],
+           ["witness", "5/7", "3", "1013"], ["sqrt", "2", "-p", "7"], ["factorize", "1018081"])
+    for argv in mix:
+        imported = _imported_as_main(*argv)
+        handlers = f"qrlab.commands.{cli._COMMANDS[argv[0]][0]}"
+        assert handlers in imported and not {"qrlab.cli", "shutil"} & imported, argv
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():
@@ -598,6 +623,62 @@ def test_each_command_builds_and_helps_alone(capsys, monkeypatch):
         assert alone == capsys.readouterr().out and alone.startswith(f"usage: qrlab {name} ")
 
 
+def _help_texts(capsys, parse):
+    """The top-level help and every command's help, as parse prints them."""
+    texts = []
+    for argv in (["--help"], *([name, "--help"] for name in COMMAND_NAMES)):
+        with contextlib.suppress(SystemExit):
+            parse(argv)
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_help_width_is_argparses_own(capsys, monkeypatch):
+    # the width is shutil.get_terminal_size's, less 2 as in argparse, read
+    # without importing shutil: from COLUMNS if it is a positive int, else
+    # from the terminal on sys.__stdout__ (a pty of 123 or of 0 columns
+    # here), else 80
+    import argparse
+    import shutil
+
+    monkeypatch.delenv("LINES", raising=False)
+    terminals, leaders = [None], []
+    if hasattr(os, "openpty"):
+        import fcntl
+        import struct
+        import termios
+
+        for columns in (123, 0):
+            leader, follower = os.openpty()
+            leaders.append(leader)
+            fcntl.ioctl(follower, termios.TIOCSWINSZ, struct.pack("HHHH", 24, columns, 0, 0))
+            assert os.get_terminal_size(follower).columns == columns
+            terminals.append(open(follower, "w"))
+    try:
+        for columns in (None, "40", "200", "0", "junk"):
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            for terminal in terminals:
+                with monkeypatch.context() as m:
+                    if terminal is not None:
+                        m.setattr(sys, "__stdout__", terminal)
+                    want = shutil.get_terminal_size().columns - 2
+                    assert cli._HelpFormatter("qrlab")._width == want, (columns, terminal)
+            # every help prints byte for byte as with stock argparse
+            texts = _help_texts(capsys, run)
+            with monkeypatch.context() as stock:
+                stock.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+                reference = cli._build_parser(COMMAND_NAMES)
+            assert texts == _help_texts(capsys, reference.parse_args), columns
+    finally:
+        for terminal in terminals[1:]:
+            terminal.close()
+        for leader in leaders:
+            os.close(leader)
+
+
 def test_unknown_command_exits_2(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
 
@@ -723,7 +804,7 @@ def test_root_number_format(capsys):
 def test_complex_value_formatting():
     for w, text in ((complex(1.0, 0.0), "1+0·i"), (complex(0.0, 1.0), "0+1·i"),
                     (complex(0.0, -1.0), "0-1·i")):
-        assert cli._complex(w)[1] == [text]
+        assert _complex(w)[1] == [text]
 
 
 def test_root_product_command(capsys):
@@ -1064,11 +1145,11 @@ _BOUNDED_COMMANDS = {
     "scan-reciprocity": st.builds(
         lambda n, w: ["scan-reciprocity", str(n)] + w,
         st.one_of(st.integers(-5, 200), st.sampled_from(
-            [cli.SCAN_PRIME_BOUND, cli.SCAN_PRIME_BOUND + 1, 10**30])), _WORKERS),
+            [scans.SCAN_PRIME_BOUND, scans.SCAN_PRIME_BOUND + 1, 10**30])), _WORKERS),
     "scan-product-formula": st.builds(
         lambda count, height, w: ["scan-product-formula", str(count), str(height)] + w,
         st.one_of(st.integers(-2, 50), st.sampled_from(
-            [cli.SCAN_PAIRS_BOUND, cli.SCAN_PAIRS_BOUND + 1, 10**30])),
+            [scans.SCAN_PAIRS_BOUND, scans.SCAN_PAIRS_BOUND + 1, 10**30])),
         st.sampled_from([-1, 0, 1, 10, 1000, 10**40]), _WORKERS),
     "scan-vonstaudt": st.builds(
         lambda k, w: ["scan-vonstaudt", str(k)] + w,
