@@ -1,7 +1,8 @@
 """Bernoulli numbers and the von Staudt-Clausen integer, exact power sums,
-and local root numbers of quadratic characters (normalized Gauss sums)
-together with their global product formula; the character of Q_v(sqrt(d))
-is symbols' closed form.
+conductor exponents and local root numbers (normalized Gauss sums) of
+symbols.LocalCharacter, the one local character type, together with their
+global product formula; the character of Q_v(sqrt(d)) is symbols' closed
+form.
 
 Root numbers live in double-precision complex arithmetic; everything else
 is exact.  The primitive fourth root of unity is fixed as i = (0, +1),
@@ -18,15 +19,12 @@ from qrlab.rational import (
     INF_PLACE,
     TWO_PLACE,
     Place,
-    PlaceLike,
     Rat,
-    Record,
-    _set,
     factorize,
     is_probable_prime,
     local_unit,
 )
-from qrlab.symbols import TRIVIAL_CHARACTER, QuadraticCharacter, _extension_character, sign_inf
+from qrlab.symbols import LocalCharacter
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and friends
@@ -108,61 +106,7 @@ def power_sum(k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# local characters
-
-class LocalCharacter(Record):
-    """A character of Q_v^x of order dividing 2: at a finite place p a
-    quadratic character with conductor dividing 8 or p, whose unramified
-    sign nu, if any, sits at p; at the real place the sign character to
-    the power r."""
-
-    __slots__ = ("place", "quad", "r")
-
-    def __init__(self, place: Place, quad: QuadraticCharacter = TRIVIAL_CHARACTER, r: int = 0):
-        if place.is_infinite:
-            if not quad.is_trivial:
-                raise ValueError("the real place has only the sign character")
-            if r not in (0, 1):
-                raise ValueError("r must be 0 or 1")
-        else:
-            if r:
-                raise ValueError("r is archimedean-only")
-            p = place.prime
-            if quad.unramified_sign_prime not in (None, p):
-                raise ValueError(f"nu factor is not local at {p}")
-            allowed = {4, 8} if p == 2 else {p}
-            if not quad.factors <= allowed:
-                raise ValueError(f"factors {set(quad.factors)} are not local at {p}")
-        _set(self, "place", place)
-        _set(self, "quad", quad)
-        _set(self, "r", r)
-
-    @classmethod
-    def at_infinity(cls, r: int) -> "LocalCharacter":
-        return cls(INF_PLACE, r=r)
-
-    @classmethod
-    def attached_to_extension(cls, d: Rat, v: PlaceLike) -> "LocalCharacter":
-        """The character of Q_v^x with kernel the norms of Q_v(sqrt(d))."""
-        d = Fraction(d)
-        if d == 0:
-            raise ValueError("d must be nonzero")
-        place = Place.parse(v)
-        if place.is_infinite:
-            return cls(place, r=0 if d > 0 else 1)
-        return cls(place, _extension_character(d, place.prime))
-
-    def value(self, x: Rat) -> int:
-        """chi(x) in {+1, -1}; x nonzero rational."""
-        if self.place.is_infinite:
-            return sign_inf(x) if self.r else 1
-        return self.quad.eval_local(x, self.place.prime)
-
-    def label(self) -> str:
-        if self.place.is_infinite:
-            return "sign" if self.r else "1"
-        return self.quad.label()
-
+# conductors
 
 def conductor_exponent(chi: LocalCharacter) -> int:
     """a(chi): the smallest n with chi trivial on U_n = 1 + p^n Z_p (n = 0

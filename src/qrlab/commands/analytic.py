@@ -13,14 +13,14 @@ def _complex(w: complex):
 
 def _character(text: str, place: Place | None):
     """Parse 'nu_2*lambda_4', 'lambda_7', 'sign', '1', ... into a local
-    character.  The tokens multiply: a repeated lambda_P cancels, as in
-    QuadraticCharacter.times, and nu_P counts by parity; the place is still
-    read from every token, cancelled or not."""
+    character.  The tokens multiply: a repeated lambda_P cancels and nu_P
+    counts by parity; the place is still read from every token, cancelled
+    or not."""
     text = text.strip()
     if text == "sign" or (text == "1" and place is not None and place.is_infinite):
         if place is not None and not place.is_infinite:
             raise ValueError("the sign character lives at the real place")
-        return analytic.LocalCharacter.at_infinity(1 if text == "sign" else 0)
+        return symbols.LocalCharacter.at_infinity(1 if text == "sign" else 0)
     nu = 0
     factors = set()
     inferred: set[int] = set()
@@ -48,8 +48,7 @@ def _character(text: str, place: Place | None):
         raise ValueError(f"character is not local at {place}")
     elif place.is_infinite and inferred:
         raise ValueError("finite-place character at the real place")
-    quad = symbols.QuadraticCharacter(frozenset(factors), place.prime if nu else None)
-    return analytic.LocalCharacter(place, quad)
+    return symbols.LocalCharacter(place, symbols.QuadraticCharacter(frozenset(factors)), nu)
 
 
 def _h_bernoulli(a):

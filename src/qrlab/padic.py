@@ -38,6 +38,10 @@ from qrlab.rational import (
 #: 0.5 s; a digit needs at most (p-1)/2, so no p below 10^7 is refused.
 VP_FACTORIAL_BOUND = 5 * 10**6
 
+#: Largest deg(f) * (b + 64) that hensel_lift accepts, b the larger bit size of x0
+#: and p^(N+delta): f is evaluated exactly, at a word a step at least (<= ~0.4 s).
+HENSEL_WORK_BOUND = 2**19
+
 
 class PAdicElement(Record):
     """p^valuation * unit, with unit a residue mod p^precision prime to p.
@@ -259,6 +263,7 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
         raise ValueError("f = 0: every x is a root, so none is simple")
     if f.degree == 0:
         raise ValueError("f is a nonzero constant: it has no root")
+    _check_hensel_work(f, max(x.bit_length(), N * (p - 1).bit_length()))
 
     fx = f(x)
     if fx == 0:
@@ -277,6 +282,7 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
         raise ValueError(
             f"Hensel hypothesis fails: v_p(f(x0)) = {m} <= 2*{delta} = 2*v_p(f'(x0))"
         )
+    _check_hensel_work(f, (N + delta) * (p - 1).bit_length())
     targets = []
     t = N + delta
     while t > m:
@@ -292,6 +298,11 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
             fx = f(x)
         x = x - fx // pd * s
     return _element_from_int(x, p, N)
+
+
+def _check_hensel_work(f: IntPolynomial, bits: int) -> None:
+    if f.degree * (bits + 64) > HENSEL_WORK_BOUND:
+        raise ValueError(f"deg(f) = {f.degree} at {bits} bits exceeds the Hensel workload bound")
 
 
 def _element_from_int(x: int, p: int, abs_precision: int) -> PAdicElement:

@@ -59,6 +59,10 @@ DEFAULT_PRECISION = 32
 #: Every p-adic command takes well under 1 s there.
 PADIC_BITS_BOUND = 1024
 
+#: Prime refuses n >= 2^PRIME_BITS_BOUND untested: BPSW on a 1024-bit prime
+#: takes ~0.06 s, and one modular exponentiation at 4300 digits ~7 s.
+PRIME_BITS_BOUND = 1024
+
 
 class PrecisionLossError(ArithmeticError):
     """Raised when a p-adic result is indistinguishable from zero at the
@@ -344,8 +348,9 @@ class Prime(int):
     """A certified prime: an int whose only added meaning is that it passed
     is_probable_prime (a proof below psi_13 ~ 3.3e24, Baillie-PSW above).
 
-    Prime(n) returns n itself when n is already a Prime, and otherwise
-    tests it once and raises ValueError if it is not prime.  It prints,
+    Prime(n) returns n itself when n is already a Prime, refuses n >=
+    2^PRIME_BITS_BOUND untested, and otherwise tests it once and raises
+    ValueError if it is not prime.  It prints,
     hashes and compares like the int; arithmetic on it returns plain ints,
     so no product of primes is ever taken for one."""
 
@@ -354,6 +359,9 @@ class Prime(int):
     def __new__(cls, n):
         if type(n) is Prime:
             return n
+        if isinstance(n, int) and n > 0 and n.bit_length() > PRIME_BITS_BOUND:
+            raise ValueError(f"a prime candidate of {n.bit_length()} bits exceeds the "
+                             f"primality workload bound of 2^{PRIME_BITS_BOUND}")
         if not isinstance(n, int) or not is_probable_prime(n):
             raise ValueError(f"{n} is not prime")
         return int.__new__(cls, n)
@@ -645,6 +653,7 @@ def int_valuation(n: int, p: int) -> tuple[int, int]:
 
 def vp(x: Rat, p: int):
     """The p-adic valuation, local_unit's; INFINITY for x = 0."""
+    p = Prime(p)
     return INFINITY if x.numerator == 0 else local_unit(x, p, 1)[0]
 
 

@@ -1,8 +1,11 @@
-"""Quadratic characters of (Z/mZ)^x and of p-local units: the Legendre
-character, the mod-4 and mod-8 sign characters, Gauss's lemma, the
-reciprocity law with its lattice-count proof, the composite characters
-psi_a and chi_a, and the table pairing each quadratic extension Q_p(sqrt(d))
-with the character of its norm group, computed from one closed form.
+"""Quadratic characters of (Z/mZ)^x and of Q_v^x: the Legendre character,
+the mod-4 and mod-8 sign characters, Gauss's lemma, the reciprocity law
+with its lattice-count proof, the composite characters psi_a and chi_a,
+the global characters (products of lambda_4, lambda_8 and lambda_p), the
+local ones (a global character of the units times a power of the place's
+sign: sign(x) at the real place, nu_p(x) = (-1)^v_p(x) at p), and the table
+pairing each quadratic extension Q_p(sqrt(d)) with the character of its
+norm group, computed from one closed form.
 
 Sign values are plain ints in {+1,-1}.  The mod-4, mod-8 and archimedean
 signs each have an epsilon twin returning an element of {0,1} (the exponent
@@ -16,6 +19,9 @@ import math
 from fractions import Fraction
 
 from qrlab.rational import (
+    INF_PLACE,
+    Place,
+    PlaceLike,
     Prime,
     Rat,
     Record,
@@ -25,7 +31,6 @@ from qrlab.rational import (
     odd_prime,
     smallest_nonresidue,
     unit_residue,
-    vp,
 )
 
 
@@ -138,47 +143,25 @@ _TWO_ADIC = frozenset({4, 8})
 
 
 class QuadraticCharacter(Record):
-    """A product of primitive quadratic characters, stored structurally.
+    """A product of primitive quadratic characters, stored structurally:
+    `factors` is a set drawn from {4, 8} and odd primes, 4 standing for
+    the mod-4 sign character, 8 for the mod-8 one and an odd prime p
+    (held as a Prime) for the Legendre character at p."""
 
-    `factors` is a set drawn from {4, 8} and odd primes: 4 stands for the
-    mod-4 sign character, 8 for the mod-8 one, an odd prime p for the
-    Legendre character at p.  `unramified_sign_prime`, when set to p, tacks
-    on the local factor (-1)^{v_p(x)} (only meaningful for evaluation in
-    Q_p^x; it does not contribute to the modulus).  Both hold their primes
-    as Primes.
-    """
+    __slots__ = ("factors",)
 
-    __slots__ = ("factors", "unramified_sign_prime")
-
-    def __init__(self, factors: frozenset[int], unramified_sign_prime: int | None = None):
+    def __init__(self, factors: frozenset[int]):
         _set(self, "factors", frozenset(f if f in _TWO_ADIC else odd_prime(f) for f in factors))
-        _set(self, "unramified_sign_prime",
-             None if unramified_sign_prime is None else Prime(unramified_sign_prime))
 
     @property
     def modulus(self) -> int:
         return math.lcm(*self.factors)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors and self.unramified_sign_prime is None
-
-    def times(self, other: "QuadraticCharacter") -> "QuadraticCharacter":
-        if self.unramified_sign_prime != other.unramified_sign_prime and None not in (
-            self.unramified_sign_prime,
-            other.unramified_sign_prime,
-        ):
-            raise ValueError("cannot multiply characters at different places")
-        nu = None
-        if (self.unramified_sign_prime is None) != (other.unramified_sign_prime is None):
-            nu = self.unramified_sign_prime or other.unramified_sign_prime
-        return QuadraticCharacter(self.factors ^ other.factors, nu)
-
     def _exponent(self, r: int) -> int:
-        """e with (-1)^e the product of the ramified factors at a unit whose
-        residue is r: lambda_4 and lambda_8 read r mod 4 and mod 8 (r odd),
+        """e with (-1)^e the product of the factors at a unit whose residue
+        is r: lambda_4 and lambda_8 read r mod 4 and mod 8 (r odd),
         lambda_f reads it mod f by Euler's criterion (r prime to f).  The
-        one core of eval and eval_local, on a plain int."""
+        one core of eval and LocalCharacter.value, on a plain int."""
         e = 0
         for f in self.factors:
             if f == 4:
@@ -191,50 +174,70 @@ class QuadraticCharacter(Record):
 
     def eval(self, x: Rat) -> int:
         """Global evaluation at x prime to the modulus (x odd when 4 or 8
-        divides the modulus).  The nu factor, if any, uses v_p(x)."""
+        divides the modulus)."""
         if x == 0:
             raise ValueError("x must be nonzero")
-        e = self._exponent(unit_residue(x, self.modulus))
-        if self.unramified_sign_prime is not None:
-            e += vp(x, self.unramified_sign_prime)
-        return (-1) ** (e % 2)
-
-    def eval_local(self, x: Rat, p: int) -> int:
-        """Evaluation as a character of Q_p^x: x = p^m u, the quadratic
-        factors act on the unit u, the uniformiser is sent to +1 (nu factor
-        excepted, which contributes (-1)^m)."""
-        for f in self.factors:
-            if f not in (4, 8, p):
-                raise ValueError(f"factor {f} is not local at {p}")
-        if self.unramified_sign_prime not in (None, p):
-            raise ValueError("nu factor is not local at requested prime")
-        # lambda_4 and lambda_8 read the unit mod 8 even at odd p, where they
-        # must still reject an even unit: reduce mod 8p there, not mod p
-        two_adic = not self.factors.isdisjoint(_TWO_ADIC)
-        m, u = local_unit(x, p, 8 if p == 2 else 8 * p if two_adic else p)
-        if two_adic and u % 2 == 0:
-            raise ValueError(f"{x} is not a 2-adic unit")
-        e = self._exponent(u)
-        if self.unramified_sign_prime is not None:
-            e += m
-        return (-1) ** (e % 2)
+        return (-1) ** (self._exponent(unit_residue(x, self.modulus)) % 2)
 
     def label(self) -> str:
-        parts = []
-        if self.unramified_sign_prime is not None:
-            parts.append(f"nu_{self.unramified_sign_prime}")
-        for f in sorted(self.factors):
-            parts.append(f"lambda_{f}")
-        return "*".join(parts) if parts else "1"
+        return "*".join(f"lambda_{f}" for f in sorted(self.factors)) or "1"
 
 
 TRIVIAL_CHARACTER = QuadraticCharacter(frozenset())
 
 
+class LocalCharacter(Record):
+    """A character of Q_v^x of order dividing 2: quad on the units times
+    the place's sign to the power r.  The sign is sign(x) at the real
+    place, which admits no quad factor, and nu_p(x) = (-1)^v_p(x) at p,
+    whose quad factors are drawn from {4, 8} (p = 2) or {p}.  Building one
+    is the one check of a character's locality."""
+
+    __slots__ = ("place", "quad", "r")
+
+    def __init__(self, place: Place, quad: QuadraticCharacter = TRIVIAL_CHARACTER, r: int = 0):
+        if r not in (0, 1):
+            raise ValueError("r must be 0 or 1")
+        p = place.prime  # None at the real place, where no factor is local
+        if not quad.factors <= (_TWO_ADIC if p == 2 else {p}):
+            raise ValueError(f"factors {set(quad.factors)} are not local at {place}")
+        _set(self, "place", place)
+        _set(self, "quad", quad)
+        _set(self, "r", r)
+
+    @classmethod
+    def at_infinity(cls, r: int) -> "LocalCharacter":
+        return cls(INF_PLACE, r=r)
+
+    @classmethod
+    def attached_to_extension(cls, d: Rat, v: PlaceLike) -> "LocalCharacter":
+        """The character of Q_v^x with kernel the norms of Q_v(sqrt(d))."""
+        d = Fraction(d)
+        if d == 0:
+            raise ValueError("d must be nonzero")
+        place = Place.parse(v)
+        if place.is_infinite:
+            return cls(place, r=0 if d > 0 else 1)
+        return _extension_character(d, place.prime)
+
+    def value(self, x: Rat) -> int:
+        """chi(x) in {+1, -1}; x nonzero rational."""
+        if self.place.is_infinite:
+            return sign_inf(x) if self.r else 1
+        p = self.place.prime
+        v, u = local_unit(x, p, 8 if p == 2 else p)
+        return (-1) ** ((self.quad._exponent(u) + self.r * v) % 2)
+
+    def label(self) -> str:
+        sign = "sign" if self.place.is_infinite else f"nu_{self.place.prime}"
+        parts = [sign] * self.r + [f"lambda_{f}" for f in sorted(self.quad.factors)]
+        return "*".join(parts) or "1"
+
+
 # ---------------------------------------------------------------------------
 # quadratic extensions <-> characters
 
-def _extension_character(d: Rat, p: int) -> QuadraticCharacter:
+def _extension_character(d: Rat, p: int) -> LocalCharacter:
     """The character a -> (a, d)_p of Q_p^x, whose kernel is the norm group
     of Q_p(sqrt(d)): Serre's closed form for the Hilbert symbol (A Course in
     Arithmetic, III.1.2) read as a function of a.  With d = p^beta u, it is
@@ -246,13 +249,13 @@ def _extension_character(d: Rat, p: int) -> QuadraticCharacter:
     if p == 2:
         if u % 4 == 3:  # eps4(u)
             factors.add(4)
-        nu = u % 8 in (3, 5)  # eps8(u)
+        nu = int(u % 8 in (3, 5))  # eps8(u)
     else:
         nu = (beta * (p - 1) // 2 + (pow(u, (p - 1) // 2, p) != 1)) % 2
-    return QuadraticCharacter(frozenset(factors), p if nu else None)
+    return LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset(factors)), nu)
 
 
-def ext_char_correspondence(p: int) -> list[tuple[int, QuadraticCharacter]]:
+def ext_char_correspondence(p: int) -> list[tuple[int, LocalCharacter]]:
     """The dictionary between quadratic extensions Q_p(sqrt(b)) (b running
     over the nontrivial square classes) and the quadratic characters of
     Q_p^x with kernel the norm group: chi_b(a) = (a, b)_p."""

@@ -275,37 +275,100 @@ def ext_char_table_by_hand(p: int):
     form that replaced it: the seven 2-adic characters and the three at an
     odd p, each written out as a product of nu, lambda_4, lambda_8 and
     lambda_p."""
-    from qrlab.rational import smallest_nonresidue
-    from qrlab.symbols import QuadraticCharacter
+    from qrlab.rational import Place, smallest_nonresidue
+    from qrlab.symbols import LocalCharacter, QuadraticCharacter
 
-    nu = QuadraticCharacter(frozenset(), unramified_sign_prime=p)
+    def chi(factors=(), nu=0):
+        return LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset(factors)), nu)
+
     if p == 2:
-        l4 = QuadraticCharacter(frozenset({4}))
-        l8 = QuadraticCharacter(frozenset({8}))
         return [
-            (5, nu),
-            (-1, l4),
-            (-5, nu.times(l4)),
-            (2, l8),
-            (10, nu.times(l8)),
-            (-2, l4.times(l8)),
-            (-10, nu.times(l4).times(l8)),
+            (5, chi(nu=1)),
+            (-1, chi({4})),
+            (-5, chi({4}, 1)),
+            (2, chi({8})),
+            (10, chi({8}, 1)),
+            (-2, chi({4, 8})),
+            (-10, chi({4, 8}, 1)),
         ]
     u = smallest_nonresidue(p)
-    lp = QuadraticCharacter(frozenset({p}))
-    return [(u, nu), (-p, lp), (-u * p, nu.times(lp))]
+    return [(u, chi(nu=1)), (-p, chi({p})), (-u * p, chi({p}, 1))]
 
 
 def attached_character_by_search(d, p: int):
     """LocalCharacter.attached_to_extension(d, p) by its older route, kept
     to pin the closed form that replaced it: the character of the table
     entry b with b d a square at p, or the trivial one when d is a square."""
-    from qrlab.analytic import LocalCharacter
     from qrlab.padic import square_class
     from qrlab.rational import Place
+    from qrlab.symbols import LocalCharacter
 
-    place = Place.finite(p)
     for b, chi in ext_char_table_by_hand(p):
         if square_class(b * Fraction(d), p) == 1:
-            return LocalCharacter(place, chi)
-    return LocalCharacter(place)
+            return chi
+    return LocalCharacter(Place.finite(p))
+
+
+# the one local reduction's older route: x = p^r u with the unit u built as
+# a Fraction, then reduced mod m
+
+def old_vp_split(x, p):
+    from qrlab.rational import INFINITY, int_valuation
+
+    x = Fraction(x)
+    if x == 0:
+        return INFINITY
+    r, num = int_valuation(x.numerator, p)
+    if r:
+        return r, Fraction(num, x.denominator)
+    r, den = int_valuation(x.denominator, p)
+    return -r, Fraction(num, den)
+
+
+def old_unit_residue(x, m, p=1, v=0):
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p**v
+    elif v < 0:
+        den //= p**-v
+    if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
+        raise ValueError(f"{x} is not a unit modulo {m}")
+    return num * pow(den, -1, m) % m
+
+
+def old_legendre(a, p):
+    from qrlab.rational import INFINITY, is_probable_prime
+
+    if p == 2 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    split = old_vp_split(a, p)
+    if split is INFINITY:
+        raise ValueError("a must be nonzero")
+    r, u = split
+    if r != 0:
+        raise ValueError("not a unit")
+    return 1 if pow(old_unit_residue(u, p), (p - 1) // 2, p) == 1 else -1
+
+
+def old_eval_local(chi, x):
+    """LocalCharacter.value by the vp_split route: x = p^m u by
+    old_vp_split, each factor read from u one at a time, and nu_p^r from
+    m."""
+    from qrlab.rational import INFINITY
+
+    p = chi.place.prime
+    split = old_vp_split(x, p)
+    if split is INFINITY:
+        raise ValueError("x must be nonzero")
+    m, u = split
+    e = chi.r * m
+    for f in chi.quad.factors:
+        if f == 4:
+            e += (old_unit_residue(u, 4) - 1) // 2
+        elif f == 8:
+            r = old_unit_residue(u, 8)
+            e += (r * r - 1) // 8 % 2
+        else:
+            e += 0 if old_legendre(u, f) == 1 else 1
+    return (-1) ** (e % 2)

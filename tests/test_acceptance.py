@@ -239,7 +239,7 @@ def test_11_extension_character_correspondence(capsys):
                     rep * rng.randint(1, 30) ** 2 for rep in SQUARE_CLASSES[p] for _ in range(3)
                 ]
                 for a in samples:
-                    assert is_local_norm(a, b, p) == (chi.eval_local(a, p) == 1), (a, b, p)
+                    assert is_local_norm(a, b, p) == (chi.value(a) == 1), (a, b, p)
 
 
 def test_12_structure_checks(capsys):

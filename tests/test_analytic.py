@@ -18,6 +18,7 @@ from oracles import (
     power_sum_direct,
     primes_below,
 )
+from qrlab import symbols
 from qrlab.analytic import (
     BERNOULLI_BOUND,
     ROOT_NUMBER_BOUND,
@@ -39,8 +40,7 @@ L8 = QuadraticCharacter(frozenset({8}))
 
 
 def _chi(p: int, *, factors=(), nu=False) -> LocalCharacter:
-    quad = QuadraticCharacter(frozenset(factors), p if nu else None)
-    return LocalCharacter(Place.finite(p), quad)
+    return LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset(factors)), int(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +197,11 @@ def test_character_validation():
     with pytest.raises(ValueError):
         LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset({5})))
     with pytest.raises(ValueError):
-        LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset(), 5))  # nu_5 is not at 3
-    with pytest.raises(ValueError):
-        LocalCharacter(INF_PLACE, QuadraticCharacter(frozenset(), 3))
-    nu3 = LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset({3}), 3))
+        LocalCharacter(Place.finite(3), r=2)
+    nu3 = LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset({3})), 1)
     assert nu3.label() == "nu_3*lambda_3" and nu3.value(3) == -1 and nu3.value(2) == -1
+    # the one local type lives in symbols; analytic imports it
+    assert LocalCharacter is symbols.LocalCharacter
 
 
 def test_character_values():

@@ -27,8 +27,8 @@ from qrlab.cli import run
 from qrlab.commands import scans
 from qrlab.commands.analytic import _complex
 from qrlab.hilbert import hilbert_symbol
-from qrlab.padic import PADIC_BITS_BOUND, VP_FACTORIAL_BOUND
-from qrlab.rational import is_probable_prime
+from qrlab.padic import HENSEL_WORK_BOUND, PADIC_BITS_BOUND, VP_FACTORIAL_BOUND
+from qrlab.rational import PRIME_BITS_BOUND, is_probable_prime
 from qrlab.symbols import BINOMIAL_PRIMALITY_BOUND, GAUSS_LEMMA_BOUND, LATTICE_BOUND
 
 
@@ -340,6 +340,39 @@ def test_valuation_base_below_2_exits_2(capsys):
         code, _, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_valuation_at_a_composite_exits_2(capsys):
+    # vp read v_4(8) = 1 and v_4(0) = infinity, where absval refused 4
+    for argv in (["vp", "8", "4"], ["vp", "0", "4"], ["absval", "8", "4"]):
+        assert invoke(capsys, *argv) == (2, "", "error: 4 is not prime\n"), argv
+
+
+def test_a_prime_past_the_size_bound_is_refused_untested(capsys):
+    # the least odd n > 10^4299 prime to 2..47: its first strong test alone
+    # took ~7 s
+    n = 10**4299 + 1
+    while math.gcd(n, math.prod(p for p in range(2, 48) if is_probable_prime(p))) != 1:
+        n += 2
+    for argv in (["legendre", "2", str(n)], ["hilbert", "2", "3", str(n)],
+                 ["correspondence", str(n)], ["vp", "5", str(2**PRIME_BITS_BOUND + 1)]):
+        code, _, err = _timed(capsys, argv, 1.0)
+        assert code == 2 and "workload bound" in err, argv[0]
+    # 2^1024 - 105 is the largest prime below the bound
+    assert _timed(capsys, ["legendre", "2", str(2**PRIME_BITS_BOUND - 105)], 1.0)[0] == 0
+
+
+def test_hensel_in_bounded_time(capsys):
+    # deg(f) * (bits + 64) at the bound, for x^d - 9 at x0 = 2^(b-1) + 1
+    # with --prec b at p = 2 (delta = 0 for odd d), then one degree past it
+    for b in (128, 1024):
+        d = HENSEL_WORK_BOUND // (b + 64)
+        d -= d % 2 == 0
+        for degree, code in ((d, 0), (d + 2, 2)):
+            f = ",".join(["-9"] + ["0"] * (degree - 1) + ["1"])
+            argv = ["hensel", f, str(2 ** (b - 1) + 1), "-p", "2", "--prec", str(b)]
+            got, _, err = _timed(capsys, argv, 2.0 if code == 0 else 1.0)
+            assert got == code and (code == 0 or "workload bound" in err), (b, degree)
 
 
 def test_factorize_psi_12(capsys):

@@ -46,6 +46,10 @@ from oracles import (
     ext_char_table_by_hand,
     factorization_value,
     is_prime_trial,
+    old_eval_local,
+    old_legendre,
+    old_unit_residue,
+    old_vp_split,
     primes_below,
     slow_hilbert,
 )
@@ -657,8 +661,8 @@ def test_padic_arithmetic_tests_no_prime(primality_calls):
 def test_root_numbers_test_no_prime_once_the_character_is_built(primality_calls):
     chars = [LocalCharacter.attached_to_extension(d, p)
              for d, p in ((-1, 2), (2, 2), (-10, 2), (3, 3), (-7, 7), (7 * 5, 1009), (1013, 1013))]
-    chars += [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p}), nu))
-              for p in (3, 101) for nu in (None, p)]
+    chars += [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p})), nu)
+              for p in (3, 101) for nu in (0, 1)]
     primality_calls.clear()
     for chi in chars:
         assert abs(abs(local_root_number(chi)) - 1) < 1e-9
@@ -695,13 +699,13 @@ def test_root_number_terms_build_no_character_and_split_nothing(local_calls):
     # grow with them, with nu or without, at p^a or at another gamma
     counts = set()
     for p in (3, 101, 9973):
-        for nu in (None, p):
-            chi = LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p}), nu))
+        for nu in (0, 1):
+            chi = LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset({p})), nu)
             for gamma in (None, Fraction(5 * p, 7 if p != 7 else 11)):
                 for key in local_calls:
                     local_calls[key] = 0
                 local_root_number(chi, gamma=gamma)
-                counts.add((nu is None, gamma is None, tuple(sorted(local_calls.items()))))
+                counts.add((nu, gamma is None, tuple(sorted(local_calls.items()))))
     assert len(counts) == 4, counts
     for *_, items in counts:
         calls = dict(items)
@@ -1402,76 +1406,17 @@ def test_descent_frames_chain_from_the_input_to_a_base_form():
 
 # ---------------------------------------------------------------------------
 # the one local reduction: local_unit and its callers against the old
-# vp_split route, which built the unit as a Fraction and reduced it with
-# unit_residue(x, m, p, v)
-
-
-def _old_vp_split(x, p):
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    r, num = int_valuation(x.numerator, p)
-    if r:
-        return r, Fraction(num, x.denominator)
-    r, den = int_valuation(x.denominator, p)
-    return -r, Fraction(num, den)
-
-
-def _old_unit_residue(x, m, p=1, v=0):
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p**v
-    elif v < 0:
-        den //= p**-v
-    if math.gcd(den, m) != 1 or math.gcd(num, m) != 1:
-        raise ValueError(f"{x} is not a unit modulo {m}")
-    return num * pow(den, -1, m) % m
-
-
-def _old_legendre(a, p):
-    if p == 2 or not rational.is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    split = _old_vp_split(a, p)
-    if split is INFINITY:
-        raise ValueError("a must be nonzero")
-    r, u = split
-    if r != 0:
-        raise ValueError("not a unit")
-    return 1 if pow(_old_unit_residue(u, p), (p - 1) // 2, p) == 1 else -1
-
-
-def _old_eval_local(chi, x, p):
-    split = _old_vp_split(x, p)
-    if split is INFINITY:
-        raise ValueError("x must be nonzero")
-    m, u = split
-    e = 0
-    for f in chi.factors:
-        if f == 4:
-            e += (_old_unit_residue(u, 4) - 1) // 2
-        elif f == 8:
-            r = _old_unit_residue(u, 8)
-            e += (r * r - 1) // 8 % 2
-        else:
-            if f != p:
-                raise ValueError(f"factor {f} is not local at {p}")
-            e += 0 if _old_legendre(u, f) == 1 else 1
-    if chi.unramified_sign_prime is not None:
-        if chi.unramified_sign_prime != p:
-            raise ValueError("nu factor is not local at requested prime")
-        e += m
-    return (-1) ** (e % 2)
+# vp_split route of oracles.old_vp_split and oracles.old_unit_residue
 
 
 def _old_square_class(x, p):
     if p < 2 or not rational.is_probable_prime(p):
         raise ValueError(f"{p} is not a prime")
-    split = _old_vp_split(x, p)
+    split = old_vp_split(x, p)
     if split is INFINITY:
         raise ValueError("x must be nonzero")
     v = split[0]
-    return _class_rep(p, v, _old_unit_residue(x, 8 if p == 2 else p, p, v))
+    return _class_rep(p, v, old_unit_residue(x, 8 if p == 2 else p, p, v))
 
 
 def _old_from_rational(x, p, precision):
@@ -1480,8 +1425,8 @@ def _old_from_rational(x, p, precision):
     x = Fraction(x)
     if x == 0:
         return PAdicElement.zero(p)
-    v = _old_vp_split(x, p)[0]
-    return PAdicElement(p, v, _old_unit_residue(x, p**precision, p, v), precision)
+    v = old_vp_split(x, p)[0]
+    return PAdicElement(p, v, old_unit_residue(x, p**precision, p, v), precision)
 
 
 def _old_p_frac_part(x, p):
@@ -1490,11 +1435,11 @@ def _old_p_frac_part(x, p):
     x = Fraction(x)
     if x == 0:
         return Fraction(0)
-    v = _old_vp_split(x, p)[0]
+    v = old_vp_split(x, p)[0]
     if v >= 0:
         return Fraction(0)
     q = p ** (-v)
-    return Fraction(_old_unit_residue(x, q, p, v), q)
+    return Fraction(old_unit_residue(x, q, p, v), q)
 
 
 def _outcome(fn, *args):
@@ -1562,18 +1507,35 @@ def test_hilbert_symbol_matches_per_place_oracle(p, v, num, den, q, w, num2, den
 
 @settings(max_examples=400, deadline=None)
 @given(LOCAL_PRIMES, st.integers(-3, 3), LOCAL_INTS, LOCAL_INTS,
-       st.sets(st.sampled_from([4, 8, "p", 3, 5])), st.booleans(), st.booleans())
+       st.sets(st.sampled_from([4, 8, "p"])), st.booleans(), st.booleans())
 def test_local_callers_match_the_vp_split_route(p, v, num, den, factors, nu, zero):
     x = 0 if zero else _at(p, v, num, abs(den))
-    fs = frozenset(p if f == "p" else f for f in factors if (f, p) != ("p", 2))
-    chi = QuadraticCharacter(fs, p if nu else None)
-    assert _outcome(chi.eval_local, x, p) == _outcome(_old_eval_local, chi, x, p), (chi, x, p)
-    assert _outcome(legendre, x, p) == _outcome(_old_legendre, x, p), (x, p)
+    # the factors local at p: lambda_4 and lambda_8 at 2, lambda_p elsewhere
+    fs = frozenset(p if f == "p" else f for f in factors if (f == "p") != (p == 2))
+    chi = LocalCharacter(Place.finite(p), QuadraticCharacter(fs), int(nu))
+    assert _outcome(chi.value, x) == _outcome(old_eval_local, chi, x), (chi, x)
+    assert _outcome(legendre, x, p) == _outcome(old_legendre, x, p), (x, p)
     assert _outcome(square_class, x, p) == _outcome(_old_square_class, x, p), (x, p)
     assert _outcome(p_frac_part, x, p) == _outcome(_old_p_frac_part, x, p), (x, p)
     for precision in (1, 3, 20):
         new = _outcome(PAdicElement.from_rational, x, p, precision)
         assert new == _outcome(_old_from_rational, x, p, precision), (x, p, precision)
+
+
+def test_every_local_character_matches_the_vp_split_route():
+    # each local character at p (8 at 2, 4 at an odd p) on seeded rationals
+    # of height <= 10^6 times p^k, |k| <= 3, and on 0
+    rng = random.Random(32)
+    for p in (2, 3, 5, 7, 1009, 1013):
+        subsets = ((), (4,), (8,), (4, 8)) if p == 2 else ((), (p,))
+        chars = [LocalCharacter(Place.finite(p), QuadraticCharacter(frozenset(fs)), nu)
+                 for fs in subsets for nu in (0, 1)]
+        xs = [0] + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+                    * Fraction(p) ** rng.randint(-3, 3) for _ in range(300)]
+        assert len(set(chars)) == len(chars) == (8 if p == 2 else 4)
+        for chi in chars:
+            for x in xs:
+                assert _outcome(chi.value, x) == _outcome(old_eval_local, chi, x), (chi, x)
 
 
 def _old_eval(chi, x):
@@ -1584,32 +1546,16 @@ def _old_eval(chi, x):
     e = 0
     for f in chi.factors:
         e += eps4(x) if f == 4 else eps8(x) if f == 8 else eps_p(x, f)
-    if chi.unramified_sign_prime is not None:
-        e += vp(x, chi.unramified_sign_prime)
     return (-1) ** (e % 2)
 
 
 @settings(max_examples=400, deadline=None)
 @given(LOCAL_PRIMES, st.integers(-3, 3), LOCAL_INTS, LOCAL_INTS,
-       st.sets(st.sampled_from([4, 8, 3, 5, 7, 1009])), st.sampled_from([None, 2, 3, 7]),
-       st.booleans())
-def test_eval_matches_the_per_factor_route(p, v, num, den, factors, nu, zero):
+       st.sets(st.sampled_from([4, 8, 3, 5, 7, 1009])), st.booleans())
+def test_eval_matches_the_per_factor_route(p, v, num, den, factors, zero):
     x = 0 if zero else _at(p, v, num, abs(den))
-    chi = QuadraticCharacter(frozenset(factors), nu)
+    chi = QuadraticCharacter(frozenset(factors))
     assert _outcome(chi.eval, x) == _outcome(_old_eval, chi, x), (chi, x)
-
-
-def test_eval_local_reads_lambda4_lambda8_on_the_whole_unit():
-    # at p = 3 the unit 5 is 2 mod 3 but 1 mod 4 and 5 mod 8, and the unit 2
-    # is not a 2-adic unit at all
-    l4, l8 = QuadraticCharacter(frozenset({4})), QuadraticCharacter(frozenset({8}))
-    assert l4.eval_local(Fraction(45), 3) == 1
-    assert l8.eval_local(Fraction(5, 9), 3) == -1
-    for chi in (l4, l8, l4.times(l8)):
-        with pytest.raises(ValueError):
-            chi.eval_local(18, 3)
-        with pytest.raises(ValueError):
-            chi.eval_local(Fraction(9, 2), 3)
 
 
 def _fraction_verify(w, a, b):

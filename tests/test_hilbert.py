@@ -323,11 +323,11 @@ def test_correspondence_tables():
     t3 = ext_char_correspondence(3)
     assert [b for b, _ in t3] == [2, -3, -6]  # u = 2 is the least non-residue
     nu = t3[0][1]
-    assert nu.unramified_sign_prime == 3 and not nu.factors
+    assert nu.place.prime == 3 and nu.r == 1 and not nu.quad.factors
     t2 = ext_char_correspondence(2)
     assert [b for b, _ in t2] == [5, -1, -5, 2, 10, -2, -10]
-    assert t2[3][1].factors == frozenset({8})
-    assert t2[1][1].factors == frozenset({4})
+    assert t2[3][1].quad.factors == frozenset({8})
+    assert t2[1][1].quad.factors == frozenset({4})
 
 
 def test_correspondence_defining_property():
@@ -338,8 +338,8 @@ def test_correspondence_defining_property():
                 Fraction(-3, 4),
                 Fraction(5, 9),
             ]:
-                assert chi.eval_local(a, p) == hilbert_symbol(a, b, p), (p, b, a)
-                assert is_local_norm(a, b, p) == (chi.eval_local(a, p) == 1)
+                assert chi.value(a) == hilbert_symbol(a, b, p), (p, b, a)
+                assert is_local_norm(a, b, p) == (chi.value(a) == 1)
 
 
 def test_correspondence_characters_distinct_and_nontrivial():
@@ -348,7 +348,7 @@ def test_correspondence_characters_distinct_and_nontrivial():
         probes = [Fraction(x) for x in range(1, 50) if x % p] + [Fraction(p), Fraction(2 * p + p * p)]
         seen = set()
         for _, chi in table:
-            vals = tuple(chi.eval_local(a, p) for a in probes)
+            vals = tuple(chi.value(a) for a in probes)
             assert any(s == -1 for s in vals)
             seen.add(vals)
         assert len(seen) == len(table)

@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from qrlab.analytic import LocalCharacter
 from qrlab.conic import ConicCertificate, DescentFrame, NormCertificate
 from qrlab.hilbert import LocalWitness, SymbolVector
 from qrlab.padic import IntPolynomial, PAdicElement
 from qrlab.rational import INF_PLACE, Factorization, Place, Prime, Record
-from qrlab.symbols import MersenneCharacterResult, QuadraticCharacter
+from qrlab.symbols import LocalCharacter, MersenneCharacterResult, QuadraticCharacter
 
 P3, P7 = Place("finite", 3), Place("finite", 7)
 LAMBDA_3 = QuadraticCharacter(frozenset({3}))
@@ -29,8 +28,8 @@ CASES = [
     (Place, ("finite", 7), "Place(kind='finite', prime=7)"),
     (
         QuadraticCharacter,
-        (frozenset({3}), 3),
-        "QuadraticCharacter(factors=frozenset({3}), unramified_sign_prime=3)",
+        (frozenset({3}),),
+        "QuadraticCharacter(factors=frozenset({3}))",
     ),
     (
         MersenneCharacterResult,
@@ -62,9 +61,9 @@ CASES = [
     ),
     (
         LocalCharacter,
-        (P3, LAMBDA_3, 0),
+        (P3, LAMBDA_3, 1),
         "LocalCharacter(place=Place(kind='finite', prime=3),"
-        " quad=QuadraticCharacter(factors=frozenset({3}), unramified_sign_prime=None), r=0)",
+        " quad=QuadraticCharacter(factors=frozenset({3})), r=1)",
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -127,8 +126,8 @@ def test_pickle_and_copy_round_trip(cls, fields, text):
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
 def test_each_field_is_set_once(cls, fields, text, monkeypatch):
-    # counted through every module's binding of rational._set, the one
-    # setter a record's __init__ may use
+    # counted through the binding of rational._set, the one setter a
+    # record's __init__ may use, in every module that defines a record
     counts = Counter()
 
     def counting(obj, name, value):
@@ -136,8 +135,8 @@ def test_each_field_is_set_once(cls, fields, text, monkeypatch):
             counts[name] += 1
         object.__setattr__(obj, name, value)
 
-    for module in ("rational", "padic", "symbols", "hilbert", "conic", "analytic"):
-        monkeypatch.setattr(importlib.import_module(f"qrlab.{module}"), "_set", counting)
+    for module in {c.__module__ for c, _, _ in CASES}:
+        monkeypatch.setattr(importlib.import_module(module), "_set", counting)
     cls(*fields)
     assert counts == Counter(cls._fields)
 
@@ -151,21 +150,20 @@ def test_an_unpickled_place_keeps_its_prime():
 
 def test_defaults_are_kept():
     assert Place("archimedean") == Place("archimedean", None) == INF_PLACE
-    assert QuadraticCharacter(frozenset()).unramified_sign_prime is None
     assert LocalWitness(P7, Fraction(1), Fraction(0), 3).approximate is False
     cert = ConicCertificate(Fraction(2), Fraction(7), "solution")
     assert (cert.x, cert.y, cert.places, cert.descent_depth) == (None, None, (), 0)
     norm = NormCertificate(Fraction(2), Fraction(7), True)
     assert (norm.y, norm.z, norm.places) == (None, None, ())
     chi = LocalCharacter(P3)
-    assert chi.quad.is_trivial and chi.r == 0
+    assert chi.quad == QuadraticCharacter(frozenset()) and chi.r == 0
 
 
 def test_construction_normalizes_fields():
     assert type(Place.finite(7).prime) is Prime
     assert type(PAdicElement(7, 0, 1, 2).prime) is Prime
     assert IntPolynomial((1, 2, 0, 0)).coefficients == (1, 2)
-    assert all(type(f) is Prime for f in QuadraticCharacter(frozenset({3, 7}), 5).factors)
+    assert all(type(f) is Prime for f in QuadraticCharacter(frozenset({3, 7})).factors)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +176,6 @@ def test_construction_normalizes_fields():
         lambda: Place("archimedean", 3),
         lambda: Place("complex"),
         lambda: QuadraticCharacter(frozenset({9})),
-        lambda: QuadraticCharacter(frozenset(), 4),
         lambda: PAdicElement(7, 0, 7, 2),
         lambda: PAdicElement(7, 0, 1, 0),
         lambda: PAdicElement(6, 0, 1, 1),
@@ -189,6 +186,8 @@ def test_construction_normalizes_fields():
         lambda: LocalCharacter(INF_PLACE, r=2),
         lambda: LocalCharacter(INF_PLACE, LAMBDA_3),
         lambda: LocalCharacter(P7, LAMBDA_3),
+        lambda: LocalCharacter(P3, QuadraticCharacter(frozenset({4}))),
+        lambda: LocalCharacter(P3, r=2),
     ],
 )
 def test_bad_fields_raise_value_error(build):

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import flips_by_hand, legendre_by_squares, primes_below, unit_group_product
-from qrlab.rational import Prime
+from qrlab.rational import INF_PLACE, TWO_PLACE, Place, Prime
 from qrlab.symbols import (
+    TRIVIAL_CHARACTER,
+    LocalCharacter,
     QuadraticCharacter,
     binomial_primality,
     bost_demo,
@@ -203,7 +205,7 @@ def test_psi_reciprocity_law(a, b):
 # kronecker chi
 
 def test_chi_structure():
-    assert chi_character(1).is_trivial
+    assert chi_character(1) == TRIVIAL_CHARACTER
     assert chi_character(-1).factors == frozenset({4})
     assert chi_character(2).factors == frozenset({8})
     assert chi_character(-2).factors == frozenset({4, 8})
@@ -257,10 +259,8 @@ def test_char_basis_m15():
     units = [x for x in range(1, 15) if math.gcd(x, 15) == 1]
     seen = set()
     for mask in range(4):
-        chi = QuadraticCharacter(frozenset())
-        for bit, c in enumerate(basis):
-            if mask >> bit & 1:
-                chi = chi.times(c)
+        chosen = [c.factors for bit, c in enumerate(basis) if mask >> bit & 1]
+        chi = QuadraticCharacter(frozenset().union(*chosen))
         seen.add(tuple(chi.eval(x) for x in units))
     assert len(seen) == 4
     # brute force: all multiplicative sign maps on G_15
@@ -281,42 +281,50 @@ def test_char_basis_m24():
 
 
 def test_character_local_evaluation():
-    chi = QuadraticCharacter(frozenset({4}), unramified_sign_prime=2)
-    assert chi.eval_local(2, 2) == -1
-    assert chi.eval_local(5, 2) == 1
-    assert chi.eval_local(3, 2) == -1
-    assert chi.times(chi).is_trivial
-    chi7 = QuadraticCharacter(frozenset({7}))
-    assert chi7.eval_local(Fraction(3, 49), 7) == legendre(3, 7)
+    chi = LocalCharacter(TWO_PLACE, QuadraticCharacter(frozenset({4})), 1)
+    assert chi.value(2) == -1
+    assert chi.value(5) == 1
+    assert chi.value(3) == -1
+    assert chi.label() == "nu_2*lambda_4"
+    chi7 = LocalCharacter(Place.finite(7), QuadraticCharacter(frozenset({7})))
+    assert chi7.value(Fraction(3, 49)) == legendre(3, 7)
     with pytest.raises(ValueError):
-        chi7.eval_local(3, 5)
+        LocalCharacter(Place.finite(5), chi7.quad)
+    # lambda_4 and lambda_8 are characters of Q_2^x only
+    for factors in ({4}, {8}, {4, 8}):
+        with pytest.raises(ValueError):
+            LocalCharacter(Place.finite(3), QuadraticCharacter(frozenset(factors)))
 
 
 def test_character_rejects_zero():
-    # a nu factor alone used to read v_p(0) = INFINITY and raise TypeError
+    # nu_p alone used to read v_p(0) = INFINITY and raise TypeError
     for chi in (
-        QuadraticCharacter(frozenset(), unramified_sign_prime=3),
-        QuadraticCharacter(frozenset({4}), unramified_sign_prime=2),
-        QuadraticCharacter(frozenset({7})),
+        LocalCharacter(Place.finite(3), r=1),
+        LocalCharacter(TWO_PLACE, QuadraticCharacter(frozenset({4})), 1),
+        LocalCharacter(Place.finite(7), QuadraticCharacter(frozenset({7}))),
+        LocalCharacter(INF_PLACE, r=1),
     ):
         with pytest.raises(ValueError):
-            chi.eval(0)
-        with pytest.raises(ValueError):
-            chi.eval_local(0, chi.unramified_sign_prime or 7)
+            chi.value(0)
+    with pytest.raises(ValueError):
+        QuadraticCharacter(frozenset({7})).eval(0)
 
 
 def test_character_certifies_its_primes():
-    # a composite nu prime used to be accepted, and eval(15) read v_15(15) = 1
+    # a composite nu prime used to be accepted, and eval(15) read v_15(15) = 1:
+    # nu_p is now the sign of a place, whose prime is certified
     for bad in (15, 1, 4, 3317044064679887385961981):
         with pytest.raises(ValueError):
-            QuadraticCharacter(frozenset(), bad)
+            LocalCharacter(Place.finite(bad), r=1)
     for bad in (2, 9, 15, 1, 0):
         with pytest.raises(ValueError):
             QuadraticCharacter(frozenset({bad}))
-    chi = QuadraticCharacter(frozenset({4, 8, 7}), 3)
-    assert chi == QuadraticCharacter(frozenset({Prime(7), 4, 8}), Prime(3))
+    chi = QuadraticCharacter(frozenset({4, 8, 7}))
+    assert chi == QuadraticCharacter(frozenset({Prime(7), 4, 8}))
     assert {type(f).__name__ for f in chi.factors} == {"int", "Prime"}
-    assert type(chi.unramified_sign_prime) is Prime and chi.label() == "nu_3*lambda_4*lambda_7*lambda_8"
+    assert chi.label() == "lambda_4*lambda_7*lambda_8"
+    nu = LocalCharacter(Place.finite(3), r=1)
+    assert type(nu.place.prime) is Prime and nu.label() == "nu_3"
 
 
 # ---------------------------------------------------------------------------
