@@ -220,11 +220,13 @@ def _inverse_sqrt(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(den // (num << -2 * k)) << -k)
 
 
-def _unit_witness(ua: int, ub: int, beta: int, p: int, k: int) -> tuple[Fraction, Fraction]:
+def _unit_witness(
+    ua: int, ub: int, beta: int, p: int, k: int, mod: int
+) -> tuple[Fraction, Fraction]:
     """(x, y) with A x^2 + p^beta B y^2 = 1 to k digits, for beta in {0, 1}
-    and p-adic units A, B of residues ua, ub mod p^k with (A, p^beta B)_p = +1.
-    Every square root is rational.unit_sqrt's on a residue mod p^k, on ints."""
-    mod = p**k
+    and p-adic units A, B of residues ua, ub mod p^k = mod with (A, p^beta
+    B)_p = +1.  Every square root is rational.unit_sqrt's on a residue mod
+    p^k, on ints."""
     r = unit_sqrt(ua, p, k)
     if r is not None:
         return Fraction(1, r), Fraction(0)
@@ -279,8 +281,9 @@ def local_solve_witness(
         raise ValueError(f"precision must be >= 1, got {precision}")
     p = place.prime
     K = precision + _PRECISION_BUFFER
-    va, ua = local_unit(a, p, p**K)
-    vb, ub = local_unit(b, p, p**K)
+    pK = p**K
+    va, ua = local_unit(a, p, pK)
+    vb, ub = local_unit(b, p, pK)
     m = 8 if p == 2 else p
     if _symbol_exponent(p, va, ua % m, vb, ub % m):
         return None
@@ -288,14 +291,14 @@ def local_solve_witness(
     # sb = p^eb; mostly ea = eb = 0, and then nothing is scaled
     ea, eb = va // 2, vb // 2
     if va % 2 == 0:
-        x, y = _unit_witness(ua, ub, vb % 2, p, K)
+        x, y = _unit_witness(ua, ub, vb % 2, p, K, pK)
     elif vb % 2 == 0:
-        y, x = _unit_witness(ub, ua, 1, p, K)
+        y, x = _unit_witness(ub, ua, 1, p, K, pK)
     else:
         # a'' = -a b / (sa sb p)^2 is a unit, and br = b / sb^2: a witness
         # (w, z) of (a'', br) gives one of (ar, br), ar = a / sa^2
         br = b / Fraction(p) ** (2 * eb) if eb else b
-        w, z = _unit_witness(-ua * ub % p**K, ub, 1, p, K)
+        w, z = _unit_witness(-ua * ub % pK, ub, 1, p, K, pK)
         if z == 0:
             # a'' = 1/w^2: ar x^2 + br y^2 = ((br y)^2 - a''(p x)^2)/br
             x, y = (br - 1) * w / (2 * p), (1 + br) / (2 * br)

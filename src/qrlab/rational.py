@@ -15,20 +15,23 @@ division of num * den by p^|v|), and `rational_factor_exponents` sorts
 them for `factorize` and the CLI.
 
 `unit_sqrt` lifts a root mod p to one mod p^k in a Newton loop of its own,
-for padic_sqrt and for the local witnesses, which load no p-adics.
+for padic_sqrt and for the local witnesses, which load no p-adics; its
+moduli and the least non-residue mod p are cached, computed once per prime.
 
 The library's value types are `Record`s: each checks its arguments in
 __init__ and sets every field exactly once, so a built record is valid.
 
 A prime is certified once, by `Prime`: an int that has passed
-is_probable_prime (or comes out of factorize, which certifies what it
-finds), so every function that takes a prime checks it with one call that
-costs a type check when the prime is already a `Prime`.
+is_probable_prime, is in the sieve's table below 10^4, or comes out of
+factorize, which certifies what it finds; so every function that takes a
+prime checks it with one call that costs a type check when the prime is
+already a `Prime`.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -345,12 +348,13 @@ def _is_strong_lucas_prp(n: int) -> bool:
 
 
 class Prime(int):
-    """A certified prime: an int whose only added meaning is that it passed
-    is_probable_prime (a proof below psi_13 ~ 3.3e24, Baillie-PSW above).
+    """A certified prime: an int whose only added meaning is that the sieve
+    or is_probable_prime passed it (a proof below psi_13 ~ 3.3e24, BPSW above).
 
-    Prime(n) returns n itself when n is already a Prime, refuses n >=
-    2^PRIME_BITS_BOUND untested, and otherwise tests it once and raises
-    ValueError if it is not prime.  It prints,
+    Prime(n) returns n itself when n is already a Prime, reads a plain int
+    0 <= n <= _MID_PRIME_LIMIT from the sieve's _PRIME_TABLE, refuses n >=
+    2^PRIME_BITS_BOUND untested, and otherwise tests it once; it raises
+    ValueError if n is not prime.  It prints,
     hashes and compares like the int; arithmetic on it returns plain ints,
     so no product of primes is ever taken for one."""
 
@@ -359,12 +363,15 @@ class Prime(int):
     def __new__(cls, n):
         if type(n) is Prime:
             return n
-        if isinstance(n, int) and n > 0 and n.bit_length() > PRIME_BITS_BOUND:
+        if type(n) is int and 0 <= n <= _MID_PRIME_LIMIT:
+            if n in _PRIME_TABLE:
+                return _PRIME_TABLE[n]
+        elif isinstance(n, int) and n > 0 and n.bit_length() > PRIME_BITS_BOUND:
             raise ValueError(f"a prime candidate of {n.bit_length()} bits exceeds the "
                              f"primality workload bound of 2^{PRIME_BITS_BOUND}")
-        if not isinstance(n, int) or not is_probable_prime(n):
-            raise ValueError(f"{n} is not prime")
-        return int.__new__(cls, n)
+        elif isinstance(n, int) and is_probable_prime(n):
+            return int.__new__(cls, n)
+        raise ValueError(f"{n} is not prime")
 
     def __reduce__(self):
         return Prime, (int(self),)
@@ -705,9 +712,11 @@ def norm_product_check(x: Rat) -> bool:
 # ---------------------------------------------------------------------------
 # modular square roots
 
+@functools.lru_cache(maxsize=32, typed=True)
 def smallest_nonresidue(p: int) -> int:
     """The least positive non-residue modulo the odd prime p, by Jacobi
-    symbols, which are Legendre symbols at a prime."""
+    symbols, which are Legendre symbols at a prime.  Cached for the last 32
+    primes, so a root mod p searches once per p; typed, so 1009.0 is refused."""
     p = odd_prime(p)
     u = 2
     while _jacobi(u, p) == 1:
@@ -772,20 +781,31 @@ def unit_sqrt(u: int, p: int, k: int) -> int | None:
     odd p and 1, 3 at 2, so every step keeps x mod p^(m-d), the seed's
     sign.  The step to t is x <- x - ((x^2 - u)/p^d) s mod p^t, s =
     1/(2x/p^d) mod p^(t-2d), whose digits s <- s(2 - (2x/p^d) s) doubles;
-    as d > 0 only at 2, the shifts by d divide by p^d."""
-    x, d, m = (1 if u % 8 == 1 else None, 1, 3) if p == 2 else (sqrt_mod_prime(u, p), 0, 1)
+    as d > 0 only at 2, the shifts by d divide by p^d; the moduli p^t are
+    _lift_schedule's, computed once per (p, k)."""
+    x, d = (1 if u % 8 == 1 else None, 1) if p == 2 else (sqrt_mod_prime(u, p), 0)
     if x is None:
         return None
+    steps, last = _lift_schedule(p, k)
+    s = pow((2 * x) >> d, -1, p)  # t - 2d = 1 here
+    for mod_s, mod_x in steps:
+        x = (x - ((x * x - u) >> d) * s) % mod_x
+        s = s * (2 - ((2 * x) >> d) * s) % mod_s
+    return (x - ((x * x - u) >> d) * s) % last
+
+
+@functools.lru_cache(maxsize=32)
+def _lift_schedule(p: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """unit_sqrt's moduli at (p, k): (p^(t-2d), p^t) for each step but the
+    last, in order, then p^(k-d).  The targets t halve from k + d, so one
+    schedule holds ~3 log2(p^k) bits, 1.2-1.6 kB at the 2^1024 p-adic bound,
+    and the 32 entries hold under 50 kB there."""
+    d, m = (1, 3) if p == 2 else (0, 1)
     targets, t = [], k + d
     while t > m:
         targets.append(t)
         t = (t + 1) // 2 + d
-    s = pow((2 * x) >> d, -1, p)  # t - 2d = 1 here
-    for t in reversed(targets[1:]):
-        mod = p ** (t - 2 * d)
-        x = (x - ((x * x - u) >> d) * s) % (mod << 2 * d)
-        s = s * (2 - ((2 * x) >> d) * s) % mod
-    return (x - ((x * x - u) >> d) * s) % p ** (k - d)
+    return tuple((p ** (t - 2 * d), p**t) for t in reversed(targets[1:])), p ** (k - d)
 
 
 def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None) -> int | None:

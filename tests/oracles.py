@@ -372,3 +372,24 @@ def old_eval_local(chi, x):
         else:
             e += 0 if old_legendre(u, f) == 1 else 1
     return (-1) ** (e % 2)
+
+
+def old_unit_sqrt(u, p, k):
+    """unit_sqrt with its Newton schedule worked out again on every call:
+    the targets t from k + d down, and each p^t and p^(t - 2d) as the loop
+    reaches it."""
+    from qrlab.rational import sqrt_mod_prime
+
+    x, d, m = (1 if u % 8 == 1 else None, 1, 3) if p == 2 else (sqrt_mod_prime(u, p), 0, 1)
+    if x is None:
+        return None
+    targets, t = [], k + d
+    while t > m:
+        targets.append(t)
+        t = (t + 1) // 2 + d
+    s = pow((2 * x) >> d, -1, p)
+    for t in reversed(targets[1:]):
+        mod = p ** (t - 2 * d)
+        x = (x - ((x * x - u) >> d) * s) % (mod << 2 * d)
+        s = s * (2 - ((2 * x) >> d) * s) % mod
+    return (x - ((x * x - u) >> d) * s) % p ** (k - d)

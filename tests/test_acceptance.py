@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from oracles import is_prime_trial, primes_below, unit_group_product
 from qrlab.analytic import (
     LocalCharacter,
@@ -34,8 +32,6 @@ from qrlab.symbols import (
     ext_char_correspondence,
     gauss_lemma_sign,
     group_product_sign,
-    lambda4,
-    lambda8,
     lattice_counts,
     legendre,
     reciprocity_check,

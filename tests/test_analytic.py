@@ -2,13 +2,11 @@
 Staudt-Clausen, power sums, the p-adic fractional part, conductor
 exponents, and root numbers with their product formula."""
 
-import cmath
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (

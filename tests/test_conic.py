@@ -14,7 +14,6 @@ from oracles import global_norm_by_solve_conic, squarefree_split, ternary_by_sol
 from qrlab.conic import (
     ConicCertificate,
     DescentFrame,
-    NormCertificate,
     _descent,
     descent_step,
     global_is_norm,

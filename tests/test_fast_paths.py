@@ -10,12 +10,13 @@ roots are factored once, and the least that still do), solve_conic
 against recorded certificate points, hensel_lift's precision-doubling
 schedule against the per-step loop it replaced, unit_sqrt's own Newton
 loop in rational against the polynomial route through hensel_lift that
-it replaced, up to the precision bound, sqrt_mod_prime (Atkin's
+it replaced, up to the precision bound, and its cached schedule against
+the loop that worked it out on every call, sqrt_mod_prime (Atkin's
 formula at p = 5 (mod 8), one Tonelli-Shanks loop at every other odd
 prime) against Euler's criterion followed by a^((p+1)/4) or
 Tonelli-Shanks, smallest_nonresidue's Jacobi symbols against Euler's
-criterion, square roots mod squarefree b from one CRT basis, and mod one
-prime with no basis, with and without a carried root, against the
+criterion (searched once per prime), square roots mod squarefree b from
+one CRT basis, and mod one prime with no basis, with and without a carried root, against the
 pairwise-CRT enumeration they replaced, the descent that carries each
 frame's d down against one that takes a fresh root at every level, the logarithmic
 valuation against the one-division-per-digit loop, local_unit and its callers
@@ -23,8 +24,8 @@ against the old route that built the unit as a Fraction,
 LocalWitness.verify in integers against its Fraction evaluation, and the
 extension/character table and attached characters, from one closed form,
 against the hand-written tables and the square-class search they
-replaced.  Also the certified-prime type Prime, and how many primality
-tests each public route makes."""
+replaced.  Also the certified-prime type Prime, read from the sieve's
+table to 10^4, and how many primality tests each public route makes."""
 
 import copy
 import hashlib
@@ -49,6 +50,7 @@ from oracles import (
     old_eval_local,
     old_legendre,
     old_unit_residue,
+    old_unit_sqrt,
     old_vp_split,
     primes_below,
     slow_hilbert,
@@ -542,6 +544,29 @@ def test_prime_behaves_like_its_int():
             assert type(back) is Prime and back == n
 
 
+def test_prime_reads_the_sieve_table_below_10_4(primality_calls):
+    # every n in [-2, 10^4 + 200): the primes are accepted and the rest
+    # refused with "n is not prime"; from 0 to 10^4 a plain int is read from
+    # the table, untested, and any other (a bool too) is tested once
+    primes = set(primes_below(10**4 + 200))
+    for n in range(-2, 10**4 + 200):
+        primality_calls.clear()
+        if n in primes:
+            p = Prime(n)
+            assert type(p) is Prime and p == n, n
+            assert (p is rational._PRIME_TABLE.get(n)) == (n <= 10**4), n
+        else:
+            with pytest.raises(ValueError) as info:
+                Prime(n)
+            assert str(info.value) == f"{n} is not prime", n
+        assert primality_calls == ([] if 0 <= n <= 10**4 else [n]), n
+    for flag in (True, False):
+        primality_calls.clear()
+        with pytest.raises(ValueError, match=f"^{flag} is not prime$"):
+            Prime(flag)
+        assert primality_calls == [flag], flag
+
+
 def test_factorize_and_places_yield_primes():
     for n in (2 * 3**4 * 1009, -(2**61 - 1) * 1000003, 1009**2, 2**96):
         assert all(type(p) is Prime for p, _ in factorize(n).factors), n
@@ -632,14 +657,16 @@ def test_symbol_vector_tests_no_prime(primality_calls):
 
 
 def test_local_witness_tests_the_users_prime_once(primality_calls):
+    # a prime below 10^4 is read from the sieve's table, untested; one
+    # above it is tested once, when its place is built
     rng = random.Random(7)
-    for p in (2, 3, 13, 1009, 1013):
+    for p in (2, 3, 13, 1009, 1013, 10007, 1000003):
         for _ in range(20):
             a, b = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 10**4))
                     for _ in range(2))
             primality_calls.clear()
             local_solve_witness(a, b, p, precision=64)
-            assert primality_calls == [p], (a, b, p)
+            assert primality_calls == ([] if p < 10**4 else [p]), (a, b, p)
             place = Place.finite(p)
             primality_calls.clear()
             local_solve_witness(a, b, place, precision=64)
@@ -1008,6 +1035,27 @@ def test_unit_sqrt_matches_the_polynomial_route(p):
                     assert (root * root - u) % mod == 0, (u, p, k)
 
 
+def test_unit_sqrt_matches_the_uncached_schedule_as_entries_are_evicted():
+    # every (p, k) twice, in a shuffled order: far more distinct pairs than
+    # the schedule cache holds, so entries are evicted and computed again
+    rng = random.Random(33)
+    pairs = [(Prime(p), k) for p in (2, 3, 5, 7, 11, 13, 1009, 1013, 10007)
+             for k in range(3 if p == 2 else 1, 201)]
+    order = pairs * 2
+    rng.shuffle(order)
+    rational._lift_schedule.cache_clear()
+    for p, k in order:
+        mod = p**k
+        # a random unit (at 2, one that is 1 mod 8) and a square
+        u = 8 * rng.randrange(mod // 8) + 1 if p == 2 else rng.randrange(1, mod)
+        for u in (u, rng.randrange(1, mod) ** 2 % mod):
+            if u % p:
+                assert unit_sqrt(u, p, k) == old_unit_sqrt(u, p, k), (u, p, k)
+    info = rational._lift_schedule.cache_info()
+    assert info.maxsize == info.currsize == 32
+    assert info.misses > len(pairs), info
+
+
 # ---------------------------------------------------------------------------
 # valuations: O(log v) divisions against one division per digit
 
@@ -1146,6 +1194,18 @@ def test_smallest_nonresidue_matches_euler_criterion_below_10_4():
         while pow(u, (p - 1) // 2, p) == 1:
             u += 1
         assert smallest_nonresidue(p) == u, p
+
+
+def test_sqrt_mod_prime_searches_for_the_non_residue_once_per_prime(monkeypatch):
+    # at 1009 (least non-residue 11, a 2^4 tower) most roots need
+    # Tonelli-Shanks' c; the search for 11 runs on the first of them only
+    calls = []
+    real = rational._jacobi
+    monkeypatch.setattr(rational, "_jacobi", lambda a, n: calls.append((a, n)) or real(a, n))
+    smallest_nonresidue.cache_clear()
+    for a in range(1, 1001):
+        sqrt_mod_prime(a, 1009)
+    assert calls == [(u, 1009) for u in range(2, 12)]
 
 
 def test_correspondence_closed_form_matches_the_hand_table_below_10_4():

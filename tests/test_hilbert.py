@@ -1,7 +1,6 @@
 """Hilbert symbols at all places: closed forms against brute-force local
 solvability, the product formula, witnesses, and the norm/character tables."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import sign_at, slow_hilbert
 from qrlab.hilbert import (
-    LocalWitness,
     SymbolVector,
     hilbert_symbol,
     hilbert_vector,

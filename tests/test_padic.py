@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from oracles import digits_value, hensel_one_digit, padic_value, unit_digit
 from qrlab.padic import (
-    DEFAULT_PRECISION,
     IntPolynomial,
     PAdicElement,
     VP_FACTORIAL_BOUND,
@@ -30,7 +29,6 @@ from qrlab.padic import (
     vp_factorial,
 )
 from qrlab.rational import INFINITY
-from qrlab.symbols import legendre
 
 P = PAdicElement.from_rational
 

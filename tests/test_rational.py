@@ -11,7 +11,6 @@ from oracles import factorization_value, is_prime_trial, primes_below, sqrt_mod_
 from qrlab.rational import (
     INFINITY,
     Factorization,
-    FactorizationError,
     INF_PLACE,
     Place,
     _squarefree_core,
