@@ -4,8 +4,10 @@ from qrlab import padic, rational
 from qrlab.commands import _int, _rat, _ratstr
 
 
-def _element(text: str, p: int | None, prec: int):
-    """A p-adic element from either the textual O(...) form or a rational."""
+def _value(text: str, p: int | None, prec: int = 0):
+    """The element of the textual O(...) form, which must live at -p when
+    -p is given, or else the rational, which needs -p and p^prec within the
+    p-adic size bound."""
     if "O(" in text:
         x = padic.parse_padic(text)
         if p is not None and x.prime != p:
@@ -14,7 +16,15 @@ def _element(text: str, p: int | None, prec: int):
     if p is None:
         raise ValueError("pass -p for rational input")
     rational.check_padic_size(p, prec)
-    return padic.PAdicElement.from_rational(_rat(text), p, prec)
+    return _rat(text)
+
+
+def _element(text: str, p: int | None, prec: int):
+    """A p-adic element from either form: a rational is expanded to prec digits."""
+    x = _value(text, p, prec)
+    if isinstance(x, padic.PAdicElement):
+        return x
+    return padic.PAdicElement.from_rational(x, p, prec)
 
 
 def _h_arith(a):
@@ -77,21 +87,10 @@ def _h_digits(a):
 
 
 def _h_squareclass(a):
-    if "O(" in a.x:
-        c = padic.square_class(padic.parse_padic(a.x))
-    else:
-        if a.p is None:
-            raise ValueError("pass -p for rational input")
-        c = padic.square_class(_rat(a.x), a.p)
+    c = padic.square_class(_value(a.x, a.p), a.p)
     return 0, [str(c)], {"class": c}
 
 
 def _h_frac_part(a):
-    if "O(" in a.x:
-        x = padic.parse_padic(a.x)
-        t = padic.p_frac_part(x, a.p)
-    else:
-        if a.p is None:
-            raise ValueError("pass -p for rational input")
-        t = padic.p_frac_part(_rat(a.x), a.p)
+    t = padic.p_frac_part(_value(a.x, a.p), a.p)
     return 0, [_ratstr(t)], {"frac": _ratstr(t)}

@@ -183,7 +183,7 @@ _SEARCH_DENOMS = 16
 _SEARCH_RANGE = 12
 
 
-def _infinite_witness(a: Fraction, b: Fraction) -> LocalWitness:
+def _infinite_witness(a: Rat, b: Rat) -> LocalWitness:
     """Exact witness when a square coordinate works or a small rational point
     exists; otherwise a float witness flagged approximate."""
     ra = is_rational_square(a) if a > 0 else None
@@ -272,7 +272,6 @@ def local_solve_witness(
     needs no precision and ignores it.
     """
     place = Place.parse(v)
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("inputs must be nonzero")
     if place.is_infinite:
@@ -297,7 +296,7 @@ def local_solve_witness(
     else:
         # a'' = -a b / (sa sb p)^2 is a unit, and br = b / sb^2: a witness
         # (w, z) of (a'', br) gives one of (ar, br), ar = a / sa^2
-        br = b / Fraction(p) ** (2 * eb) if eb else b
+        br = b / Fraction(p) ** (2 * eb) if eb else Fraction(b)
         w, z = _unit_witness(-ua * ub % pK, ub, 1, p, K, pK)
         if z == 0:
             # a'' = 1/w^2: ar x^2 + br y^2 = ((br y)^2 - a''(p x)^2)/br

@@ -7,9 +7,9 @@ valuation and 2-adic binomial-series exercises.
 Precision is relative: an element stores k unit digits, so its value is
 known modulo p^(v+k).  Exact zero is a distinguished value, never a
 "very small" element.  An element holds its prime as a `Prime`, so the
-elements computed from it certify nothing again.  hensel_lift runs a
-Newton loop on plain ints; a unit's root is rational.unit_sqrt's, lifted
-on hensel_lift's schedule.
+elements computed from it certify nothing again.  hensel_lift and
+rational.unit_sqrt, whose root is a unit's, each run a Newton loop on
+plain ints on the one precision schedule, rational._lift_schedule.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from qrlab.rational import (
     Prime,
     Rat,
     Record,
+    _lift_schedule,
     _set,
     check_padic_size,
     int_valuation,
@@ -228,32 +229,8 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
     f(xi) = 0 (mod p^N) and xi = x0 (mod p^(m-delta)).  That root is
     unique mod p^N, so f = 0, of which every x is a root, is refused, as
     is a nonzero constant f, which has none.  When f(x0) = 0 already,
-    xi = x0 with N digits of its unit.  The lift runs on plain ints;
-    rational.unit_sqrt runs the same schedule for T^2 - u, whose delta and
-    m it knows.
-
-    Schedule: Newton iteration with the precisions fixed from the top down
-    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9; Brent &
-    Zimmermann, Modern Computer Arithmetic, 4.2).  A step from a lower
-    bound m on v_p(f(x)) reaches 2(m - delta), so the least m that reaches
-    a target t is ceil(t/2) + delta.  The targets are t = N + delta, then
-    t <- ceil(t/2) + delta while t exceeds v_p(f(x0)), which is measured
-    once; the lift runs them upward from the last t <= v_p(f(x0)), and
-    N + delta fixes the root mod p^N.  Each precision is the least that
-    the next one allows, so only the last step works at full size, and
-    the steps are as few as doubling from v_p(f(x0)) takes.
-
-    The step from m toward t is x <- x - (f(x)/p^delta) * s mod p^t, with
-    w = f'(x)/p^delta a unit and s = 1/w (mod p^(m-2*delta)).  The error
-    in s leaves f(x)(1 - w*s) in f(x), of valuation >= m + (m - 2*delta)
-    = 2(m - delta) >= t: no worse than the Taylor remainder h^2,
-    v_p(h) >= m - delta.  w is inverted once, at x0; as x moves by
-    multiples of p^(m-delta), w moves by multiples of p^(m-2*delta), so
-    the old s is still good to m - 2*delta digits, and one Newton step
-    s <- s(2 - w*s) mod p^(t-2*delta) doubles that to 2(m - 2*delta) >=
-    t - 2*delta: the digits that the step from t needs.  A step's moduli
-    are that one power p^(t-2*delta) and it times p^(2*delta); the last
-    step only reduces its x mod p^N."""
+    xi = x0 with N digits of its unit.  The lift runs on plain ints, on
+    rational._lift_schedule(p, N + delta, delta, m), as unit_sqrt's does."""
     p = Prime(p)
     x = int(x0)
     N = target_precision
@@ -283,18 +260,13 @@ def hensel_lift(f: IntPolynomial, x0: int, target_precision: int, p: int) -> PAd
             f"Hensel hypothesis fails: v_p(f(x0)) = {m} <= 2*{delta} = 2*v_p(f'(x0))"
         )
     _check_hensel_work(f, (N + delta) * (p - 1).bit_length())
-    targets = []
-    t = N + delta
-    while t > m:
-        targets.append(t)
-        t = (t + 1) // 2 + delta
-    if targets:
-        pd, pd2 = p ** delta, p ** (2 * delta)
-        s = pow(dx // pd, -1, p ** (t - 2 * delta))
-        for t in reversed(targets[1:]):
-            mod = p ** (t - 2 * delta)
-            x = (x - fx // pd * s) % (mod * pd2)
-            s = s * (2 - fprime(x) // pd * s) % mod
+    if m < N + delta:
+        mod, steps, _ = _lift_schedule(p, N + delta, delta, m)
+        pd = p**delta
+        s = pow(dx // pd, -1, mod)
+        for mod_s, mod_x in steps:
+            x = (x - fx // pd * s) % mod_x
+            s = s * (2 - fprime(x) // pd * s) % mod_s
             fx = f(x)
         x = x - fx // pd * s
     return _element_from_int(x, p, N)

@@ -15,8 +15,9 @@ division of num * den by p^|v|), and `rational_factor_exponents` sorts
 them for `factorize` and the CLI.
 
 `unit_sqrt` lifts a root mod p to one mod p^k in a Newton loop of its own,
-for padic_sqrt and for the local witnesses, which load no p-adics; its
-moduli and the least non-residue mod p are cached, computed once per prime.
+for padic_sqrt and for the local witnesses, which load no p-adics, on the
+precision schedule of `_lift_schedule`, the one that padic.hensel_lift
+reads too; the schedules and the least non-residue mod p are cached.
 
 The library's value types are `Record`s: each checks its arguments in
 __init__ and sets every field exactly once, so a built record is valid.
@@ -776,36 +777,58 @@ def unit_sqrt(u: int, p: int, k: int) -> int | None:
     like its seed's from sqrt_mod_prime.  At 2 the roots mod 2^k are +-r
     and +-r + 2^(k-1): the root is taken mod 2^(k-1), = 1 (mod 4) as seed 1.
 
-    T^2 - u is lifted on padic.hensel_lift's top-down schedule with delta
-    = d = v_p(2x) and m <= v_p(x^2 - u) known at the seed: d, m = 0, 1 at
-    odd p and 1, 3 at 2, so every step keeps x mod p^(m-d), the seed's
-    sign.  The step to t is x <- x - ((x^2 - u)/p^d) s mod p^t, s =
-    1/(2x/p^d) mod p^(t-2d), whose digits s <- s(2 - (2x/p^d) s) doubles;
-    as d > 0 only at 2, the shifts by d divide by p^d; the moduli p^t are
-    _lift_schedule's, computed once per (p, k)."""
-    x, d = (1 if u % 8 == 1 else None, 1) if p == 2 else (sqrt_mod_prime(u, p), 0)
+    T^2 - u is lifted on _lift_schedule(p, k + d, d, m), with d = v_p(2x)
+    and m <= v_p(x^2 - u) known at the seed: d, m = 0, 1 at odd p and 1, 3
+    at 2, so every step keeps x mod p^(m-d), the seed's sign; as d > 0
+    only at 2, the shifts by d divide by p^d."""
+    x, d, m = (1 if u % 8 == 1 else None, 1, 3) if p == 2 else (sqrt_mod_prime(u, p), 0, 1)
     if x is None:
         return None
-    steps, last = _lift_schedule(p, k)
-    s = pow((2 * x) >> d, -1, p)  # t - 2d = 1 here
+    mod, steps, top = _lift_schedule(p, k + d, d, m)
+    s = pow((2 * x) >> d, -1, mod)
     for mod_s, mod_x in steps:
         x = (x - ((x * x - u) >> d) * s) % mod_x
         s = s * (2 - ((2 * x) >> d) * s) % mod_s
-    return (x - ((x * x - u) >> d) * s) % last
+    return (x - ((x * x - u) >> d) * s) % top
 
 
 @functools.lru_cache(maxsize=32)
-def _lift_schedule(p: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """unit_sqrt's moduli at (p, k): (p^(t-2d), p^t) for each step but the
-    last, in order, then p^(k-d).  The targets t halve from k + d, so one
-    schedule holds ~3 log2(p^k) bits, 1.2-1.6 kB at the 2^1024 p-adic bound,
-    and the 32 entries hold under 50 kB there."""
-    d, m = (1, 3) if p == 2 else (0, 1)
-    targets, t = [], k + d
-    while t > m:
-        targets.append(t)
-        t = (t + 1) // 2 + d
-    return tuple((p ** (t - 2 * d), p**t) for t in reversed(targets[1:])), p ** (k - d)
+def _lift_schedule(p: int, t: int, d: int, m: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """The moduli of a Newton lift of a root x of f to f(x) = 0 (mod p^t),
+    from a seed with d = v_p(f'(x)) and 2d < m <= v_p(f(x)): p^(t0-2d), in
+    which the inverse of f'(x)/p^d is taken once; the pair (p^(r-2d), p^r)
+    of every step but the last, in order; and the top modulus p^(t-2d).
+    padic.hensel_lift and unit_sqrt both run on it.
+
+    Newton iteration with the precisions fixed from the top down (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 9; Brent & Zimmermann,
+    Modern Computer Arithmetic, 4.2).  A step from a lower bound m on
+    v_p(f(x)) reaches 2(m - d), so the least m that reaches a target r is
+    ceil(r/2) + d.  The targets are r = t, then r <- ceil(r/2) + d while r
+    exceeds m; the lift runs them upward from t0, the last r <= m.  Each
+    precision is the least that the next one allows, so only the last step
+    works at full size, and the steps are as few as doubling from m takes.
+
+    The step from m toward r is x <- x - (f(x)/p^d) s mod p^r, with w =
+    f'(x)/p^d a unit and s = 1/w (mod p^(m-2d)).  The error in s leaves
+    f(x)(1 - w s) in f(x), of valuation >= m + (m - 2d) = 2(m - d) >= r:
+    no worse than the Taylor remainder h^2, v_p(h) >= m - d.  w is
+    inverted once, at the seed; as x moves by multiples of p^(m-d), w
+    moves by multiples of p^(m-2d), so the old s is still good to m - 2d
+    digits, and one Newton step s <- s(2 - w s) mod p^(r-2d) doubles that
+    to 2(m - 2d) >= r - 2d: the digits that the step from r needs.  A
+    step's moduli are that one power p^(r-2d) and it times p^(2d); the
+    last step only reduces its x, mod p^(t-d) in hensel_lift and mod the
+    top modulus in unit_sqrt, whose u is known only mod p^(t-d).
+
+    One schedule holds ~3 log2(p^t) bits, 1.2-1.6 kB at the 2^1024 p-adic
+    bound, and the 32 entries hold under 50 kB there."""
+    targets, r = [], t
+    while r > m:
+        targets.append(r)
+        r = (r + 1) // 2 + d
+    steps = tuple((p ** (n - 2 * d), p**n) for n in reversed(targets[1:]))
+    return p ** (r - 2 * d), steps, p ** (t - 2 * d)
 
 
 def _sqrt_mod_squarefree_general(a: int, b: int, primes, root: int | None = None) -> int | None:

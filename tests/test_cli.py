@@ -3,6 +3,7 @@ report formats, and the argument grammar (negative rationals, places,
 textual p-adic elements, character labels)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -877,6 +878,34 @@ def test_frac_part_textual_element(capsys):
     code, out, _ = invoke(capsys, "frac-part", "2^-2 * (1 + 1*2 + 1*2^2) + O(2^4)")
     assert (code, out) == (0, "3/4")
     assert invoke(capsys, "frac-part", "7/4", "-p", "2")[1] == "3/4"
+
+
+def test_padic_commands_refuse_an_element_at_another_prime(capsys):
+    x = "7^0 * (3) + O(7^5)"
+    for argv in (["arith", "add", x, "1"], ["arith", "add", "1", x], ["sqrt", x],
+                 ["unit-decompose", x], ["digits", x], ["square-class", x], ["frac-part", x]):
+        code, out, err = invoke(capsys, *argv, "-p", "5")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: element lives at 7, but p = 5 was given\n", argv
+
+
+# the lifts and witnesses at the precision bound, byte for byte: the sha256
+# prefixes of their stdout, which CI pins on the installed entry point too
+@pytest.mark.parametrize("command, digest", [
+    ("hensel -17,0,1 1 -p 2 --prec 1024", "2380fc27dd665b89"),
+    ("witness 5/7 3 1013 --prec 102", "9ea7cf342e164a9b"),
+    ("sqrt 17 -p 2 --prec 1024", "345a548db408d98d"),
+    ("sqrt 2 -p 7 --prec 364", "b6972b07d7f74036"),
+    ("witness 3 -5/7 2 --prec 1000", "a27d2a4391ca7bd6"),
+    ("witness 7/3 5 1009 --prec 102", "5854eb1f122d1a53"),
+    ("sqrt 3 -p 1009 --prec 102", "887219e4c05c6582"),
+    ("witness 5/7 3 10007", "0307bd353d68394b"),
+    ("witness 2 3 inf", "6c723b880f884f76"),
+])
+def test_lift_outputs_match_their_pinned_digests(capsys, command, digest):
+    assert run(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_correspondence_rows(capsys):

@@ -11,7 +11,8 @@ against recorded certificate points, hensel_lift's precision-doubling
 schedule against the per-step loop it replaced, unit_sqrt's own Newton
 loop in rational against the polynomial route through hensel_lift that
 it replaced, up to the precision bound, and its cached schedule against
-the loop that worked it out on every call, sqrt_mod_prime (Atkin's
+the loop that worked it out on every call and against its precisions
+found by search, one entry shared with hensel_lift, sqrt_mod_prime (Atkin's
 formula at p = 5 (mod 8), one Tonelli-Shanks loop at every other odd
 prime) against Euler's criterion followed by a^((p+1)/4) or
 Tonelli-Shanks, smallest_nonresidue's Jacobi symbols against Euler's
@@ -1054,6 +1055,43 @@ def test_unit_sqrt_matches_the_uncached_schedule_as_entries_are_evicted():
     info = rational._lift_schedule.cache_info()
     assert info.maxsize == info.currsize == 32
     assert info.misses > len(pairs), info
+
+
+def test_lift_schedule_matches_its_precisions_found_by_search():
+    # below t, each precision is the least q whose step reaches the one
+    # above it, 2(q - d) >= r, found by search; the lift starts from the
+    # first that m holds, so expected[i] is the schedule of every m in
+    # [chain[i], chain[i - 1])
+    for p in (2, 3, 1009):
+        power = [p**e for e in range(301)]
+        for d in range(4):
+            for t in range(2 * d + 1, 301):
+                chain = [t]
+                while chain[-1] > 2 * d + 1:
+                    r = chain[-1]
+                    chain.append(next(q for q in range(r // 2, r) if 2 * (q - d) >= r))
+                expected = [(power[t0 - 2 * d],
+                             tuple((power[r - 2 * d], power[r]) for r in reversed(chain[1:i])),
+                             power[t - 2 * d]) for i, t0 in enumerate(chain)]
+                i = 0
+                for m in range(t, 2 * d, -1):
+                    while chain[i] > m:
+                        i += 1
+                    assert rational._lift_schedule(p, t, d, m) == expected[i], (p, t, d, m)
+
+
+def test_hensel_lift_and_unit_sqrt_read_one_schedule():
+    # T^2 - u from its seed, with v_p(x0^2 - u) = m: 3 at 2, 1 at odd p,
+    # lifted to N = k digits, is unit_sqrt's own lift of u to k digits
+    k = 100
+    for p, u in ((2, 41), (7, 2), (1013, 4 + 1013)):
+        x0 = 1 if p == 2 else sqrt_mod_prime(u, p)
+        rational._lift_schedule.cache_clear()
+        root = hensel_lift(IntPolynomial((-u, 0, 1)), x0, k, p).integer_rep()
+        d = 1 if p == 2 else 0
+        assert unit_sqrt(u, p, k) == root % p ** (k - d), p
+        info = rational._lift_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1), (p, info)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,27 @@ def test_witness_iff_symbol(a, b, p):
         assert w.verify(a, b)
 
 
+def test_witness_reads_int_and_fraction_inputs_alike():
+    # a and b are read as given: an int and its Fraction give one witness,
+    # in Fractions, on every branch of the case table, with a and b
+    # p^(+-2) n and p^(+-1) n (so v_p(b) = -1 too), and at the real place
+    def as_given(x):
+        return int(x) if x.denominator == 1 else x
+
+    real = [Fraction(s * n, d) for s in (1, -1) for n, d in ((1, 1), (2, 1), (3, 1), (9, 4))]
+    for v in (2, 3, 5, 7, "inf"):
+        values = real if v == "inf" else sorted(
+            {s * n * Fraction(v) ** e for n in range(1, 8) for s in (1, -1) for e in range(-2, 3)}
+        )
+        for a in values:
+            for b in values:
+                w = local_solve_witness(a, b, v)
+                w_given = local_solve_witness(as_given(a), as_given(b), v)
+                assert w == w_given, (a, b, v)
+                if w is not None:
+                    assert type(w_given.x) is type(w_given.y) is Fraction, (a, b, v)
+
+
 # ---------------------------------------------------------------------------
 # norms and the character correspondence
 
